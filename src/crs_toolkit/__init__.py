@@ -26,9 +26,7 @@ from .measures import (
     PairSpec,
     SyntheticSpec,
     discrete_spec,
-    log_ratio,
     make_pair,
-    sample_proposal,
 )
 from .width import (
     GaussianWidth,

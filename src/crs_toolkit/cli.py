@@ -46,16 +46,9 @@ from .experiments import (
     write_sweep,
 )
 from .grs import grs_empirical, grs_index_distribution, grs_sample
-from .measures import (
-    GaussianSpec,
-    LaplaceSpec,
-    SyntheticSpec,
-    discrete_spec,
-    make_pair,
-)
+from .measures import FAMILIES, PairSpec
 from .streams import RngStream
-from .width import width_eval, width_from_table
-from .experiments import read_width_table
+from .width import width_eval
 
 
 def _num(x: float) -> str:
@@ -63,8 +56,7 @@ def _num(x: float) -> str:
 
 
 def _add_pair_flags(p: argparse.ArgumentParser):
-    p.add_argument("--family", required=True,
-                   choices=["laplace", "gaussian", "discrete", "synthetic"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--b", type=float, help="laplace scale in (0, 1]")
     p.add_argument("--mu", type=float, help="gaussian mean")
     p.add_argument("--sigma", type=float, help="gaussian scale in (0, 1)")
@@ -81,23 +73,19 @@ def _csv_floats(text: str) -> list[float]:
         raise InvalidParameterError(f"bad numeric list {text!r}") from exc
 
 
-def _spec_from_args(args) -> object:
-    fam = args.family
-    if fam == "laplace":
-        if args.b is None:
-            raise InvalidParameterError("laplace needs --b")
-        return LaplaceSpec(args.b)
-    if fam == "gaussian":
-        if args.mu is None or args.sigma is None or args.d is None:
-            raise InvalidParameterError("gaussian needs --mu, --sigma and --d")
-        return GaussianSpec(args.mu, args.sigma, args.d)
-    if fam == "discrete":
-        if args.q is None or args.p is None:
-            raise InvalidParameterError("discrete needs --q and --p")
-        return discrete_spec(_csv_floats(args.q), _csv_floats(args.p))
-    if args.width_table is None:
-        raise InvalidParameterError("synthetic needs --width-table")
-    return SyntheticSpec(width_from_table(read_width_table(args.width_table)))
+def _pair_spec(args) -> PairSpec:
+    """Pair spec from the pair flags, read as a suite-file descriptor."""
+    flags = {"b": args.b, "mu": args.mu, "sigma": args.sigma, "d": args.d,
+             "q": None if args.q is None else _csv_floats(args.q),
+             "p": None if args.p is None else _csv_floats(args.p), "path": args.width_table}
+    # a table is the only synthetic width the CLI reads; other families ignore "width"
+    desc = {"family": args.family, "width": "table"}
+    desc.update((key, value) for key, value in flags.items() if value is not None)
+    try:
+        return FAMILIES[args.family].from_json(desc)
+    except KeyError as exc:
+        flag = "--width-table" if exc.args[0] == "path" else f"--{exc.args[0]}"
+        raise InvalidParameterError(f"{args.family} needs {flag}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,10 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_divergence(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _pair_spec(args)
     if args.kind == "kl":
-        route = "width_identity" if spec.family == "synthetic" else "closed_form"
-        report = kl_divergence(spec, route=route, tol=args.tol)
+        report = kl_divergence(spec, route=spec.kl_route, tol=args.tol)
     else:
         w = width_eval(spec)
         tol = args.tol if args.tol is not None else default_tolerance(w)
@@ -160,7 +147,7 @@ def _run_divergence(args) -> int:
 
 
 def _run_grs(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _pair_spec(args)
     w = width_eval(spec)
     if args.action in ("entropy", "mean"):
         dist = grs_index_distribution(w, eps_stop=args.eps_stop)
@@ -170,10 +157,9 @@ def _run_grs(args) -> int:
             value = dist.entropy_bits if args.action == "entropy" else dist.mean_index
             print(_num(value))
         return 0
-    pair = make_pair(spec)
     stream = RngStream(args.seed, 0)
     if args.action == "sample":
-        x, k = grs_sample(pair, w, stream)
+        x, k = grs_sample(spec, w, stream)
         if args.format == "json":
             xval = x.tolist() if isinstance(x, np.ndarray) else x
             print(json.dumps({"x": xval, "k": k}))
@@ -186,7 +172,7 @@ def _run_grs(args) -> int:
                 xtxt = _num(x)
             print(f"{xtxt} {k}")
         return 0
-    result = grs_empirical(pair, w, stream, args.runs)
+    result = grs_empirical(spec, w, stream, args.runs)
     hist = result.histogram
     if args.format == "json":
         print(json.dumps({"n": args.runs, "histogram": {str(k): v for k, v in sorted(hist.items())}}))

@@ -125,21 +125,6 @@ def alternative_divergence(w: WidthFunction, tol: float | None = None) -> Diverg
                              tol if tol is not None else default_tolerance(w), "ACS")
 
 
-def _kl_closed_form_bits(spec: measures.PairSpec) -> float:
-    if spec.family == "laplace":
-        return (spec.b - 1.0 - math.log(spec.b)) / LN2
-    if spec.family == "gaussian":
-        per_dim = -math.log(spec.sigma) + (spec.sigma**2 + spec.mu**2 - 1.0) / 2.0
-        return spec.d * per_dim / LN2
-    if spec.family == "discrete":
-        q = np.asarray(spec.q)
-        p = np.asarray(spec.p)
-        m = q > 0.0
-        return float(np.sum(q[m] * np.log(q[m] / p[m]))) / LN2
-    raise InvalidParameterError(
-        f"no closed-form KL for family {spec.family!r}; use the width_identity route")
-
-
 def _kl_width_identity_bits(w: WidthFunction, tol_bits: float) -> tuple[float, float, bool, str]:
     if isinstance(w, StepWidth):
         # exact: int_a^b ln h dh = [h ln h - h]
@@ -161,11 +146,11 @@ def kl_divergence(
 ) -> DivergenceReport:
     """D_KL in bits via the family closed form or the width identity.
 
-    The two routes agree within combined tolerance; synthetic specs only
-    support the width identity.
+    The two routes agree within combined tolerance; spec.kl_route names the
+    route a family supports (synthetic specs only the width identity).
     """
     if route == "closed_form":
-        return _report("KL", _kl_closed_form_bits(spec), 0.0, "closed_form")
+        return _report("KL", spec.kl_bits(), 0.0, "closed_form")
     if route == "width_identity":
         w = width_eval(spec)
         if tol is None:

@@ -35,19 +35,14 @@ from .divergences import (
 from .errors import CrsToolkitError, InvalidParameterError, SweepValidationError
 from .grs import grs_index_distribution
 from .measures import (
+    FAMILIES,
     GaussianSpec,
     LaplaceSpec,
     PairSpec,
     SyntheticSpec,
     discrete_spec,
 )
-from .width import (
-    d_infinity,
-    equality_case_width,
-    two_level_width,
-    width_eval,
-    width_from_table,
-)
+from .width import d_infinity, equality_case_width, two_level_width, width_eval
 
 LN2 = math.log(2.0)
 GAMMA = float(np.euler_gamma)
@@ -302,23 +297,14 @@ class BoundSuiteReport:
 
 
 def spec_descriptor(spec: PairSpec) -> dict:
-    if spec.family == "laplace":
-        return {"family": "laplace", "b": spec.b}
-    if spec.family == "gaussian":
-        return {"family": "gaussian", "mu": spec.mu, "sigma": spec.sigma, "d": spec.d}
-    if spec.family == "discrete":
-        return {"family": "discrete", "q": list(spec.q), "p": list(spec.p)}
-    return {"family": "synthetic", "width": getattr(spec.w, "label", type(spec.w).__name__)}
+    return spec.descriptor()
 
 
 def _verify_pair(entry: SuiteEntry) -> PairBoundReport:
     spec = entry.spec
     try:
         w = width_eval(spec)
-        if spec.family == "synthetic":
-            kl_rep = kl_divergence(spec, route="width_identity")
-        else:
-            kl_rep = kl_divergence(spec)
+        kl_rep = kl_divergence(spec, route=spec.kl_route)
         dcs_rep = channel_simulation_divergence(w)
         dacs_rep = alternative_divergence(w)
         dist = grs_index_distribution(w, eps_stop=entry.eps_stop)
@@ -394,24 +380,16 @@ def bound_suite(entries: Sequence[SuiteEntry] | None = None) -> BoundSuiteReport
 
 def parse_spec_json(obj: dict) -> PairSpec:
     """Pair spec from its JSON descriptor (the verify file format)."""
-    fam = obj.get("family")
-    if fam == "laplace":
-        return LaplaceSpec(float(obj["b"]))
-    if fam == "gaussian":
-        return GaussianSpec(float(obj["mu"]), float(obj["sigma"]), int(obj["d"]))
-    if fam == "discrete":
-        return discrete_spec(obj["q"], obj["p"])
-    if fam == "synthetic":
-        kind = obj.get("width")
-        if kind == "equality":
-            return SyntheticSpec(equality_case_width(float(obj["c"])))
-        if kind == "two_level":
-            return SyntheticSpec(two_level_width(float(obj["eps"])))
-        if kind == "table":
-            rows = read_width_table(obj["path"])
-            return SyntheticSpec(width_from_table(rows))
-        raise InvalidParameterError(f"unknown synthetic width descriptor {kind!r}")
-    raise InvalidParameterError(f"unknown family {fam!r} in suite file")
+    if not isinstance(obj, dict):
+        raise InvalidParameterError(f"suite entry {obj!r} is not a JSON object")
+    # str(): a JSON list or object given as the tag is unhashable
+    family = FAMILIES.get(str(obj.get("family")))
+    if family is None:
+        raise InvalidParameterError(f"unknown family {obj.get('family')!r} in suite file")
+    try:
+        return family.from_json(obj)
+    except KeyError as exc:
+        raise InvalidParameterError(f"{family.family} entry needs the key {exc.args[0]!r}") from None
 
 
 def load_suite_file(path: str) -> list[SuiteEntry]:
@@ -425,21 +403,6 @@ def load_suite_file(path: str) -> list[SuiteEntry]:
         eps = float(obj.get("eps_stop", SUITE_EPS_STOP))
         entries.append(SuiteEntry(obj.get("name", f"pair_{i}"), spec, eps))
     return entries
-
-
-def read_width_table(path: str) -> list[tuple[float, float]]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "h,w":
-            raise InvalidParameterError("width table must start with the header 'h,w'")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            h_str, w_str = line.split(",")
-            rows.append((float(h_str), float(w_str)))
-    return rows
 
 
 def rows_to_csv(header: str, rows: Sequence) -> str:

@@ -1,103 +1,73 @@
-"""Target/proposal pairs: construction, proposal sampling, density ratios.
+"""Target/proposal pairs: one class per family.
 
-Four families share one interface. Sample spaces are concrete carriers: real
-scalars (laplace, synthetic on the unit interval), real vectors (gaussian
-product pairs with equal per-dimension mean and scale), and integer indices
-(discrete). Pairs are immutable after construction and safe to share across
-threads; all randomness flows through keyed RngStream substreams.
+A family lives in one frozen dataclass that is both the validated spec and
+the pair: its width, closed-form KL and KL route, JSON descriptor and parser
+(the `verify` suite format), proposal draws and density ratio. FAMILIES maps
+each family tag to its class and drives suite files and the CLI alike.
+
+Sample spaces are concrete carriers: real scalars (laplace, synthetic on the
+unit interval), real vectors (gaussian product pairs with equal
+per-dimension mean and scale), and integer indices (discrete). Pairs are
+immutable after construction and safe to share across threads; all
+randomness flows through keyed RngStream substreams.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .streams import RngStream
-from .width import WidthFunction, gaussian_log_ratio_constants
+from .width import (
+    GaussianWidth,
+    LaplaceWidth,
+    WidthFunction,
+    equality_case_width,
+    gaussian_log_ratio_constants,
+    indicator_width,
+    read_width_table,
+    two_level_width,
+    width_from_discrete,
+    width_from_table,
+)
 
 LN2 = math.log(2.0)
 
 _SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LaplaceSpec:
-    """Q = Laplace(0, b) against P = Laplace(0, 1), 0 < b <= 1."""
-
-    b: float
-    family: str = field(default="laplace", init=False)
-
-    def __post_init__(self):
-        if not (0.0 < self.b <= 1.0):
-            raise InvalidParameterError(f"laplace scale must be in (0, 1], got {self.b}")
-
-
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Q = N(mu, sigma^2)^d against P = N(0, 1)^d, 0 < sigma < 1."""
-
-    mu: float
-    sigma: float
-    d: int
-    family: str = field(default="gaussian", init=False)
-
-    def __post_init__(self):
-        if not (0.0 < self.sigma < 1.0):
-            raise InvalidParameterError(f"gaussian sigma must be in (0, 1), got {self.sigma}")
-        if self.d < 1 or self.d != int(self.d):
-            raise InvalidParameterError(f"gaussian dimension must be a positive integer, got {self.d}")
-
-
-@dataclass(frozen=True)
-class DiscreteSpec:
-    """Probability vectors (q, p) of equal length with Q << P."""
-
-    q: tuple[float, ...]
-    p: tuple[float, ...]
-    family: str = field(default="discrete", init=False)
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        if q.ndim != 1 or q.shape != p.shape or q.size == 0:
-            raise InvalidParameterError("q and p must be equal-length non-empty vectors")
-        if np.any(q < 0.0) or np.any(p < 0.0):
-            raise InvalidParameterError("probability vectors must be non-negative")
-        if abs(q.sum() - 1.0) > _SUM_TOL or abs(p.sum() - 1.0) > _SUM_TOL:
-            raise InvalidParameterError("q and p must each sum to 1 within 1e-12")
-        if np.any((q > 0.0) & (p == 0.0)):
-            raise InvalidParameterError("Q is not absolutely continuous w.r.t. P")
-        object.__setattr__(self, "q", tuple(float(v) for v in q))
-        object.__setattr__(self, "p", tuple(float(v) for v in p))
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """P = Uniform(0, 1); dQ/dP is the decreasing generalized inverse of w."""
-
-    w: WidthFunction
-    family: str = field(default="synthetic", init=False)
-
-    def __post_init__(self):
-        w = self.w
-        if not (hasattr(w, "h_max") and callable(w)):
-            raise InvalidParameterError("synthetic spec needs a WidthFunction")
-        if abs(w.total_mass - 1.0) > 1e-9:
-            raise InvalidParameterError(
-                f"synthetic width mass {w.total_mass!r} differs from 1 by more than 1e-9")
-
-
-PairSpec = Union[LaplaceSpec, GaussianSpec, DiscreteSpec, SyntheticSpec]
-
-
 class DistributionPair:
-    """A concrete (Q, P) pair: proposal sampling plus the density ratio."""
+    """A concrete (Q, P) pair: proposal sampling plus the density ratio.
 
-    spec: PairSpec
+    Each family subclass is a frozen dataclass whose __post_init__ validates
+    the fields and caches derived values through vars(self). By default the
+    fields are the numeric keys of the family's descriptor.
+    """
+
+    family: ClassVar[str]
+    kl_route: ClassVar[str] = "closed_form"
     d_inf_bits: float
+
+    def width(self) -> WidthFunction:
+        """Analytic width function w(h) = P(dQ/dP >= h)."""
+        raise NotImplementedError
+
+    def kl_bits(self) -> float:
+        """Closed-form D_KL in bits."""
+        raise InvalidParameterError(
+            f"no closed-form KL for family {self.family!r}; use the width_identity route")
+
+    @classmethod
+    def from_json(cls, obj: dict) -> DistributionPair:
+        """Spec from its descriptor; a missing key raises KeyError."""
+        return cls(*(float(obj[f.name]) for f in fields(cls)))
+
+    def descriptor(self) -> dict:
+        """JSON descriptor in the verify suite format."""
+        return {"family": self.family, **asdict(self)}
 
     def log_ratio(self, x) -> np.ndarray:
         """ln(dQ/dP) at points of P's support, vectorized."""
@@ -119,11 +89,23 @@ class DistributionPair:
         return ()
 
 
-class LaplacePair(DistributionPair):
-    def __init__(self, spec: LaplaceSpec):
-        self.spec = spec
-        self.b = spec.b
-        self.d_inf_bits = -math.log2(self.b)
+@dataclass(frozen=True)
+class LaplaceSpec(DistributionPair):
+    """Q = Laplace(0, b) against P = Laplace(0, 1), 0 < b <= 1."""
+
+    b: float
+    family = "laplace"
+
+    def __post_init__(self):
+        if not (0.0 < self.b <= 1.0):
+            raise InvalidParameterError(f"laplace scale must be in (0, 1], got {self.b}")
+        vars(self).update(d_inf_bits=-math.log2(self.b))
+
+    def width(self) -> WidthFunction:
+        return indicator_width() if self.b == 1.0 else LaplaceWidth(self.b)
+
+    def kl_bits(self) -> float:
+        return (self.b - 1.0 - math.log(self.b)) / LN2
 
     def log_ratio(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -133,43 +115,91 @@ class LaplacePair(DistributionPair):
         return gen.laplace(0.0, 1.0, n)
 
 
-class GaussianPair(DistributionPair):
-    def __init__(self, spec: GaussianSpec):
-        self.spec = spec
-        self.a, self.c, self.t0 = gaussian_log_ratio_constants(spec.mu, spec.sigma)
-        self.d_inf_bits = spec.d * self.t0 / LN2
+@dataclass(frozen=True)
+class GaussianSpec(DistributionPair):
+    """Q = N(mu, sigma^2)^d against P = N(0, 1)^d, 0 < sigma < 1."""
+
+    mu: float
+    sigma: float
+    d: int
+    family = "gaussian"
+
+    def __post_init__(self):
+        if not (0.0 < self.sigma < 1.0):
+            raise InvalidParameterError(f"gaussian sigma must be in (0, 1), got {self.sigma}")
+        if self.d < 1 or self.d != int(self.d):
+            raise InvalidParameterError(
+                f"gaussian dimension d must be a positive integer, got {self.d}")
+        a, c, t0 = gaussian_log_ratio_constants(self.mu, self.sigma)
+        vars(self).update(d=int(self.d), a=a, c=c, t0=t0, d_inf_bits=self.d * t0 / LN2)
+
+    def width(self) -> WidthFunction:
+        return GaussianWidth(self.mu, self.sigma, self.d)
+
+    def kl_bits(self) -> float:
+        per_dim = -math.log(self.sigma) + (self.sigma**2 + self.mu**2 - 1.0) / 2.0
+        return self.d * per_dim / LN2
 
     def log_ratio(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.spec.d == 1 and x.ndim <= 1:
+        if self.d == 1 and x.ndim <= 1:
             per_dim = self.t0 - self.a * (x - self.c) ** 2
             return np.atleast_1d(per_dim)
         if x.ndim == 1:
             x = x[None, :]
-        if x.shape[-1] != self.spec.d:
-            raise InvalidParameterError(f"points must have dimension {self.spec.d}")
-        return self.spec.d * self.t0 - self.a * np.sum((x - self.c) ** 2, axis=-1)
+        if x.shape[-1] != self.d:
+            raise InvalidParameterError(f"points must have dimension {self.d}")
+        return self.d * self.t0 - self.a * np.sum((x - self.c) ** 2, axis=-1)
 
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        draws = gen.standard_normal((n, self.spec.d))
-        return draws[:, 0] if self.spec.d == 1 else draws
+        draws = gen.standard_normal((n, self.d))
+        return draws[:, 0] if self.d == 1 else draws
 
     @property
     def point_shape(self) -> tuple[int, ...]:
-        return () if self.spec.d == 1 else (self.spec.d,)
+        return () if self.d == 1 else (self.d,)
 
 
-class DiscretePair(DistributionPair):
-    def __init__(self, spec: DiscreteSpec):
-        self.spec = spec
-        self.q = np.asarray(spec.q, dtype=float)
-        self.p = np.asarray(spec.p, dtype=float)
-        self._cum_p = np.cumsum(self.p)
-        ratios = np.zeros_like(self.q)
-        np.divide(self.q, self.p, out=ratios, where=self.p > 0.0)
-        self.ratios = ratios
-        support = (self.p > 0.0) & (self.q > 0.0)
-        self.d_inf_bits = float(np.log2(ratios[support].max())) if support.any() else 0.0
+@dataclass(frozen=True)
+class DiscreteSpec(DistributionPair):
+    """Probability vectors (q, p) of equal length with Q << P."""
+
+    q: tuple[float, ...]
+    p: tuple[float, ...]
+    family = "discrete"
+
+    def __post_init__(self):
+        q = np.array(self.q, dtype=float)  # copies: the arrays are cached below
+        p = np.array(self.p, dtype=float)
+        if q.ndim != 1 or q.shape != p.shape or q.size == 0:
+            raise InvalidParameterError("q and p must be equal-length non-empty vectors")
+        if np.any(q < 0.0) or np.any(p < 0.0):
+            raise InvalidParameterError("probability vectors must be non-negative")
+        if abs(q.sum() - 1.0) > _SUM_TOL or abs(p.sum() - 1.0) > _SUM_TOL:
+            raise InvalidParameterError("q and p must each sum to 1 within 1e-12")
+        if np.any((q > 0.0) & (p == 0.0)):
+            raise InvalidParameterError("Q is not absolutely continuous w.r.t. P")
+        ratios = np.zeros_like(q)
+        np.divide(q, p, out=ratios, where=p > 0.0)
+        support = (p > 0.0) & (q > 0.0)
+        vars(self).update(
+            q=tuple(float(v) for v in q), p=tuple(float(v) for v in p),
+            _q=q, _p=p, _cum_p=np.cumsum(p), ratios=ratios,
+            d_inf_bits=float(np.log2(ratios[support].max())) if support.any() else 0.0)
+
+    @classmethod
+    def from_json(cls, obj: dict) -> DiscreteSpec:
+        return discrete_spec(obj["q"], obj["p"])
+
+    def descriptor(self) -> dict:
+        return {"family": "discrete", "q": list(self.q), "p": list(self.p)}
+
+    def width(self) -> WidthFunction:
+        return width_from_discrete(self.q, self.p)
+
+    def kl_bits(self) -> float:
+        q, p, m = self._q, self._p, self._q > 0.0
+        return float(np.sum(q[m] * np.log(q[m] / p[m]))) / LN2
 
     def log_ratio(self, x) -> np.ndarray:
         idx = np.atleast_1d(np.asarray(x))
@@ -177,9 +207,9 @@ class DiscretePair(DistributionPair):
             if np.any(idx != np.floor(idx)):
                 raise InvalidParameterError("discrete points are integer indices")
             idx = idx.astype(np.int64)
-        if np.any((idx < 0) | (idx >= self.q.size)):
+        if np.any((idx < 0) | (idx >= len(self.q))):
             raise InvalidParameterError("index outside the alphabet")
-        if np.any(self.p[idx] == 0.0):
+        if np.any(self._p[idx] == 0.0):
             raise InvalidParameterError("point outside the support of P")
         with np.errstate(divide="ignore"):
             return np.log(self.ratios[idx])
@@ -189,12 +219,42 @@ class DiscretePair(DistributionPair):
         return np.searchsorted(self._cum_p, u, side="right").astype(np.int64)
 
 
-class SyntheticPair(DistributionPair):
-    def __init__(self, spec: SyntheticSpec):
-        self.spec = spec
-        self.w = spec.w
-        h_max = spec.w.h_max
-        self.d_inf_bits = math.log2(h_max) if math.isfinite(h_max) else math.inf
+@dataclass(frozen=True)
+class SyntheticSpec(DistributionPair):
+    """P = Uniform(0, 1); dQ/dP is the decreasing generalized inverse of w.
+
+    Its KL has no closed form and goes by the width identity.
+    """
+
+    w: WidthFunction
+    family = "synthetic"
+    kl_route = "width_identity"
+
+    def __post_init__(self):
+        w = self.w
+        if not (hasattr(w, "h_max") and callable(w)):
+            raise InvalidParameterError("synthetic spec needs a WidthFunction")
+        if abs(w.total_mass - 1.0) > 1e-9:
+            raise InvalidParameterError(
+                f"synthetic width mass {w.total_mass!r} differs from 1 by more than 1e-9")
+        vars(self).update(d_inf_bits=math.log2(w.h_max) if math.isfinite(w.h_max) else math.inf)
+
+    @classmethod
+    def from_json(cls, obj: dict) -> SyntheticSpec:
+        kind = obj["width"]
+        if kind == "equality":
+            return cls(equality_case_width(float(obj["c"])))
+        if kind == "two_level":
+            return cls(two_level_width(float(obj["eps"])))
+        if kind == "table":
+            return cls(width_from_table(read_width_table(str(obj["path"]))))
+        raise InvalidParameterError(f"unknown synthetic width descriptor {kind!r}")
+
+    def descriptor(self) -> dict:
+        return {"family": "synthetic", "width": getattr(self.w, "label", type(self.w).__name__)}
+
+    def width(self) -> WidthFunction:
+        return self.w
 
     def log_ratio(self, x) -> np.ndarray:
         u = np.atleast_1d(np.asarray(x, dtype=float))
@@ -207,31 +267,15 @@ class SyntheticPair(DistributionPair):
         return gen.random(n)
 
 
-_PAIR_TYPES = {
-    "laplace": LaplacePair,
-    "gaussian": GaussianPair,
-    "discrete": DiscretePair,
-    "synthetic": SyntheticPair,
-}
+PairSpec = DistributionPair
+
+FAMILIES: dict[str, type[DistributionPair]] = {
+    cls.family: cls for cls in (LaplaceSpec, GaussianSpec, DiscreteSpec, SyntheticSpec)}
 
 
 def make_pair(spec: PairSpec) -> DistributionPair:
-    """Build the pair for a validated spec, with d_inf_bits populated."""
-    try:
-        cls = _PAIR_TYPES[spec.family]
-    except (AttributeError, KeyError):
-        raise InvalidParameterError(f"unknown pair spec {spec!r}") from None
-    return cls(spec)
-
-
-def log_ratio(pair: DistributionPair, x) -> np.ndarray:
-    """Functional form of pair.log_ratio."""
-    return pair.log_ratio(x)
-
-
-def sample_proposal(pair: DistributionPair, rng_stream: RngStream, n: int) -> np.ndarray:
-    """Functional form of pair.sample_proposal."""
-    return pair.sample_proposal(rng_stream, n)
+    """The pair of a validated spec: the spec itself, as each family class is both."""
+    return spec
 
 
 def discrete_spec(q: Sequence[float], p: Sequence[float]) -> DiscreteSpec:

@@ -198,30 +198,46 @@ def wrap_phi(fn: Callable[[np.ndarray], np.ndarray]) -> PhiSpec:
     return PhiSpec(fn, sup_value=float(vals.max()) * 1.1 + 1e-3)
 
 
-def _phi_tail_cut(tail: PowerTail, phi: PhiSpec, budget: float) -> tuple[float, float]:
-    """Smallest u_hi = ln(H) with the certified phi(w) tail beyond H under budget.
+def _tail_cut(ln_bound: Callable[[float], float], u_start: float,
+              budget: float) -> tuple[float, float]:
+    """First u = u_start + k/4 with ln_bound(u) <= ln(budget): (u, e^ln_bound(u)).
 
-    Uses int_H^inf [a*w - b*w*ln w] dh with w <= C h^-p, valid once
-    C h^-p <= 1/2; returns (u_hi, remainder bound). Works in log space so
-    heavy tails (p close to 1) do not overflow.
+    ln_bound(u) is the log of a certified bound on the width integral beyond
+    H = e^u; working in log space keeps heavy tails (exponent close to 1)
+    from overflowing.
     """
-    if phi.maj_a is None or phi.maj_b is None:
-        raise QuadratureError(
-            "width has infinite h_max and phi carries no integrable tail certificate")
-    c, p, a, b = tail.coef, tail.exponent, phi.maj_a, phi.maj_b
-    lnc = math.log(c)
-    u = max(math.log(tail.h_from), (lnc + math.log(2.0)) / p, 0.0)
+    u, ln_budget = u_start, math.log(budget)
     for _ in range(5000):
-        bracket = a + b * max(p * u - lnc, 0.0) + b * p / (p - 1.0)
-        ln_bound = lnc + (1.0 - p) * u + math.log(bracket) - math.log(p - 1.0)
-        if ln_bound <= math.log(budget):
-            return u, math.exp(ln_bound)
+        ln_b = ln_bound(u)
+        if ln_b <= ln_budget:
+            return u, math.exp(ln_b)
         if u > 690.0:
             raise QuadratureError(
                 "power tail too heavy to truncate within float range; "
                 "exponent too close to 1")
         u += 0.25
     raise QuadratureError("could not place the tail cut")
+
+
+def _phi_tail_cut(tail: PowerTail, phi: PhiSpec, budget: float) -> tuple[float, float]:
+    """Smallest u_hi = ln(H) with the certified phi(w) tail beyond H under budget.
+
+    Uses int_H^inf [a*w - b*w*ln w] dh with w <= C h^-p, valid once
+    C h^-p <= 1/2; returns (u_hi, remainder bound).
+    """
+    if phi.maj_a is None or phi.maj_b is None:
+        raise QuadratureError(
+            "width has infinite h_max and phi carries no integrable tail certificate")
+    c, p, a, b = tail.coef, tail.exponent, phi.maj_a, phi.maj_b
+    # loop invariants are hoisted, but the sums keep their order: reordering
+    # the terms of a bound moves the last ulp of the reported error
+    lnc, ln_p1, flat = math.log(c), math.log(p - 1.0), b * p / (p - 1.0)
+
+    def ln_bound(u: float) -> float:
+        bracket = a + b * max(p * u - lnc, 0.0) + flat
+        return lnc + (1.0 - p) * u + math.log(bracket) - ln_p1
+
+    return _tail_cut(ln_bound, max(math.log(tail.h_from), (lnc + math.log(2.0)) / p, 0.0), budget)
 
 
 def phi_of_width_integral(
@@ -285,16 +301,10 @@ def width_mass_integral(
     if math.isinf(h_max):
         if tail is None:
             raise QuadratureError("width has infinite h_max and no tail certificate")
-        c, p = tail.coef, tail.exponent
-        u_hi = max(math.log(tail.h_from), u_lo)
-        for _ in range(5000):
-            ln_bound = math.log(c) + (1.0 - p) * u_hi - math.log(p - 1.0)
-            if ln_bound <= math.log(tol / 8.0):
-                break
-            if u_hi > 690.0:
-                raise QuadratureError("power tail too heavy to truncate within float range")
-            u_hi += 0.25
-        remainder += math.exp(ln_bound)
+        lnc, p, ln_p1 = math.log(tail.coef), tail.exponent, math.log(tail.exponent - 1.0)
+        u_hi, tail_rem = _tail_cut(lambda u: lnc + (1.0 - p) * u - ln_p1,
+                                   max(math.log(tail.h_from), u_lo), tol / 8.0)
+        remainder += tail_rem
     else:
         u_hi = math.log(h_max)
     if u_hi <= u_lo:
@@ -328,18 +338,12 @@ def width_log_h_integral(
     if math.isinf(h_max):
         if tail is None:
             raise QuadratureError("width has infinite h_max and no tail certificate")
-        c, p = tail.coef, tail.exponent
-        u_hi = max(math.log(tail.h_from), 1.0)
-        for _ in range(5000):
-            # int_H^inf C h^-p ln h dh = C H^(1-p) [ln H/(p-1) + 1/(p-1)^2]
-            ln_bound = (math.log(c) + (1.0 - p) * u_hi
-                        + math.log(u_hi / (p - 1.0) + 1.0 / (p - 1.0) ** 2))
-            if ln_bound <= math.log(tol / 8.0):
-                break
-            if u_hi > 690.0:
-                raise QuadratureError("power tail too heavy to truncate within float range")
-            u_hi += 0.25
-        remainder += math.exp(ln_bound)
+        lnc, p, inv_sq = math.log(tail.coef), tail.exponent, 1.0 / (tail.exponent - 1.0) ** 2
+        # int_H^inf C h^-p ln h dh = C H^(1-p) [ln H/(p-1) + 1/(p-1)^2]
+        u_hi, tail_rem = _tail_cut(
+            lambda u: lnc + (1.0 - p) * u + math.log(u / (p - 1.0) + inv_sq),
+            max(math.log(tail.h_from), 1.0), tol / 8.0)
+        remainder += tail_rem
     else:
         u_hi = math.log(h_max)
     cuts = [math.log(b) for b in breakpoints if b > 0 and u_lo < math.log(b) < u_hi]

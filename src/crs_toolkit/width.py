@@ -428,16 +428,7 @@ def width_from_discrete(q: Sequence[float], p: Sequence[float]) -> StepWidth:
 
 def width_eval(spec: "PairSpec") -> WidthFunction:
     """Analytic width function of a pair spec."""
-    fam = spec.family
-    if fam == "laplace":
-        return indicator_width() if spec.b == 1.0 else LaplaceWidth(spec.b)
-    if fam == "gaussian":
-        return GaussianWidth(spec.mu, spec.sigma, spec.d)
-    if fam == "discrete":
-        return width_from_discrete(spec.q, spec.p)
-    if fam == "synthetic":
-        return spec.w
-    raise InvalidParameterError(f"unknown family {fam!r}")
+    return spec.width()
 
 
 def width_mc_estimate(pair: "DistributionPair", h: float, n: int,
@@ -491,6 +482,21 @@ def width_table_csv(w: WidthFunction, n: int = 1024) -> str:
     lines = ["h,w"]
     lines += [f"{h:.9g},{v:.9g}" for h, v in width_table(w, n)]
     return "\n".join(lines) + "\n"
+
+
+def read_width_table(path: str) -> list[tuple[float, float]]:
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "h,w":
+            raise InvalidParameterError("width table must start with the header 'h,w'")
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            h_str, w_str = line.split(",")
+            rows.append((float(h_str), float(w_str)))
+    return rows
 
 
 def width_from_table(rows: Sequence[tuple[float, float]]) -> StepWidth:

@@ -52,10 +52,12 @@ def test_parameter_error_exits_2(capsys):
 
 def test_missing_flags_exit_2(capsys):
     code, _, err = run_cli(capsys, "divergence", "--family", "laplace", "--kind", "cs")
-    assert code == 2
+    assert code == 2 and "--b" in err
     code, _, err = run_cli(capsys, "divergence", "--family", "gaussian", "--mu", "1",
                            "--kind", "cs")
-    assert code == 2
+    assert code == 2 and "--sigma" in err
+    code, _, err = run_cli(capsys, "divergence", "--family", "synthetic", "--kind", "kl")
+    assert code == 2 and "--width-table" in err
 
 
 def test_usage_error_exits_2():
@@ -167,6 +169,19 @@ def test_verify_custom_suite_file(tmp_path, capsys):
     report = json.loads(out)
     assert len(report) == 2
     assert all(i["pass"] for entry in report for i in entry["inequalities"])
+
+
+@pytest.mark.parametrize("entry,named", [
+    ({"family": "laplace"}, "'b'"),
+    (3, "entry 3"),
+    ({"family": "gaussian", "mu": 1.0, "sigma": 0.5, "d": 2.5}, "got 2.5"),
+])
+def test_verify_malformed_suite_entry_exits_2(tmp_path, capsys, entry, named):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([entry]))
+    code, out, err = run_cli(capsys, "verify", "--suite", str(suite))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err
 
 
 def test_verify_default_suite(capsys):

@@ -185,8 +185,12 @@ def test_spec_descriptor_and_parse_roundtrip(tmp_path):
     for obj in specs:
         spec = parse_spec_json(obj)
         assert spec.family == obj["family"]
-    desc = spec_descriptor(parse_spec_json(specs[0]))
-    assert desc == {"family": "laplace", "b": 0.5}
+    for obj in [*specs[:3], {"family": "laplace", "b": 1.0}]:
+        assert spec_descriptor(parse_spec_json(obj)) == obj
+    table = tmp_path / "w.csv"
+    table.write_text("h,w\n0,1\n0.5,0.5\n1.5,0\n")
+    spec = parse_spec_json({"family": "synthetic", "width": "table", "path": str(table)})
+    assert spec.family == "synthetic" and spec.w.h_max == 1.5
     path = tmp_path / "suite.json"
     path.write_text(json.dumps([{"name": "lp", "family": "laplace", "b": 0.5,
                                  "eps_stop": 1e-6}]))
