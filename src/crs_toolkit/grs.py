@@ -1,17 +1,21 @@
 """Greedy rejection sampling: stochastic sampler and exact index recursion.
 
 The sampler walks shared i.i.d. proposals X_1, X_2, ... ~ P and accepts X_k
-with probability beta_k = clip((dQ/dP(X_k) - L_k) / S_k, 0, 1), where the
-state evolves as
+with probability beta_k = clip((dQ/dP(X_k) - L_k) / S_k, 0, 1), where L_k is
+the width mass already spent and S_k = P[K >= k] the survival mass. Since
+S_k + integral of w over [0, L_k] stays 1, the survival is the tail integral
+T(h) = integral of w over [h, h_max] at L_k, and the state is the orbit of
+one map:
 
-    L_1, S_1 = 0, 1
-    q_k      = (1/S_k) * integral of w over [L_k, L_k + S_k]
-    L_{k+1}  = L_k + S_k
-    S_{k+1}  = S_k (1 - q_k)
+    L_1      = 0,  S_k = T(L_k)
+    L_{k+1}  = L_k + T(L_k)
+    p_k      = P[K = k] = T(L_k) - T(L_{k+1})
 
-S_k equals P[K >= k] and p_k = P[K = k] = S_k q_k, so the whole index
-distribution is a deterministic functional of the width. Both the stochastic
-and the exact paths read (L_k, S_k) from the same lazily extended trace.
+so the whole index distribution is a deterministic functional of the width,
+and E[K] = sum_k S_k = sum_k (L_{k+1} - L_k) = h_max by telescoping. Each
+step costs one tail integral: closed forms for the Laplace, Gaussian and step
+widths (see width.py), quadrature for any other width. Both the stochastic
+and the exact paths read (L_k, S_k) from the same lazily extended orbit.
 
 Truncation is certified: after stopping with survival mass s = S_{n+1},
 
@@ -38,24 +42,15 @@ from .width import StepWidth, WidthFunction
 LOG2_E = math.log2(math.e)
 
 DEFAULT_STEP_CAP = 10**6
-_BAND_TOL_FACTOR = 1e-13
-
-
-@dataclass(frozen=True)
-class GrsState:
-    """One step of the recursion: 1-based index, offset L_k, survival S_k."""
-
-    k: int
-    L: float
-    S: float
+# relative tolerance of a quadrature tail integral; closed forms ignore it
+_TAIL_TOL_FACTOR = 1e-13
 
 
 class GrsRecursion:
-    """Lazily extended deterministic trace (L_k, S_k, q_k) for one width.
+    """Lazily extended orbit L_{k+1} = L_k + S_k, S_{k+1} = T(L_{k+1}).
 
-    Band integrals reuse the quadrature engine, split at any width
-    breakpoint inside [L_k, L_k + S_k]; step widths integrate exactly.
-    S is updated multiplicatively to avoid cancellation at small survival.
+    S is clamped to be non-increasing, so p_k = S_k - S_{k+1} >= 0 even
+    where a tail integral rounds up.
     """
 
     def __init__(self, w: WidthFunction, step_cap: int = DEFAULT_STEP_CAP):
@@ -63,30 +58,32 @@ class GrsRecursion:
         self.step_cap = step_cap
         self.L = [0.0]
         self.S = [1.0]
-        self.q: list[float] = []
 
-    def state(self, k: int) -> GrsState:
-        """State at 1-based step k, extending the trace as needed."""
+    @property
+    def q(self) -> np.ndarray:
+        """Conditional acceptance q_k = p_k / S_k of the steps taken so far."""
+        s = np.array(self.S)
+        q = np.ones(s.size - 1)
+        np.divide(s[:-1] - s[1:], s[:-1], out=q, where=s[:-1] > 0.0)
+        return q
+
+    def state(self, k: int) -> tuple[float, float]:
+        """(L_k, S_k) at 1-based step k, extending the orbit as needed."""
         if k < 1:
             raise InvalidParameterError("steps are 1-based")
         if k > self.step_cap:
             raise StepBudgetError(f"recursion asked to extend beyond the step cap {self.step_cap}")
         while len(self.L) < k:
             self._advance()
-        return GrsState(k, self.L[k - 1], self.S[k - 1])
+        return self.L[k - 1], self.S[k - 1]
 
     def _advance(self):
-        L, S = self.L[-1], self.S[-1]
-        if S <= 0.0:
-            self.q.append(1.0)
-            self.L.append(L)
-            self.S.append(0.0)
-            return
-        band = self.w.band_integral(L, L + S, tol=max(S * _BAND_TOL_FACTOR, 1e-300))
-        q = min(max(band / S, 0.0), 1.0)
-        self.q.append(q)
-        self.L.append(L + S)
-        self.S.append(S * (1.0 - q))
+        S = self.S[-1]
+        L = self.L[-1] + S
+        if S > 0.0:
+            S = min(S, self.w.tail_integral(L, tol=max(S * _TAIL_TOL_FACTOR, 1e-300)).value)
+        self.L.append(L)
+        self.S.append(S)
 
 
 @dataclass(frozen=True)
@@ -126,6 +123,11 @@ def default_eps_stop(w: WidthFunction) -> float:
     return 1e-12 if isinstance(w, StepWidth) else 1e-9
 
 
+def _step_budget_error(survival: float, step_cap: int) -> StepBudgetError:
+    return StepBudgetError(f"survival mass still {survival:.3e} after {step_cap} steps; "
+                           "raise eps_stop or the step cap")
+
+
 def _step_width_lists(w: StepWidth, eps_stop: float, step_cap: int):
     """(p_list, S_list, L_final, S_final) for a piecewise-constant width.
 
@@ -141,9 +143,7 @@ def _step_width_lists(w: StepWidth, eps_stop: float, step_cap: int):
     steps = 0
     while S > eps_stop:
         if steps >= step_cap:
-            raise StepBudgetError(
-                f"survival mass still {S:.3e} after {step_cap} steps; "
-                "raise eps_stop or the step cap")
+            raise _step_budget_error(S, step_cap)
         j = min(int(np.searchsorted(edges, L, side="right")) - 1, len(values) - 1)
         right = edges[j + 1]
         v = values[j]
@@ -173,10 +173,13 @@ def _step_width_lists(w: StepWidth, eps_stop: float, step_cap: int):
         else:
             m_exit = m_eps
         m = min(m_eps, m_exit, step_cap - steps)
+        r_m = math.exp(m * ln_r)
+        if steps + m >= step_cap and S * r_m > eps_stop:
+            # the cap ends this block above eps_stop: fail before building it
+            raise _step_budget_error(S * r_m, step_cap)
         ratios = np.exp(np.arange(m) * ln_r)
         s_parts.append(S * ratios)
         p_parts.append(S * v * ratios)
-        r_m = math.exp(m * ln_r)
         L += (S / v) * (1.0 - r_m)
         S *= r_m
         steps += m
@@ -206,19 +209,14 @@ def grs_index_distribution(
     else:
         rec = GrsRecursion(w, step_cap=step_cap)
         n = 0
-        while True:
-            state = rec.state(n + 1)
-            if state.S <= eps_stop:
-                break
+        while rec.state(n + 1)[1] > eps_stop:
             n += 1
             if n >= step_cap:
-                raise StepBudgetError(
-                    f"survival mass still {state.S:.3e} after {step_cap} steps; "
-                    "raise eps_stop or the step cap")
+                raise _step_budget_error(rec.S[n - 1], step_cap)
         # steps 1..n have S_k > eps_stop; S_{n+1} <= eps_stop is the tail mass
-        survival = np.array(rec.S[:n])
-        p = survival * np.array(rec.q[:n])
-        tail_mass = float(rec.S[n])
+        s = np.array(rec.S[:n + 1])
+        survival, p = s[:-1], s[:-1] - s[1:]
+        tail_mass = float(s[-1])
         L_next = rec.L[n]
     mean_index = float(np.sum(survival))
     mean_tail = max(w.h_max - L_next, 0.0)
@@ -254,11 +252,11 @@ def grs_sample(
     rec = recursion if recursion is not None else GrsRecursion(w, step_cap=step_cap)
     gen = rng_stream.generator()
     for k in range(1, step_cap + 1):
-        state = rec.state(k)
+        L, S = rec.state(k)
         x = pair.draw(gen, 1)
         u = gen.random()
         r = math.exp(float(pair.log_ratio(x)[0]))
-        beta = 1.0 if state.S <= 0.0 else min(max((r - state.L) / state.S, 0.0), 1.0)
+        beta = 1.0 if S <= 0.0 else min(max((r - L) / S, 0.0), 1.0)
         if u <= beta:
             point = x[0]
             return (point if np.ndim(point) else point.item()), k
@@ -306,14 +304,14 @@ def grs_empirical(
     for k in range(1, step_cap + 1):
         if active.size == 0:
             return GrsEmpirical(indices=indices, accepted=accepted)
-        state = rec.state(k)
+        L, S = rec.state(k)
         x = pair.draw(gen, active.size)
         u = gen.random(active.size)
         r = np.exp(pair.log_ratio(x))
-        if state.S <= 0.0:
+        if S <= 0.0:
             beta = np.ones(active.size)
         else:
-            beta = np.clip((r - state.L) / state.S, 0.0, 1.0)
+            beta = np.clip((r - L) / S, 0.0, 1.0)
         acc = u <= beta
         hit = active[acc]
         indices[hit] = k

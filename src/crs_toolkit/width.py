@@ -21,10 +21,16 @@ Analytic widths per family:
   synthetic:    any caller-supplied width; uniform proposal on (0, 1) with
                 density ratio equal to the decreasing generalized inverse
                 r(u) = sup{h : w(h) > u}.
+
+Tail integrals T(h) = integral of w over (h, h_max], which the GRS recursion
+reads once per step, are closed form for laplace (with a series near h_max),
+gaussian (the layer cake T(h) = Q(dQ/dP >= h) - h w(h)) and step widths
+(suffix sums); any other width integrates numerically.
 """
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -34,8 +40,7 @@ from .errors import InvalidParameterError, QuadratureError
 from .quadrature import (
     PowerTail,
     QuadResult,
-    gk15,
-    integrate_interval,
+    adaptive,
     width_mass_integral,
 )
 from .streams import RngStream
@@ -47,6 +52,13 @@ LN2 = math.log(2.0)
 
 _MASS_TOL = 1e-10
 _POISSON_TAIL_WEIGHT = 1e-14
+_EPS = sys.float_info.epsilon
+# Laplace tail: series below this delta * max(e, 1), where its terms shrink
+# by a factor 20 or more each, so the term cap is never reached
+_LAPLACE_SERIES_BAND = 0.05
+_LAPLACE_SERIES_TERMS = 40
+# Gaussian tail: quadrature once Q(r >= h) - h w(h) would cancel 7 digits
+_GAUSSIAN_CANCEL_LIMIT = 1e-7
 
 
 def gaussian_log_ratio_constants(mu: float, sigma: float) -> tuple[float, float, float]:
@@ -61,6 +73,35 @@ def gaussian_log_ratio_constants(mu: float, sigma: float) -> tuple[float, float,
     return a, c, t0
 
 
+def _poisson_mixture(df: int, noncentrality: float,
+                     tail_weight: float = _POISSON_TAIL_WEIGHT) -> tuple[np.ndarray, np.ndarray]:
+    """(shapes, weights) of the noncentral chi-square CDF as a Poisson mixture.
+
+    Term j is Poisson(noncentrality/2) weight j times the central CDF with
+    shape df/2 + j; a central law is the single term (df/2, 1). The Poisson
+    tail beyond lam + k*sqrt(lam) decays like exp(-k^2/2), so k derived from
+    tail_weight caps the discarded weight. Low-j terms always stay: they
+    dominate the deep lower tail, where the central CDF factors fall off much
+    faster than the Poisson weights.
+    """
+    lam = 0.5 * noncentrality
+    if lam == 0.0:
+        return np.array([0.5 * df]), np.array([1.0])
+    k_pad = math.sqrt(2.0 * math.log(1.0 / tail_weight)) + 3.0
+    j_hi = int(lam + k_pad * math.sqrt(lam + 1.0) + 30.0)
+    j = np.arange(j_hi + 1)
+    log_w = j * math.log(lam) - lam - special.gammaln(j + 1.0)
+    return 0.5 * df + j, np.exp(log_w)
+
+
+def _mixture_cdf(x, mixture: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Noncentral chi-square CDF at x from the terms of _poisson_mixture."""
+    shapes, weights = mixture
+    z = 0.5 * np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), 0.0)
+    cdf = (weights * special.gammainc(shapes, z[:, None])).sum(axis=1)
+    return cdf.clip(0.0, 1.0)
+
+
 def noncentral_chi2_cdf(x, df: int, noncentrality: float,
                         tail_weight: float = _POISSON_TAIL_WEIGHT) -> np.ndarray:
     """CDF of the noncentral chi-square, vectorized over x.
@@ -71,21 +112,7 @@ def noncentral_chi2_cdf(x, df: int, noncentrality: float,
     gamma, which keeps relative accuracy in the deep lower tail where the
     divergence integrands need it.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = 0.5 * np.maximum(x, 0.0)
-    lam = 0.5 * noncentrality
-    if lam == 0.0:
-        return special.gammainc(0.5 * df, z)
-    # Poisson tail beyond lam + k*sqrt(lam) decays like exp(-k^2/2), so k
-    # derived from tail_weight caps the discarded weight. Low-j terms always
-    # stay: they dominate the deep lower tail, where the central CDF factors
-    # fall off much faster than the Poisson weights.
-    k_pad = math.sqrt(2.0 * math.log(1.0 / tail_weight)) + 3.0
-    j_hi = int(lam + k_pad * math.sqrt(lam + 1.0) + 30.0)
-    j = np.arange(j_hi + 1)
-    log_w = j * math.log(lam) - lam - special.gammaln(j + 1.0)
-    terms = np.exp(log_w)[None, :] * special.gammainc(0.5 * df + j[None, :], z[:, None])
-    return np.clip(terms.sum(axis=1), 0.0, 1.0)
+    return _mixture_cdf(x, _poisson_mixture(df, noncentrality, tail_weight))
 
 
 class WidthFunction:
@@ -107,12 +134,12 @@ class WidthFunction:
 
     def __call__(self, h) -> np.ndarray:
         h = np.atleast_1d(np.asarray(h, dtype=float))
-        if np.any(h < 0.0):
+        if (h < 0.0).any():
             raise InvalidParameterError("width argument h must be >= 0")
         out = np.zeros_like(h)
         pos = h > 0.0
-        if np.any(pos):
-            out[pos] = np.clip(self._eval_positive(h[pos]), 0.0, 1.0)
+        if pos.any():
+            out[pos] = self._eval_positive(h[pos]).clip(0.0, 1.0)
         out[~pos] = 1.0
         if math.isfinite(self.h_max):
             out[h > self.h_max] = 0.0
@@ -129,26 +156,12 @@ class WidthFunction:
             self._mass = res.value
         return self._mass
 
-    def band_integral(self, lo: float, hi: float, tol: float = 1e-13) -> float:
-        """integral of w over [lo, hi], split at interior breakpoints."""
-        if hi <= lo:
-            return 0.0
-        hi = min(hi, self.h_max) if math.isfinite(self.h_max) else hi
-        if hi <= lo:
-            return 0.0
-        cuts = [b for b in self.breakpoints if lo < b < hi]
-        pts = [lo, *sorted(cuts), hi]
-        total = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            v, e = gk15(self.__call__, a, b)
-            if e > tol:
-                res = integrate_interval(self.__call__, a, b, tol)
-                v = res.value
-            total += v
-        return total
-
     def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
-        """integral of w over (h, h_max]."""
+        """T(h) = integral of w over (h, h_max], by adaptive quadrature.
+
+        Families with a closed form override this; the GRS recursion reads
+        its survival masses S_k = T(L_k) from here.
+        """
         if h < 0:
             raise InvalidParameterError("h must be >= 0")
         return width_mass_integral(self.__call__, h, self.h_max, tol,
@@ -204,7 +217,12 @@ class StepWidth(WidthFunction):
         self.values = values_a
         self.h_max = float(edges_a[-1])
         self.breakpoints = tuple(float(e) for e in edges_a[1:])
+        seg_mass = np.diff(edges_a) * values_a
         self._mass = float(np.dot(np.diff(edges_a), values_a))
+        # mass below edges[j], and mass above edges[j] summed from the right,
+        # so a small tail is never the difference of two large masses
+        self._cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
+        self._suffix = np.append(np.cumsum(seg_mass[::-1])[::-1], 0.0)
 
     def _eval_positive(self, h: np.ndarray) -> np.ndarray:
         # side="left" puts an exact edge hit in the segment to its left.
@@ -212,22 +230,31 @@ class StepWidth(WidthFunction):
         idx = np.minimum(idx, len(self.values) - 1)
         return np.where(h > self.h_max, 0.0, self.values[idx])
 
+    def _segment(self, t: float) -> int:
+        """Index j of the segment [edges[j], edges[j+1]) holding t in [0, h_max]."""
+        return min(int(np.searchsorted(self.edges, t, side="right")) - 1, len(self.values) - 1)
+
     def band_integral(self, lo: float, hi: float, tol: float = 1e-13) -> float:
+        """integral of w over [lo, hi], exact up to rounding."""
         lo = min(max(lo, 0.0), self.h_max)
         hi = min(max(hi, 0.0), self.h_max)
         if hi <= lo:
             return 0.0
-        cum = np.concatenate(([0.0], np.cumsum(np.diff(self.edges) * self.values)))
 
         def below(t: float) -> float:
-            j = int(np.searchsorted(self.edges, t, side="right")) - 1
-            j = min(j, len(self.values) - 1)
-            return float(cum[j] + self.values[j] * (t - self.edges[j]))
+            j = self._segment(t)
+            return float(self._cum[j] + self.values[j] * (t - self.edges[j]))
 
         return below(hi) - below(lo)
 
     def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
-        return QuadResult(self._mass - self.band_integral(0.0, h), 0.0, True, 0)
+        if h < 0:
+            raise InvalidParameterError("h must be >= 0")
+        if h >= self.h_max:
+            return QuadResult(0.0, 0.0, True, 0)
+        j = self._segment(h)
+        value = float(self.values[j] * (self.edges[j + 1] - h) + self._suffix[j + 1])
+        return QuadResult(value, 0.0, True, 0)
 
     def ratio_inverse(self, u) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -252,12 +279,47 @@ class LaplaceWidth(WidthFunction):
         self.expo = b / (1.0 - b)
         self.h_max = 1.0 / b
         self.breakpoints = (self.h_max,)
+        self._series_below = _LAPLACE_SERIES_BAND / max(self.expo, 1.0)
 
     def _eval_positive(self, h: np.ndarray) -> np.ndarray:
         w = np.zeros_like(h)
         inside = h <= self.h_max
         w[inside] = 1.0 - np.power(self.b * h[inside], self.expo)
         return w
+
+    def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
+        """Closed form: with delta = 1 - b h and e = b/(1-b),
+
+            b T(h) = delta + expm1((e+1) log1p(-delta)) / (e+1)
+                   = sum_{n>=2} C(e, n-1) (-delta)^n / n.
+
+        The closed form cancels about log10(2/(e delta)) digits as delta
+        shrinks, so the series takes over once delta * max(e, 1) is small
+        enough for it to converge in a dozen terms.
+        """
+        if h < 0:
+            raise InvalidParameterError("h must be >= 0")
+        delta = 1.0 - self.b * h
+        if delta <= 0.0:
+            return QuadResult(0.0, 0.0, True, 0)
+        e = self.expo
+        if delta < self._series_below:
+            term = e * delta * delta  # C(e, n-1) (-delta)^n at n = 2
+            bt = 0.5 * term
+            for n in range(2, _LAPLACE_SERIES_TERMS):
+                term *= -delta * (e - n + 1.0) / n
+                bt += term / (n + 1)
+                if abs(term) <= _EPS * bt:
+                    break
+            scale = bt
+        else:
+            # (b h)^(e+1) = (1 - delta)^(e+1), which vanishes once b h < ulp/2
+            power_m1 = math.expm1((e + 1.0) * math.log1p(-delta)) if delta < 1.0 else -1.0
+            bt = delta + power_m1 / (e + 1.0)
+            scale = delta
+        # rounding: a few ulp of the largest term, plus the shift of delta by
+        # half an ulp when b h is rounded, which moves b T by up to w(h) ulp/2
+        return QuadResult(bt / self.b, _EPS * (4.0 * scale + min(1.0, e * delta)) / self.b, True, 0)
 
     def ratio_inverse(self, u) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -313,14 +375,60 @@ class GaussianWidth(WidthFunction):
         self.ln_h_max = d * self.t0
         self.h_max = math.exp(self.ln_h_max)
         self.breakpoints = (self.h_max,)
+        # Poisson weights of sum_i (x_i - c)^2 under P, and of the same sum
+        # over sigma^2 under Q, where its noncentrality is d (mu - c)^2 / sigma^2
+        self._p_mixture = _poisson_mixture(d, self.noncentrality)
+        self._q_mixture = _poisson_mixture(d, d * (self.mu - self.c) ** 2 / self.sigma**2)
+
+    def _chi2_argument(self, h: np.ndarray) -> np.ndarray:
+        """x = (d t0 - ln h)/a, so that {r >= h} = {sum_i (x_i - c)^2 <= x}."""
+        return (self.ln_h_max - np.log(h)) / self.a
 
     def _eval_positive(self, h: np.ndarray) -> np.ndarray:
-        x = (self.ln_h_max - np.log(h)) / self.a
+        x = self._chi2_argument(h)
         w = np.zeros_like(h)
         m = x > 0.0
-        if np.any(m):
-            w[m] = noncentral_chi2_cdf(x[m], self.d, self.noncentrality)
+        if m.any():
+            w[m] = _mixture_cdf(x[m], self._p_mixture)
         return w
+
+    def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
+        """Layer cake: T(h) = Q(r >= h) - h w(h), with r = dQ/dP.
+
+        With x = (d t0 - ln h)/a, Q(r >= h) is the noncentral chi-square
+        CDF of the Q mixture at x / sigma^2. Near h_max the two terms
+        cancel; once more than 7 digits would go, T is integrated instead
+        in v = sqrt(x), where t = h_max exp(-a v^2) maps [h, h_max] onto
+        [0, sqrt(x)]:
+
+            T(h) = 2 a h_max * integral over [0, sqrt(x)] of F(v^2) exp(-a v^2) v dv,
+
+        F the P mixture's CDF. The endpoint h_max sits at v = 0, where
+        floats resolve it, and the integrand is smooth in v for every d.
+        """
+        if h < 0:
+            raise InvalidParameterError("h must be >= 0")
+        if h >= self.h_max:
+            return QuadResult(0.0, 0.0, True, 0)
+        if h == 0.0:
+            return QuadResult(1.0, 0.0, True, 0)
+        # the same x as w(h) below: an error in x cancels between the two
+        # terms only when both see it, and one ulp apart costs digits
+        x = float(self._chi2_argument(np.array([h]))[0])
+        q_mass = float(_mixture_cdf(x / self.sigma**2, self._q_mixture)[0])
+        value = q_mass - h * float(self(h)[0])
+        if value < _GAUSSIAN_CANCEL_LIMIT * q_mass:
+            scale = 2.0 * self.a * self.h_max
+
+            def integrand(v: np.ndarray) -> np.ndarray:
+                y = v * v
+                return _mixture_cdf(y, self._p_mixture) * np.exp(-self.a * y) * v
+
+            res = adaptive(integrand, [(0.0, math.sqrt(x))], tol / scale)
+            return QuadResult(scale * res.value, scale * res.error, res.converged, res.panels)
+        # rounding estimate: the two terms carry ulp-level errors relative to
+        # Q, plus the rounding of x, which grows like Q/T near h_max
+        return QuadResult(value, 64.0 * _EPS * q_mass, True, 0)
 
 
 class OptimalCsWidth(WidthFunction):

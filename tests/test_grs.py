@@ -6,6 +6,7 @@ import pytest
 from scipy import special, stats
 
 from crs_toolkit.errors import InvalidParameterError, StepBudgetError
+from crs_toolkit.experiments import default_suite
 from crs_toolkit.grs import (
     GrsRecursion,
     default_eps_stop,
@@ -73,6 +74,30 @@ def test_blocked_and_scalar_paths_agree():
     assert rec.S[n] == pytest.approx(dist.tail_mass, rel=1e-10)
 
 
+# Index laws of the six smooth default-suite pairs at their suite eps_stop,
+# as the earlier recursion computed them with one band quadrature and a
+# multiplicative survival update per step: (truncation index, H[K] in bits)
+SMOOTH_SUITE_LAWS = {
+    "laplace_b075": (29808, 0.751975622041185),
+    "laplace_b05": (63233, 1.5338801352076703),
+    "laplace_b025": (154890, 2.6914686085839663),
+    "gaussian_mu1_s05_d1": (9901, 2.916249714963698),
+    "gaussian_mu0_s06_d1": (3459, 1.3907750968379031),
+    "gaussian_mu1_s05_d2": (23076, 4.58749742704518),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH_SUITE_LAWS))
+def test_smooth_suite_index_laws_pinned(name):
+    entry = next(e for e in default_suite() if e.name == name)
+    w = width_eval(entry.spec)
+    dist = grs_index_distribution(w, eps_stop=entry.eps_stop)
+    n, entropy_bits = SMOOTH_SUITE_LAWS[name]
+    assert dist.truncation_index == n
+    assert dist.entropy_bits == pytest.approx(entropy_bits, abs=1e-12)
+    assert dist.mean_index + dist.mean_tail_bound == pytest.approx(w.h_max, rel=1e-12)
+
+
 def test_default_eps_stop_by_width_kind():
     assert default_eps_stop(two_level_width(0.1)) == 1e-12
     assert default_eps_stop(width_eval(LaplaceSpec(0.5))) == 1e-9
@@ -121,6 +146,13 @@ def test_step_cap_raises():
         grs_index_distribution(OptimalCsWidth(0.5))  # infinite h_max
     with pytest.raises(InvalidParameterError):
         grs_index_distribution(indicator_width(), eps_stop=2.0)
+
+
+def test_step_cap_inside_geometric_block_reports_survival():
+    # the cap falls inside the first geometric block, where S = (1 - 1/c)^cap
+    c, cap = 2.0**17, 10**5
+    with pytest.raises(StepBudgetError, match=f"still {(1 - 1 / c) ** cap:.3e} after {cap} steps"):
+        grs_index_distribution(equality_case_width(c), eps_stop=1e-9, step_cap=cap)
 
 
 def test_sampler_identity_pair_accepts_first():

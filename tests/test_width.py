@@ -16,6 +16,7 @@ from crs_toolkit.measures import (
 from crs_toolkit.streams import RngStream
 from crs_toolkit.width import (
     GaussianWidth,
+    LaplaceWidth,
     OptimalAcsWidth,
     OptimalCsWidth,
     StepWidth,
@@ -29,6 +30,7 @@ from crs_toolkit.width import (
     width_from_discrete,
     width_from_table,
     width_mc_estimate,
+    WidthFunction,
     width_table,
     width_table_csv,
 )
@@ -192,6 +194,62 @@ def test_step_width_band_and_tail_integrals_exact():
     assert w.band_integral(0.0, 1.0) == pytest.approx(a + (1.0 - a) * 0.1, abs=1e-15)
     assert w.tail_integral(0.0).value == pytest.approx(1.0, abs=1e-15)
     assert w.tail_integral(w.h_max).value == 0.0
+
+
+CLOSED_TAIL_WIDTHS = {
+    **{f"laplace_b{b:g}": LaplaceWidth(b) for b in (0.02, 0.25, 0.5, 0.75, 0.99)},
+    "gaussian_mu1_s05_d1": GaussianWidth(1.0, 0.5, 1),
+    "gaussian_mu0_s06_d1": GaussianWidth(0.0, 0.6, 1),
+    "gaussian_mu1_s05_d2": GaussianWidth(1.0, 0.5, 2),
+    "two_level_eps01": two_level_width(0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_TAIL_WIDTHS))
+def test_closed_form_tail_matches_quadrature(name):
+    w = CLOSED_TAIL_WIDTHS[name]
+    for frac in (0.1, 0.5, 0.9, 0.99):
+        h = frac * w.h_max
+        closed = w.tail_integral(h)
+        assert closed.converged and closed.panels == 0
+        # 1e-12 relative is the tightest request the base quadrature meets at
+        # every point here; at 1e-13 it spends its whole panel budget on
+        # laplace b = 0.99 and returns unconverged
+        quad = WidthFunction.tail_integral(w, h, tol=1e-12 * closed.value)
+        assert quad.converged
+        assert closed.value == pytest.approx(quad.value, rel=1e-10)
+
+
+def test_laplace_tail_at_tiny_h_is_closed_form():
+    res = LaplaceWidth(0.5).tail_integral(1e-300, tol=1e-14)
+    assert res.converged and res.panels == 0
+    assert res.value == pytest.approx(1.0, rel=1e-15)
+
+
+def test_gaussian_tail_falls_back_to_quadrature_near_h_max():
+    # T(h) / Q(r >= h) is about 0.67 (1 - h/h_max) here, so 1e-8 below h_max
+    # the layer cake cancels 8 digits and quadrature takes over
+    w = GaussianWidth(1.0, 0.5, 1)
+    h = (1.0 - 1e-8) * w.h_max
+    res = w.tail_integral(h, tol=1e-13 * 7e-13)
+    assert res.converged and res.panels > 0
+    assert 0.0 < res.value <= (w.h_max - h) * float(w(h)[0])
+    # both layer-cake terms from one x keep the cancellation at 1e-7 here
+    x = (w.ln_h_max - math.log(h)) / w.a
+    q_nc = w.d * (w.mu - w.c) ** 2 / w.sigma**2
+    layer_cake = (noncentral_chi2_cdf(x / w.sigma**2, w.d, q_nc)[0]
+                  - h * noncentral_chi2_cdf(x, w.d, w.noncentrality)[0])
+    assert res.value == pytest.approx(layer_cake, rel=1e-6)
+
+
+def test_gaussian_width_matches_fresh_mixture_bit_for_bit():
+    # the Poisson weights cached at construction are the ones
+    # noncentral_chi2_cdf builds on every call
+    for mu, sigma, d in ((1.0, 0.5, 1), (0.0, 0.6, 1), (1.0, 0.5, 2)):
+        gw = GaussianWidth(mu, sigma, d)
+        h = np.linspace(0.0, gw.h_max, 1000)[1:-1]
+        x = (gw.ln_h_max - np.log(h)) / gw.a
+        assert np.array_equal(gw(h), noncentral_chi2_cdf(x, d, gw.noncentrality))
 
 
 def test_step_width_ratio_inverse_levels():
