@@ -9,18 +9,14 @@ Three sweeps (CSV) and one verification report (JSON):
 
 Every row re-validates its own identities (delta recomputation, digamma-band
 membership, bound-chain membership) before it is emitted; a violated row
-aborts the sweep. Grid points are independent jobs; CRS_TOOLKIT_THREADS caps
-the worker count (0 = auto, unset = serial) and rows are merged in grid
-order, so output bytes never depend on scheduling.
+aborts the sweep. Rows are computed and emitted in grid order.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,26 +53,6 @@ EPSILON_HEADER = "eps,dcs_bits,entropy_bits,gap_bits"
 
 SWEEP_EPS_STOP = 1e-6  # survival cutoff for sweep entropy columns
 SUITE_EPS_STOP = 1e-9  # default cutoff inside the verification suite
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CRS_TOOLKIT_THREADS", "")
-    if raw == "":
-        return 1
-    n = int(raw)
-    if n == 0:
-        return os.cpu_count() or 1
-    if n < 0:
-        raise InvalidParameterError("CRS_TOOLKIT_THREADS must be >= 0")
-    return n
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(x: float) -> str:
@@ -182,8 +158,7 @@ def laplace_sweep(
         row.validate()
         return row
 
-    ordered = sorted(grid, key=lambda b: -math.log(b))
-    return _map_ordered(one, ordered)
+    return [one(b) for b in sorted(grid, key=lambda b: -math.log(b))]
 
 
 def gaussian_sweep(
@@ -209,7 +184,7 @@ def gaussian_sweep(
         row.validate()
         return row
 
-    return _map_ordered(one, grid)
+    return [one(x) for x in grid]
 
 
 def epsilon_family_study(eps_grid: Sequence[float] | None = None,
@@ -232,7 +207,7 @@ def epsilon_family_study(eps_grid: Sequence[float] | None = None,
         row.validate()
         return row
 
-    return _map_ordered(one, grid)
+    return [one(x) for x in grid]
 
 
 @dataclass(frozen=True)
@@ -375,7 +350,7 @@ def bound_suite(entries: Sequence[SuiteEntry] | None = None) -> BoundSuiteReport
     """Verify the full bound chain on every pair; failures are per-pair."""
     if entries is None:
         entries = default_suite()
-    return BoundSuiteReport(_map_ordered(_verify_pair, list(entries)))
+    return BoundSuiteReport([_verify_pair(e) for e in entries])
 
 
 def parse_spec_json(obj: dict) -> PairSpec:

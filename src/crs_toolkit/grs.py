@@ -30,7 +30,7 @@ and maximizing the normalized tail entropy at fixed mean by a geometric law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class IndexDistribution:
     entropy_tail_bound_bits: float
     mean_index: float
     mean_tail_bound: float
-    survival: np.ndarray = field(repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -230,7 +229,6 @@ def grs_index_distribution(
         entropy_tail_bound_bits=_entropy_tail_bound_bits(float(tail_mass), mean_tail),
         mean_index=mean_index,
         mean_tail_bound=mean_tail,
-        survival=survival,
     )
 
 

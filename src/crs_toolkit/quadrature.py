@@ -3,12 +3,18 @@
 The engine is a Gauss-Kronrod 15(7) rule with greedy bisection of the worst
 panel. Width integrands live on (0, h_max] with h_max anywhere between 1 and
 e^350, and have kinks at width breakpoints plus log-type endpoint behaviour,
-so the drivers below integrate in u = ln h: panels are seeded between mapped
-breakpoints, the (0, h_lo] stub is replaced by a certified remainder bound,
-and infinite h_max is cut at a point where a power-law tail certificate
-bounds the discarded mass.
+so one driver, _log_h_quad, integrates g(w(h), ln h) dh in u = ln h: panels
+are seeded between mapped breakpoints, the stub below e^u_lo is replaced by a
+certified remainder bound, and infinite h_max is cut where a power-law tail
+majorant bounds the discarded part. Each public integral supplies only its
+integrand g, its stub end and bound, and its tail majorant:
 
-All drivers work in nats; callers convert to bits at the report boundary.
+  phi_of_width_integral  g = phi(w)     stub e^u_lo * sup(phi)   _phi_majorant
+  width_mass_integral    g = w          stub e^u_lo (or h_lo, 0) C H^(1-p)/(p-1)
+  width_log_h_integral   g = w ln h     stub d (1 + |ln d|)      the w ln h tail;
+                                        h = 1 is a breakpoint (sign change)
+
+All integrals are in nats; callers convert to bits at the report boundary.
 Panel sums are accumulated with math.fsum in position order, so results do
 not depend on the refinement schedule.
 """
@@ -219,11 +225,11 @@ def _tail_cut(ln_bound: Callable[[float], float], u_start: float,
     raise QuadratureError("could not place the tail cut")
 
 
-def _phi_tail_cut(tail: PowerTail, phi: PhiSpec, budget: float) -> tuple[float, float]:
-    """Smallest u_hi = ln(H) with the certified phi(w) tail beyond H under budget.
+def _phi_majorant(tail: PowerTail, phi: PhiSpec) -> tuple[Callable[[float], float], float]:
+    """Log bound on the phi(w) tail beyond H = e^u, and where it starts to hold.
 
     Uses int_H^inf [a*w - b*w*ln w] dh with w <= C h^-p, valid once
-    C h^-p <= 1/2; returns (u_hi, remainder bound).
+    C h^-p <= 1/2.
     """
     if phi.maj_a is None or phi.maj_b is None:
         raise QuadratureError(
@@ -237,7 +243,45 @@ def _phi_tail_cut(tail: PowerTail, phi: PhiSpec, budget: float) -> tuple[float, 
         bracket = a + b * max(p * u - lnc, 0.0) + flat
         return lnc + (1.0 - p) * u + math.log(bracket) - ln_p1
 
-    return _tail_cut(ln_bound, max(math.log(tail.h_from), (lnc + math.log(2.0)) / p, 0.0), budget)
+    return ln_bound, max(math.log(tail.h_from), (lnc + math.log(2.0)) / p, 0.0)
+
+
+def _log_h_quad(
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    weval: Callable[[np.ndarray], np.ndarray],
+    u_lo: float,
+    stub: float,
+    h_max: float,
+    tail: PowerTail | None,
+    majorant: Callable[[PowerTail], tuple[Callable[[float], float], float]],
+    tol: float,
+    breakpoints: Sequence[float],
+    max_panels: int,
+) -> QuadResult:
+    """integral of g(w(h), ln h) dh over (e^u_lo, h_max], in u = ln h.
+
+    stub bounds the part below e^u_lo. For infinite h_max, majorant(tail)
+    gives (ln_bound, u_start) for _tail_cut, and the cut's remainder is
+    folded into the error as the stub is.
+    """
+    remainder = stub
+    if math.isinf(h_max):
+        if tail is None:
+            raise QuadratureError("width has infinite h_max and no tail certificate")
+        u_hi, tail_rem = _tail_cut(*majorant(tail), tol / 8.0)
+        remainder += tail_rem
+    else:
+        u_hi = math.log(h_max)
+    if u_hi <= u_lo:
+        return QuadResult(0.0, remainder, True, 0)
+    cuts = [math.log(b) for b in breakpoints if b > 0 and u_lo < math.log(b) < u_hi]
+
+    def f(u: np.ndarray) -> np.ndarray:
+        h = np.exp(u)
+        return g(weval(h), u) * h
+
+    res = adaptive(f, seed_panels(u_lo, u_hi, cuts, max_len=4.0), tol / 2.0, max_panels)
+    return QuadResult(res.value, res.error + remainder, res.converged, res.panels)
 
 
 def phi_of_width_integral(
@@ -251,29 +295,13 @@ def phi_of_width_integral(
 ) -> QuadResult:
     """integral of phi(w(h)) dh over (0, h_max], in nats.
 
-    Integrates in u = ln h. The (0, h_lo] stub contributes at most
-    h_lo * sup(phi) and is folded into the reported error; an infinite h_max
-    requires a power-tail certificate on the width.
+    The stub below e^u_lo contributes at most e^u_lo * sup(phi); an infinite
+    h_max requires a power-tail certificate on the width and a majorant on phi.
     """
     u_lo = math.log(tol / (8.0 * phi.sup_value))
-    remainder = math.exp(u_lo) * phi.sup_value
-    if math.isinf(h_max):
-        if tail is None:
-            raise QuadratureError("width has infinite h_max and no tail certificate")
-        u_hi, tail_rem = _phi_tail_cut(tail, phi, tol / 8.0)
-        remainder += tail_rem
-    else:
-        u_hi = math.log(h_max)
-    if u_hi <= u_lo:
-        return QuadResult(0.0, remainder + math.exp(u_hi), True, 0)
-    cuts = [math.log(b) for b in breakpoints if b > 0 and u_lo < math.log(b) < u_hi]
-
-    def f(u: np.ndarray) -> np.ndarray:
-        h = np.exp(u)
-        return phi(weval(h)) * h
-
-    res = adaptive(f, seed_panels(u_lo, u_hi, cuts, max_len=4.0), tol / 2.0, max_panels)
-    return QuadResult(res.value, res.error + remainder, res.converged, res.panels)
+    return _log_h_quad(lambda w, u: phi(w), weval, u_lo, math.exp(u_lo) * phi.sup_value,
+                       h_max, tail, lambda t: _phi_majorant(t, phi), tol, breakpoints,
+                       max_panels)
 
 
 def width_mass_integral(
@@ -292,31 +320,14 @@ def width_mass_integral(
     """
     if h_lo < 0:
         raise InvalidParameterError("h_lo must be >= 0")
-    remainder = 0.0
-    if h_lo == 0.0:
-        u_lo = math.log(tol / 8.0)
-        remainder += math.exp(u_lo)
-    else:
-        u_lo = math.log(h_lo)
-    if math.isinf(h_max):
-        if tail is None:
-            raise QuadratureError("width has infinite h_max and no tail certificate")
-        lnc, p, ln_p1 = math.log(tail.coef), tail.exponent, math.log(tail.exponent - 1.0)
-        u_hi, tail_rem = _tail_cut(lambda u: lnc + (1.0 - p) * u - ln_p1,
-                                   max(math.log(tail.h_from), u_lo), tol / 8.0)
-        remainder += tail_rem
-    else:
-        u_hi = math.log(h_max)
-    if u_hi <= u_lo:
-        return QuadResult(0.0, remainder, True, 0)
-    cuts = [math.log(b) for b in breakpoints if b > 0 and u_lo < math.log(b) < u_hi]
+    u_lo = math.log(h_lo or tol / 8.0)
 
-    def f(u: np.ndarray) -> np.ndarray:
-        h = np.exp(u)
-        return weval(h) * h
+    def majorant(t: PowerTail) -> tuple[Callable[[float], float], float]:
+        lnc, p, ln_p1 = math.log(t.coef), t.exponent, math.log(t.exponent - 1.0)
+        return lambda u: lnc + (1.0 - p) * u - ln_p1, max(math.log(t.h_from), u_lo)
 
-    res = adaptive(f, seed_panels(u_lo, u_hi, cuts, max_len=4.0), tol / 2.0, max_panels)
-    return QuadResult(res.value, res.error + remainder, res.converged, res.panels)
+    return _log_h_quad(lambda w, u: w, weval, u_lo, 0.0 if h_lo else math.exp(u_lo), h_max,
+                       tail, majorant, tol, breakpoints, max_panels)
 
 
 def width_log_h_integral(
@@ -329,30 +340,17 @@ def width_log_h_integral(
 ) -> QuadResult:
     """integral of w(h) ln(h) dh over (0, h_max], in nats.
 
-    The integrand is signed (negative below h = 1); u = 0 is always a panel
-    boundary. Stub bound: |int_0^d w ln h| <= d (1 + |ln d|).
+    The integrand is signed (negative below h = 1), so h = 1 is always a
+    breakpoint. Stub bound: |int_0^d w ln h| <= d (1 + |ln d|).
     """
     u_lo = math.log(tol / 8.0) - 1.0
     d = math.exp(u_lo)
-    remainder = d * (1.0 + abs(math.log(d)))
-    if math.isinf(h_max):
-        if tail is None:
-            raise QuadratureError("width has infinite h_max and no tail certificate")
-        lnc, p, inv_sq = math.log(tail.coef), tail.exponent, 1.0 / (tail.exponent - 1.0) ** 2
+
+    def majorant(t: PowerTail) -> tuple[Callable[[float], float], float]:
+        lnc, p, inv_sq = math.log(t.coef), t.exponent, 1.0 / (t.exponent - 1.0) ** 2
         # int_H^inf C h^-p ln h dh = C H^(1-p) [ln H/(p-1) + 1/(p-1)^2]
-        u_hi, tail_rem = _tail_cut(
-            lambda u: lnc + (1.0 - p) * u + math.log(u / (p - 1.0) + inv_sq),
-            max(math.log(tail.h_from), 1.0), tol / 8.0)
-        remainder += tail_rem
-    else:
-        u_hi = math.log(h_max)
-    cuts = [math.log(b) for b in breakpoints if b > 0 and u_lo < math.log(b) < u_hi]
-    if u_lo < 0.0 < u_hi:
-        cuts.append(0.0)
+        return (lambda u: lnc + (1.0 - p) * u + math.log(u / (p - 1.0) + inv_sq),
+                max(math.log(t.h_from), 1.0))
 
-    def f(u: np.ndarray) -> np.ndarray:
-        h = np.exp(u)
-        return weval(h) * u * h
-
-    res = adaptive(f, seed_panels(u_lo, u_hi, cuts, max_len=4.0), tol / 2.0, max_panels)
-    return QuadResult(res.value, res.error + remainder, res.converged, res.panels)
+    return _log_h_quad(lambda w, u: w * u, weval, u_lo, d * (1.0 + abs(math.log(d))), h_max,
+                       tail, majorant, tol, (*breakpoints, 1.0), max_panels)

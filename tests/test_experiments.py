@@ -202,16 +202,6 @@ def test_spec_descriptor_and_parse_roundtrip(tmp_path):
         parse_spec_json({"family": "synthetic", "width": "mystery"})
 
 
-def test_thread_env_does_not_change_bytes(monkeypatch):
-    serial = rows_to_csv(EPSILON_HEADER, epsilon_family_study([0.3, 0.1, 0.03]))
-    monkeypatch.setenv("CRS_TOOLKIT_THREADS", "4")
-    threaded = rows_to_csv(EPSILON_HEADER, epsilon_family_study([0.3, 0.1, 0.03]))
-    assert serial == threaded
-    monkeypatch.setenv("CRS_TOOLKIT_THREADS", "-1")
-    with pytest.raises(InvalidParameterError):
-        epsilon_family_study([0.3, 0.1])
-
-
 def test_epsilon_row_self_validation():
     with pytest.raises(SweepValidationError):
         EpsilonRow(eps=0.1, dcs_bits=1.0, entropy_bits=5.0, gap_bits=4.0).validate()

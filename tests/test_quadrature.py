@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crs_toolkit.divergences import alternative_divergence, channel_simulation_divergence
 from crs_toolkit.errors import InvalidParameterError, QuadratureError
 from crs_toolkit.quadrature import (
     PHI_BINARY_ENTROPY,
@@ -16,6 +17,13 @@ from crs_toolkit.quadrature import (
     width_log_h_integral,
     width_mass_integral,
     wrap_phi,
+)
+from crs_toolkit.width import (
+    GaussianWidth,
+    LaplaceWidth,
+    OptimalAcsWidth,
+    OptimalCsWidth,
+    WidthFunction,
 )
 
 LN2 = math.log(2.0)
@@ -143,3 +151,51 @@ def test_error_estimates_are_honest():
     exact = 5.0 / 18.0
     assert res.value == pytest.approx(exact, abs=1e-9)
     assert abs(res.value - exact) <= max(res.error, 1e-12) * 50
+
+
+# Pinned outputs of the log-h drivers: values within 1e-13 relative, error
+# estimates (differences of panel sums) within 1e-6 relative, flags exact.
+def _assert_pinned(value, error, want_value, want_error):
+    assert value == pytest.approx(want_value, rel=1e-13, abs=0.0)
+    assert error == pytest.approx(want_error, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("divergence, width, value, error", [
+    (channel_simulation_divergence, LaplaceWidth(0.25), 1.562919627630252, 3.8197898760619975e-10),
+    (alternative_divergence, OptimalAcsWidth(1.8), 3.3960283998810286, 7.303716349181394e-10),
+    (channel_simulation_divergence, OptimalCsWidth(0.3), 3.3662884286214796, 2.4448752519634635e-10),
+], ids=["cs_laplace_b025", "acs_optimal_a1.8", "cs_optimal_a0.3"])
+def test_phi_driver_outputs_pinned(divergence, width, value, error):
+    rep = divergence(width)
+    assert rep.converged and rep.method == "quadrature"
+    _assert_pinned(rep.value_bits, rep.abs_error_estimate, value, error)
+
+
+def test_log_h_driver_output_pinned():
+    w = OptimalAcsWidth(3.0)
+    res = width_log_h_integral(w, math.inf, 1e-9 * LN2, (), w.tail)
+    _assert_pinned(res.value, res.error, -0.7945584207655596, 1.085160453265248e-09)
+    assert res.converged and res.panels == 15
+
+
+def test_mass_driver_outputs_pinned():
+    res = WidthFunction.tail_integral(OptimalCsWidth(0.5), 2.0, tol=1e-11)
+    _assert_pinned(res.value, res.error, 0.12499999999894666, 2.550242976433319e-12)
+    assert res.converged and res.panels == 7
+    w = GaussianWidth(1.0, 0.5, 2)
+    res = width_mass_integral(w, 0.0, w.h_max, 1e-10, w.breakpoints, w.tail)
+    _assert_pinned(res.value, res.error, 0.9999999999876242, 1.4535842199272467e-11)
+    assert res.converged and res.panels == 8
+
+
+def test_too_heavy_tail_message_prefix():
+    with pytest.raises(QuadratureError,
+                       match=r"^power tail too heavy to truncate within float range"):
+        channel_simulation_divergence(OptimalCsWidth(0.03))
+
+
+def test_empty_log_range_returns_stub_bound():
+    # h_max below the stub end e^u_lo: nothing to integrate, only the stub bound
+    res = width_log_h_integral(lambda h: np.ones_like(h), 1e-12, 1e-9)
+    assert res.value == 0.0 and res.panels == 0 and res.converged
+    assert res.error >= 1e-12 * (1.0 + math.log(1e12))
