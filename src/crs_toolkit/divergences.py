@@ -104,7 +104,7 @@ def quad_phi_integral(
     width's power-tail certificate. A run that exhausts its panel budget
     reports its best value with converged = False.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails too
         raise InvalidParameterError("tol must be positive")
     if not isinstance(phi, PhiSpec):
         phi = wrap_phi(phi)

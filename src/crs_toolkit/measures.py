@@ -49,7 +49,6 @@ class DistributionPair:
 
     family: ClassVar[str]
     kl_route: ClassVar[str] = "closed_form"
-    d_inf_bits: float
 
     def width(self) -> WidthFunction:
         """Analytic width function w(h) = P(dQ/dP >= h)."""
@@ -99,7 +98,6 @@ class LaplaceSpec(DistributionPair):
     def __post_init__(self):
         if not (0.0 < self.b <= 1.0):
             raise InvalidParameterError(f"laplace scale must be in (0, 1], got {self.b}")
-        vars(self).update(d_inf_bits=-math.log2(self.b))
 
     def width(self) -> WidthFunction:
         return indicator_width() if self.b == 1.0 else LaplaceWidth(self.b)
@@ -131,7 +129,7 @@ class GaussianSpec(DistributionPair):
             raise InvalidParameterError(
                 f"gaussian dimension d must be a positive integer, got {self.d}")
         a, c, t0 = gaussian_log_ratio_constants(self.mu, self.sigma)
-        vars(self).update(d=int(self.d), a=a, c=c, t0=t0, d_inf_bits=self.d * t0 / LN2)
+        vars(self).update(d=int(self.d), a=a, c=c, t0=t0)
 
     def width(self) -> WidthFunction:
         return GaussianWidth(self.mu, self.sigma, self.d)
@@ -181,11 +179,9 @@ class DiscreteSpec(DistributionPair):
             raise InvalidParameterError("Q is not absolutely continuous w.r.t. P")
         ratios = np.zeros_like(q)
         np.divide(q, p, out=ratios, where=p > 0.0)
-        support = (p > 0.0) & (q > 0.0)
         vars(self).update(
             q=tuple(float(v) for v in q), p=tuple(float(v) for v in p),
-            _q=q, _p=p, _cum_p=np.cumsum(p), ratios=ratios,
-            d_inf_bits=float(np.log2(ratios[support].max())) if support.any() else 0.0)
+            _q=q, _p=p, _cum_p=np.cumsum(p), ratios=ratios)
 
     @classmethod
     def from_json(cls, obj: dict) -> DiscreteSpec:
@@ -237,7 +233,6 @@ class SyntheticSpec(DistributionPair):
         if abs(w.total_mass - 1.0) > 1e-9:
             raise InvalidParameterError(
                 f"synthetic width mass {w.total_mass!r} differs from 1 by more than 1e-9")
-        vars(self).update(d_inf_bits=math.log2(w.h_max) if math.isfinite(w.h_max) else math.inf)
 
     @classmethod
     def from_json(cls, obj: dict) -> SyntheticSpec:

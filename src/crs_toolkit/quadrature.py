@@ -75,6 +75,11 @@ def gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[flo
     return ik, _ERR_SAFETY * abs(ik - ig)
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:  # NaN fails too
+        raise InvalidParameterError(f"tol must be positive, got {tol!r}")
+
+
 def adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     panels: Sequence[tuple[float, float]],
@@ -82,6 +87,7 @@ def adaptive(
     max_panels: int = DEFAULT_MAX_PANELS,
 ) -> QuadResult:
     """Refine the worst panel until the summed error estimate is below tol."""
+    _check_tol(tol)
     if not panels:
         return QuadResult(0.0, 0.0, True, 0)
     store: dict[int, tuple[float, float, float, float]] = {}
@@ -298,6 +304,7 @@ def phi_of_width_integral(
     The stub below e^u_lo contributes at most e^u_lo * sup(phi); an infinite
     h_max requires a power-tail certificate on the width and a majorant on phi.
     """
+    _check_tol(tol)
     u_lo = math.log(tol / (8.0 * phi.sup_value))
     return _log_h_quad(lambda w, u: phi(w), weval, u_lo, math.exp(u_lo) * phi.sup_value,
                        h_max, tail, lambda t: _phi_majorant(t, phi), tol, breakpoints,
@@ -320,6 +327,7 @@ def width_mass_integral(
     """
     if h_lo < 0:
         raise InvalidParameterError("h_lo must be >= 0")
+    _check_tol(tol)
     u_lo = math.log(h_lo or tol / 8.0)
 
     def majorant(t: PowerTail) -> tuple[Callable[[float], float], float]:
@@ -343,6 +351,7 @@ def width_log_h_integral(
     The integrand is signed (negative below h = 1), so h = 1 is always a
     breakpoint. Stub bound: |int_0^d w ln h| <= d (1 + |ln d|).
     """
+    _check_tol(tol)
     u_lo = math.log(tol / 8.0) - 1.0
     d = math.exp(u_lo)
 

@@ -6,6 +6,11 @@ at jump points follow P(dQ/dP >= h) exactly, which is the left-continuous
 choice at atoms of the density ratio (the discrete pair with ratios {2, 0}
 has w(2) = 0.5); every integral here is insensitive to that choice.
 
+Each class states only its formula, _formula(h), valid on h >= 0. The domain
+lives in one place, WidthFunction.__call__: it rejects negative and NaN h,
+clips the formula to [0, 1], then pins w(0) = 1 and w = 0 for h > h_max,
+each pin only when the argument's min or max reaches it.
+
 Analytic widths per family:
 
   laplace(b):   w(h) = 1 - (b h)^(b/(1-b)) on [0, 1/b]; indicator of [0, 1]
@@ -53,6 +58,7 @@ LN2 = math.log(2.0)
 _MASS_TOL = 1e-10
 _POISSON_TAIL_WEIGHT = 1e-14
 _EPS = sys.float_info.epsilon
+_TINY = math.ulp(0.0)
 # Laplace tail: series below this delta * max(e, 1), where its terms shrink
 # by a factor 20 or more each, so the term cap is never reached
 _LAPLACE_SERIES_BAND = 0.05
@@ -73,21 +79,20 @@ def gaussian_log_ratio_constants(mu: float, sigma: float) -> tuple[float, float,
     return a, c, t0
 
 
-def _poisson_mixture(df: int, noncentrality: float,
-                     tail_weight: float = _POISSON_TAIL_WEIGHT) -> tuple[np.ndarray, np.ndarray]:
+def _poisson_mixture(df: int, noncentrality: float) -> tuple[np.ndarray, np.ndarray]:
     """(shapes, weights) of the noncentral chi-square CDF as a Poisson mixture.
 
     Term j is Poisson(noncentrality/2) weight j times the central CDF with
     shape df/2 + j; a central law is the single term (df/2, 1). The Poisson
     tail beyond lam + k*sqrt(lam) decays like exp(-k^2/2), so k derived from
-    tail_weight caps the discarded weight. Low-j terms always stay: they
-    dominate the deep lower tail, where the central CDF factors fall off much
-    faster than the Poisson weights.
+    _POISSON_TAIL_WEIGHT caps the discarded weight. Low-j terms always stay:
+    they dominate the deep lower tail, where the central CDF factors fall off
+    much faster than the Poisson weights.
     """
     lam = 0.5 * noncentrality
     if lam == 0.0:
         return np.array([0.5 * df]), np.array([1.0])
-    k_pad = math.sqrt(2.0 * math.log(1.0 / tail_weight)) + 3.0
+    k_pad = math.sqrt(2.0 * math.log(1.0 / _POISSON_TAIL_WEIGHT)) + 3.0
     j_hi = int(lam + k_pad * math.sqrt(lam + 1.0) + 30.0)
     j = np.arange(j_hi + 1)
     log_w = j * math.log(lam) - lam - special.gammaln(j + 1.0)
@@ -98,28 +103,29 @@ def _mixture_cdf(x, mixture: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Noncentral chi-square CDF at x from the terms of _poisson_mixture."""
     shapes, weights = mixture
     z = 0.5 * np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), 0.0)
-    cdf = (weights * special.gammainc(shapes, z[:, None])).sum(axis=1)
+    cdf = (weights * special.gammainc(shapes, z[..., None])).sum(axis=-1)
     return cdf.clip(0.0, 1.0)
 
 
-def noncentral_chi2_cdf(x, df: int, noncentrality: float,
-                        tail_weight: float = _POISSON_TAIL_WEIGHT) -> np.ndarray:
+def noncentral_chi2_cdf(x, df: int, noncentrality: float) -> np.ndarray:
     """CDF of the noncentral chi-square, vectorized over x.
 
     Poisson(noncentrality/2) mixture of central chi-square CDFs, truncated
-    once the Poisson tail weight drops below tail_weight. Terms are formed
-    from log-space Poisson weights and the regularized lower incomplete
-    gamma, which keeps relative accuracy in the deep lower tail where the
-    divergence integrands need it.
+    once the Poisson tail weight drops below _POISSON_TAIL_WEIGHT. Terms are
+    formed from log-space Poisson weights and the regularized lower
+    incomplete gamma, which keeps relative accuracy in the deep lower tail
+    where the divergence integrands need it.
     """
-    return _mixture_cdf(x, _poisson_mixture(df, noncentrality, tail_weight))
+    return _mixture_cdf(x, _poisson_mixture(df, noncentrality))
 
 
 class WidthFunction:
     """Base width function: vectorized evaluation plus integral helpers.
 
     Subclasses set h_max, breakpoints, optionally a PowerTail certificate,
-    and implement _eval_positive on h > 0.
+    and implement _formula: w on an array of h >= 0, finite and free of
+    floating-point warnings there. __call__ overrides its values at h = 0
+    and beyond h_max, the only places where it may be wrong.
     """
 
     h_max: float
@@ -129,19 +135,22 @@ class WidthFunction:
     def __init__(self):
         self._mass: float | None = None
 
-    def _eval_positive(self, h: np.ndarray) -> np.ndarray:
+    def _formula(self, h: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, h) -> np.ndarray:
         h = np.atleast_1d(np.asarray(h, dtype=float))
-        if (h < 0.0).any():
+        if h.size == 0:
+            return np.zeros_like(h)
+        lo, hi = h.min(), h.max()
+        if not lo >= 0.0:  # the min of an array holding NaN is NaN
             raise InvalidParameterError("width argument h must be >= 0")
-        out = np.zeros_like(h)
-        pos = h > 0.0
-        if pos.any():
-            out[pos] = self._eval_positive(h[pos]).clip(0.0, 1.0)
-        out[~pos] = 1.0
-        if math.isfinite(self.h_max):
+        out = self._formula(h).clip(0.0, 1.0)
+        # the pins touch the array only when its range reaches them, so a
+        # quadrature panel or an orbit point inside (0, h_max] skips both
+        if lo == 0.0:
+            out[h == 0.0] = 1.0
+        if hi > self.h_max:
             out[h > self.h_max] = 0.0
         return out
 
@@ -224,17 +233,16 @@ class StepWidth(WidthFunction):
         self._cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
         self._suffix = np.append(np.cumsum(seg_mass[::-1])[::-1], 0.0)
 
-    def _eval_positive(self, h: np.ndarray) -> np.ndarray:
+    def _formula(self, h: np.ndarray) -> np.ndarray:
         # side="left" puts an exact edge hit in the segment to its left.
         idx = np.searchsorted(self.edges[1:], h, side="left")
-        idx = np.minimum(idx, len(self.values) - 1)
-        return np.where(h > self.h_max, 0.0, self.values[idx])
+        return self.values[np.minimum(idx, len(self.values) - 1)]
 
     def _segment(self, t: float) -> int:
         """Index j of the segment [edges[j], edges[j+1]) holding t in [0, h_max]."""
         return min(int(np.searchsorted(self.edges, t, side="right")) - 1, len(self.values) - 1)
 
-    def band_integral(self, lo: float, hi: float, tol: float = 1e-13) -> float:
+    def band_integral(self, lo: float, hi: float) -> float:
         """integral of w over [lo, hi], exact up to rounding."""
         lo = min(max(lo, 0.0), self.h_max)
         hi = min(max(hi, 0.0), self.h_max)
@@ -281,11 +289,10 @@ class LaplaceWidth(WidthFunction):
         self.breakpoints = (self.h_max,)
         self._series_below = _LAPLACE_SERIES_BAND / max(self.expo, 1.0)
 
-    def _eval_positive(self, h: np.ndarray) -> np.ndarray:
-        w = np.zeros_like(h)
-        inside = h <= self.h_max
-        w[inside] = 1.0 - np.power(self.b * h[inside], self.expo)
-        return w
+    def _formula(self, h: np.ndarray) -> np.ndarray:
+        # b h > 1 only beyond h_max or by rounding at it, where w is 0
+        # either way; the clamp keeps a large exponent from overflowing
+        return 1.0 - np.power(np.minimum(self.b * h, 1.0), self.expo)
 
     def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
         """Closed form: with delta = 1 - b h and e = b/(1-b),
@@ -384,13 +391,10 @@ class GaussianWidth(WidthFunction):
         """x = (d t0 - ln h)/a, so that {r >= h} = {sum_i (x_i - c)^2 <= x}."""
         return (self.ln_h_max - np.log(h)) / self.a
 
-    def _eval_positive(self, h: np.ndarray) -> np.ndarray:
-        x = self._chi2_argument(h)
-        w = np.zeros_like(h)
-        m = x > 0.0
-        if m.any():
-            w[m] = _mixture_cdf(x[m], self._p_mixture)
-        return w
+    def _formula(self, h: np.ndarray) -> np.ndarray:
+        # x <= 0 beyond h_max gives w = 0 from the mixture itself; the
+        # smallest subnormal stands in for h = 0, whose log would be -inf
+        return _mixture_cdf(self._chi2_argument(np.maximum(h, _TINY)), self._p_mixture)
 
     def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
         """Layer cake: T(h) = Q(r >= h) - h w(h), with r = dQ/dP.
@@ -452,11 +456,9 @@ class OptimalCsWidth(WidthFunction):
                               exponent=self.p, h_from=self.alpha)
         self._mass = 1.0
 
-    def _eval_positive(self, h: np.ndarray) -> np.ndarray:
-        w = np.ones_like(h)
-        m = h > self.alpha
-        w[m] = np.power(h[m] / self.alpha, -self.p)
-        return w
+    def _formula(self, h: np.ndarray) -> np.ndarray:
+        # up to alpha the clamped ratio is exactly 1, and so is its power
+        return np.power(np.maximum(h, self.alpha) / self.alpha, -self.p)
 
     def kl_bits(self) -> float:
         return (1.0 / self.alpha - 1.0 + math.log(self.alpha)) / LN2
@@ -489,8 +491,9 @@ class OptimalAcsWidth(WidthFunction):
                               exponent=alpha, h_from=2.0 / self.beta)
         self._mass = 1.0
 
-    def _eval_positive(self, h: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.power(self.beta * h, self.alpha))
+    def _formula(self, h: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # (beta h)^alpha = inf gives w = 0
+            return 1.0 / (1.0 + np.power(self.beta * h, self.alpha))
 
     def kl_bits(self) -> float:
         a = self.alpha

@@ -122,8 +122,8 @@ def test_default_suite_shape():
 
 
 def make_dinf(entry):
-    from crs_toolkit.measures import make_pair
-    return make_pair(entry.spec).d_inf_bits
+    from crs_toolkit.width import d_infinity, width_eval
+    return d_infinity(width_eval(entry.spec))
 
 
 def test_bound_suite_subset_passes():

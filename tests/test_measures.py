@@ -12,7 +12,7 @@ from crs_toolkit.measures import (
     make_pair,
 )
 from crs_toolkit.streams import RngStream
-from crs_toolkit.width import equality_case_width, two_level_width, width_eval
+from crs_toolkit.width import d_infinity, equality_case_width, two_level_width, width_eval
 
 LN2 = math.log(2.0)
 
@@ -20,9 +20,9 @@ DISCRETE_EXAMPLE = discrete_spec((0.5, 0.5, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25))
 
 
 def test_make_pair_d_inf_examples():
-    assert make_pair(LaplaceSpec(0.5)).d_inf_bits == pytest.approx(1.0, abs=1e-12)
-    assert make_pair(LaplaceSpec(1.0)).d_inf_bits == pytest.approx(0.0, abs=1e-12)
-    assert make_pair(DISCRETE_EXAMPLE).d_inf_bits == pytest.approx(1.0, abs=1e-12)
+    assert d_infinity(make_pair(LaplaceSpec(0.5)).width()) == pytest.approx(1.0, abs=1e-12)
+    assert d_infinity(make_pair(LaplaceSpec(1.0)).width()) == pytest.approx(0.0, abs=1e-12)
+    assert d_infinity(make_pair(DISCRETE_EXAMPLE).width()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_log_ratio_examples():
@@ -60,7 +60,7 @@ def test_d_inf_bounds_log_ratio():
                  SyntheticSpec(two_level_width(0.1))):
         pair = make_pair(spec)
         draws = pair.sample_proposal(stream, 10_000)
-        assert float(np.max(pair.log_ratio(draws))) <= pair.d_inf_bits * LN2 + 1e-9
+        assert float(np.max(pair.log_ratio(draws))) <= d_infinity(pair.width()) * LN2 + 1e-9
 
 
 def test_invalid_specs_rejected():

@@ -199,3 +199,30 @@ def test_empty_log_range_returns_stub_bound():
     res = width_log_h_integral(lambda h: np.ones_like(h), 1e-12, 1e-9)
     assert res.value == 0.0 and res.panels == 0 and res.converged
     assert res.error >= 1e-12 * (1.0 + math.log(1e12))
+
+
+BAD_TOL_CALLS = {
+    "phi": lambda tol: phi_of_width_integral(LaplaceWidth(0.5), 2.0, PHI_XLOGX, tol),
+    "log_h": lambda tol: width_log_h_integral(LaplaceWidth(0.5), 2.0, tol),
+    "mass_from_0": lambda tol: width_mass_integral(LaplaceWidth(0.5), 0.0, 2.0, tol),
+    # with h_lo > 0 no log of tol is taken: tol 0 used to burn the whole
+    # panel budget and return converged=False
+    "mass_from_1": lambda tol: width_mass_integral(LaplaceWidth(0.5), 1.0, 2.0, tol),
+    "base_tail": lambda tol: WidthFunction.tail_integral(OptimalCsWidth(0.5), 2.0, tol),
+    # the v-quadrature fallback 1e-8 below h_max, which used to run all
+    # 20 000 panels for tol 0
+    "gaussian_fallback": lambda tol: GaussianWidth(1.0, 0.5, 1).tail_integral(
+        (1.0 - 1e-8) * GaussianWidth(1.0, 0.5, 1).h_max, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("name", sorted(BAD_TOL_CALLS))
+def test_bad_tol_rejected(name, tol):
+    with pytest.raises(InvalidParameterError, match="tol must be positive"):
+        BAD_TOL_CALLS[name](tol)
+
+
+def test_divergence_rejects_nan_tol():
+    with pytest.raises(InvalidParameterError, match="tol must be positive"):
+        channel_simulation_divergence(LaplaceWidth(0.5), math.nan)

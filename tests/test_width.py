@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -330,3 +331,77 @@ def test_indicator_width_unit_mass_only():
     assert indicator_width().total_mass == 1.0
     with pytest.raises(InvalidParameterError):
         indicator_width(2.0)
+
+
+DOMAIN_WIDTHS = {
+    "laplace_b025": LaplaceWidth(0.25),
+    "laplace_b05": LaplaceWidth(0.5),
+    "gaussian_mu1_s05_d1": GaussianWidth(1.0, 0.5, 1),
+    "gaussian_mu1_s05_d2": GaussianWidth(1.0, 0.5, 2),
+    "gaussian_mu0_s06_d1": GaussianWidth(0.0, 0.6, 1),
+    "two_level_eps01": two_level_width(0.1),
+    "discrete_example": width_eval(DISCRETE_EXAMPLE),
+    "optimal_cs_a05": OptimalCsWidth(0.5),
+    "optimal_acs_a3": OptimalAcsWidth(3.0),
+}
+
+
+def _grid(w: WidthFunction, n: int = 64) -> np.ndarray:
+    """n points from 0 to h_max (to 20 for an infinite h_max), both ends included."""
+    return np.linspace(0.0, w.h_max if math.isfinite(w.h_max) else 20.0, n)
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_WIDTHS))
+def test_width_domain_pins(name):
+    w = DOMAIN_WIDTHS[name]
+    assert w(0.0)[0] == 1.0
+    assert w(np.array([0.5, 0.0]))[1] == 1.0
+    if math.isfinite(w.h_max):
+        beyond = np.array([np.nextafter(w.h_max, math.inf), 2.0 * w.h_max])
+        assert np.array_equal(w(beyond), [0.0, 0.0])
+        assert [float(w(h)[0]) for h in beyond] == [0.0, 0.0]
+    empty = w(np.array([]))
+    assert empty.shape == (0,) and empty.dtype == float
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_WIDTHS))
+def test_width_rejects_nan(name):
+    w = DOMAIN_WIDTHS[name]
+    for h in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(InvalidParameterError):
+            w(h)
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_WIDTHS))
+def test_one_point_calls_match_array_call(name):
+    # the array call pins w(0) through its range check; one-point calls at
+    # interior points never do, and must still give the same bits
+    w = DOMAIN_WIDTHS[name]
+    h = _grid(w)
+    assert np.array_equal(w(h), [float(w(x)[0]) for x in h])
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_WIDTHS))
+def test_width_formulas_raise_no_warning(name):
+    w = DOMAIN_WIDTHS[name]
+    h = np.concatenate(([0.0, 5e-324, 1e-300], _grid(w)[1:], [1e300]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = w(h)
+        ones = [float(w(x)[0]) for x in h]
+    assert np.array_equal(vals, ones)
+    assert vals[0] == 1.0 and np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+@pytest.mark.parametrize("mu, sigma, d, frac, value, panels", [
+    (1.0, 0.5, 2, 0.1, 0.6450226377269445, 0),
+    (1.0, 0.5, 2, 0.5, 0.13804637099549877, 0),
+    (1.0, 0.5, 2, 0.9, 0.004464098035947647, 0),
+    (0.0, 0.6, 1, 0.5, 0.33991931426972954, 0),
+    (1.0, 0.5, 1, 1.0 - 1e-8, 6.955418679618462e-13, 1),  # the v-quadrature fallback
+])
+def test_gaussian_layer_cake_pinned(mu, sigma, d, frac, value, panels):
+    w = GaussianWidth(mu, sigma, d)
+    res = w.tail_integral(frac * w.h_max)
+    assert res.converged and res.panels == panels
+    assert res.value == pytest.approx(value, rel=1e-13, abs=0.0)
