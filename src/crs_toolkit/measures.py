@@ -123,6 +123,8 @@ class GaussianSpec(DistributionPair):
     family = "gaussian"
 
     def __post_init__(self):
+        if not math.isfinite(self.mu):
+            raise InvalidParameterError(f"gaussian mu must be finite, got {self.mu}")
         if not (0.0 < self.sigma < 1.0):
             raise InvalidParameterError(f"gaussian sigma must be in (0, 1), got {self.sigma}")
         if self.d < 1 or self.d != int(self.d):

@@ -171,7 +171,7 @@ class WidthFunction:
         Families with a closed form override this; the GRS recursion reads
         its survival masses S_k = T(L_k) from here.
         """
-        if h < 0:
+        if not h >= 0.0:  # NaN fails too
             raise InvalidParameterError("h must be >= 0")
         return width_mass_integral(self.__call__, h, self.h_max, tol,
                                    self.breakpoints, self.tail)
@@ -256,7 +256,7 @@ class StepWidth(WidthFunction):
         return below(hi) - below(lo)
 
     def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
-        if h < 0:
+        if not h >= 0.0:  # NaN fails too
             raise InvalidParameterError("h must be >= 0")
         if h >= self.h_max:
             return QuadResult(0.0, 0.0, True, 0)
@@ -304,7 +304,7 @@ class LaplaceWidth(WidthFunction):
         shrinks, so the series takes over once delta * max(e, 1) is small
         enough for it to converge in a dozen terms.
         """
-        if h < 0:
+        if not h >= 0.0:  # NaN fails too
             raise InvalidParameterError("h must be >= 0")
         delta = 1.0 - self.b * h
         if delta <= 0.0:
@@ -368,6 +368,8 @@ class GaussianWidth(WidthFunction):
 
     def __init__(self, mu: float, sigma: float, d: int):
         super().__init__()
+        if not math.isfinite(mu):
+            raise InvalidParameterError("need a finite mu")
         if not (0.0 < sigma < 1.0):
             raise InvalidParameterError("need 0 < sigma < 1")
         if d < 1 or d != int(d):
@@ -410,7 +412,7 @@ class GaussianWidth(WidthFunction):
         F the P mixture's CDF. The endpoint h_max sits at v = 0, where
         floats resolve it, and the integrand is smooth in v for every d.
         """
-        if h < 0:
+        if not h >= 0.0:  # NaN fails too
             raise InvalidParameterError("h must be >= 0")
         if h >= self.h_max:
             return QuadResult(0.0, 0.0, True, 0)

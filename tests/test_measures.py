@@ -80,6 +80,12 @@ def test_invalid_specs_rejected():
         discrete_spec((0.5, 0.5), (1.0, 0.0))  # Q not << P
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_gaussian_spec_rejects_non_finite_mu(mu):
+    with pytest.raises(InvalidParameterError, match="mu must be finite"):
+        GaussianSpec(mu, 0.5, 1)
+
+
 def test_discrete_point_outside_support():
     pair = make_pair(discrete_spec((0.5, 0.5, 0.0), (0.5, 0.25, 0.25)))
     with pytest.raises(InvalidParameterError):

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -226,3 +227,119 @@ def test_bad_tol_rejected(name, tol):
 def test_divergence_rejects_nan_tol():
     with pytest.raises(InvalidParameterError, match="tol must be positive"):
         channel_simulation_divergence(LaplaceWidth(0.5), math.nan)
+
+
+# The one-panel greedy that adaptive() replays: evaluate one panel per call,
+# pop the worst, bisect it, and re-sum every error with fsum after each split.
+def _greedy_reference(f, panels, tol, max_panels=20000):
+    store, heap, uid = {}, [], 0
+    for a, b in panels:
+        v, e = gk15(f, a, b)
+        store[uid] = (a, b, v, e)
+        heapq.heappush(heap, (-e, uid))
+        uid += 1
+    total_err = math.fsum(r[3] for r in store.values())
+    while total_err > tol and len(store) < max_panels:
+        _, k = heapq.heappop(heap)
+        a, b, v, e = store.pop(k)
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            store[k] = (a, b, v, e)
+            break
+        for lo, hi in ((a, mid), (mid, b)):
+            v2, e2 = gk15(f, lo, hi)
+            store[uid] = (lo, hi, v2, e2)
+            heapq.heappush(heap, (-e2, uid))
+            uid += 1
+        total_err = math.fsum(r[3] for r in store.values())
+    ordered = sorted(store.values())
+    value = math.fsum(r[2] for r in ordered)
+    error = math.fsum(r[3] for r in ordered)
+    return value, error, error <= tol, len(store)
+
+
+def _laplace_cs_case():
+    # the D_CS integrand of phi_of_width_integral in u = ln h, b = 1/4
+    w, tol = LaplaceWidth(0.25), 1e-9 * LN2
+    u_lo = math.log(tol / (8.0 * PHI_XLOGX.sup_value))
+    f = lambda u: PHI_XLOGX(w(np.exp(u))) * np.exp(u)
+    return f, seed_panels(u_lo, math.log(w.h_max), max_len=4.0), tol / 2.0
+
+
+_ULP1 = math.ulp(1.0)
+REPLAY_CASES = {
+    "smooth": (lambda x: np.sin(x), [(0.0, math.pi)], 1e-12, 20000),
+    "kink_cut": (lambda x: np.abs(x - 1.0 / 3.0), seed_panels(0.0, 1.0, cuts=(1.0 / 3.0,)),
+                 1e-13, 20000),
+    "inv_sqrt_endpoint": (lambda x: 1.0 / np.sqrt(x), seed_panels(0.0, 1.0, max_len=0.125),
+                          1e-10, 20000),
+    "oscillation_8": (lambda x: np.sin(1000.0 * x), [(0.0, 1.0)], 1e-14, 8),
+    "oscillation_50": (lambda x: np.sin(1000.0 * x), [(0.0, 1.0)], 1e-14, 50),
+    "oscillation_500": (lambda x: np.sin(1000.0 * x), [(0.0, 1.0)], 1e-14, 500),
+    # panels a few ulp wide: refinement stops when a midpoint rounds to an end
+    "float_resolution": (lambda x: np.exp(1e15 * (x - 1.0)),
+                         [(1.0, 1.0 + 8 * _ULP1), (1.0 + 8 * _ULP1, 1.0 + 16 * _ULP1)],
+                         1e-300, 20000),
+    "laplace_cs": (*_laplace_cs_case(), 20000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_CASES))
+def test_adaptive_replays_one_panel_greedy(name):
+    f, panels, tol, max_panels = REPLAY_CASES[name]
+    seen = []
+
+    def counted(x):
+        seen.append(x.size)
+        return f(x)
+
+    res = adaptive(counted, panels, tol, max_panels)
+    want = _greedy_reference(f, panels, tol, max_panels)
+    assert (res.value, res.error, res.converged, res.panels) == want
+    if name == "float_resolution":
+        assert not res.converged and res.panels < max_panels
+    if name.startswith("oscillation"):
+        assert not res.converged and res.panels == max_panels
+    if res.converged:
+        # nothing evaluated ahead was left unused: each split costs two panels
+        assert sum(seen) == 15 * (2 * res.panels - len(panels))
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["at", "one_ulp_below"])
+def test_adaptive_stops_where_greedy_does_at_an_exact_error_sum(below):
+    # tol set to the greedy's own error sum after 40 panels: the running
+    # total must hand the decision to fsum, on both sides of the boundary
+    f, panels, _, _ = REPLAY_CASES["inv_sqrt_endpoint"]
+    tol = _greedy_reference(f, panels, 1e-300, max_panels=40)[1]
+    if below:
+        tol = math.nextafter(tol, 0.0)
+    res = adaptive(f, panels, tol)
+    assert (res.value, res.error, res.converged, res.panels) == _greedy_reference(f, panels, tol)
+
+
+def test_gk15_arrays_match_scalar_calls():
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-3.0, 3.0, 40)
+    b = a + rng.uniform(1e-6, 2.0, 40)
+    f = lambda x: np.exp(-x) * np.sin(3.0 * x) + np.sqrt(np.abs(x))
+    values, errors = gk15(f, a, b)
+    scalar = [gk15(f, float(lo), float(hi)) for lo, hi in zip(a, b)]
+    assert values.tolist() == [v for v, _ in scalar]
+    assert errors.tolist() == [e for _, e in scalar]
+    assert all(type(v) is float and type(e) is float for v, e in scalar)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: adaptive(np.sin, [(0.0, math.nan)], 1e-9),
+    lambda: adaptive(np.sin, [(0.0, 1.0), (-math.inf, 0.0)], 1e-9),
+    lambda: integrate_interval(np.sin, 0.0, math.inf, 1e-9),
+    lambda: integrate_interval(np.sin, math.nan, 1.0, 1e-9),
+], ids=["adaptive_nan", "adaptive_inf", "interval_inf", "interval_nan"])
+def test_non_finite_panel_ends_rejected(call):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        call()
+
+
+def test_width_mass_integral_rejects_nan_h_lo():
+    with pytest.raises(InvalidParameterError, match="h_lo must be >= 0"):
+        width_mass_integral(LaplaceWidth(0.5), math.nan, 2.0, 1e-9)

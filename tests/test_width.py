@@ -280,6 +280,25 @@ def test_optimal_width_tail_certificates_hold():
         assert np.all(w(h) <= t.coef * h**-t.exponent + 1e-300)
 
 
+@pytest.mark.parametrize("width", [LaplaceWidth(0.5), two_level_width(0.1), OptimalCsWidth(0.5)],
+                         ids=["laplace_closed_form", "step_closed_form", "base_quadrature"])
+def test_tail_integral_rejects_nan(width):
+    with pytest.raises(InvalidParameterError, match="h must be >= 0"):
+        width.tail_integral(math.nan)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_gaussian_width_rejects_non_finite_mu(mu):
+    with pytest.raises(InvalidParameterError, match="finite mu"):
+        GaussianWidth(mu, 0.5, 1)
+
+
+def test_gaussian_h_max_overflow_stays_overflow_error():
+    # a finite mu whose h_max = exp(d t0) leaves the float range
+    with pytest.raises(OverflowError):
+        GaussianWidth(1.45, 0.89, 250)
+
+
 def test_step_width_validation():
     with pytest.raises(InvalidParameterError):
         StepWidth([0.5, 1.0], [1.0])
