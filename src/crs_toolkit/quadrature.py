@@ -145,9 +145,10 @@ def adaptive(
     tol. Errors are >= 0, so the sum cannot fall to tol while such a panel
     is held, and the greedy splits each of them before it converges. A
     converged result has therefore seen f at exactly 15 (2 panels - seeds)
-    points; a stop at max_panels or at float resolution may leave a few
-    panels split ahead in vain. A popped error <= tol means no held error
-    exceeds tol, and that panel is split alone.
+    points. A stop at max_panels or at float resolution can leave panels
+    split ahead in vain; no more are split ahead than the panel budget has
+    splits left. A popped error <= tol means no held error exceeds tol, and
+    that panel is split alone.
 
     The error sum is a running total with a bound on its rounding. math.fsum
     over the held panels runs only when tol lies within that bound, so each

@@ -7,6 +7,10 @@ import pytest
 from crs_toolkit.divergences import alternative_divergence, channel_simulation_divergence
 from crs_toolkit.errors import InvalidParameterError, QuadratureError
 from crs_toolkit.quadrature import (
+    _ERR_SAFETY,
+    _NODES,
+    _W_GAUSS,
+    _W_KRONROD,
     PHI_BINARY_ENTROPY,
     PHI_XLOGX,
     PowerTail,
@@ -229,12 +233,21 @@ def test_divergence_rejects_nan_tol():
         channel_simulation_divergence(LaplaceWidth(0.5), math.nan)
 
 
+# One GK15 panel per call of f, as gk15 computed it before it took arrays.
+def _gk15_panel(f, a, b):
+    half = 0.5 * (b - a)
+    y = np.asarray(f(0.5 * (a + b) + half * _NODES), dtype=float)
+    ik = half * float(_W_KRONROD @ y)
+    ig = half * float(_W_GAUSS @ y[1::2])
+    return ik, _ERR_SAFETY * abs(ik - ig)
+
+
 # The one-panel greedy that adaptive() replays: evaluate one panel per call,
 # pop the worst, bisect it, and re-sum every error with fsum after each split.
 def _greedy_reference(f, panels, tol, max_panels=20000):
     store, heap, uid = {}, [], 0
     for a, b in panels:
-        v, e = gk15(f, a, b)
+        v, e = _gk15_panel(f, a, b)
         store[uid] = (a, b, v, e)
         heapq.heappush(heap, (-e, uid))
         uid += 1
@@ -247,7 +260,7 @@ def _greedy_reference(f, panels, tol, max_panels=20000):
             store[k] = (a, b, v, e)
             break
         for lo, hi in ((a, mid), (mid, b)):
-            v2, e2 = gk15(f, lo, hi)
+            v2, e2 = _gk15_panel(f, lo, hi)
             store[uid] = (lo, hi, v2, e2)
             heapq.heappush(heap, (-e2, uid))
             uid += 1
@@ -305,16 +318,27 @@ def test_adaptive_replays_one_panel_greedy(name):
         assert sum(seen) == 15 * (2 * res.panels - len(panels))
 
 
+# tol at the greedy's own error sum after k panels, and one ulp below it: the
+# running total must hand the decision to fsum on both sides. In the kink
+# case one split drops the sum from 2e4 to 3e-9, below the rounding that the
+# running total kept from before.
+BOUNDARY_CASES = {
+    "inv_sqrt_endpoint": (*REPLAY_CASES["inv_sqrt_endpoint"][:2], 40),
+    "cancelling_kink": (lambda x: np.where(x < 1.0, 1e6 * np.abs(x - 0.5), np.sin(x)),
+                        [(0.0, 1.0), (1.0, 2.0)], 3),
+}
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["at", "one_ulp_below"])
-def test_adaptive_stops_where_greedy_does_at_an_exact_error_sum(below):
-    # tol set to the greedy's own error sum after 40 panels: the running
-    # total must hand the decision to fsum, on both sides of the boundary
-    f, panels, _, _ = REPLAY_CASES["inv_sqrt_endpoint"]
-    tol = _greedy_reference(f, panels, 1e-300, max_panels=40)[1]
+@pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+def test_adaptive_stops_where_greedy_does_at_an_exact_error_sum(name, below):
+    f, panels, k = BOUNDARY_CASES[name]
+    tol = _greedy_reference(f, panels, 1e-300, max_panels=k)[1]
     if below:
         tol = math.nextafter(tol, 0.0)
-    res = adaptive(f, panels, tol)
-    assert (res.value, res.error, res.converged, res.panels) == _greedy_reference(f, panels, tol)
+    res = adaptive(f, panels, tol, max_panels=50)
+    assert (res.value, res.error, res.converged, res.panels) == _greedy_reference(
+        f, panels, tol, max_panels=50)
 
 
 def test_gk15_arrays_match_scalar_calls():
@@ -324,6 +348,7 @@ def test_gk15_arrays_match_scalar_calls():
     f = lambda x: np.exp(-x) * np.sin(3.0 * x) + np.sqrt(np.abs(x))
     values, errors = gk15(f, a, b)
     scalar = [gk15(f, float(lo), float(hi)) for lo, hi in zip(a, b)]
+    assert scalar == [_gk15_panel(f, float(lo), float(hi)) for lo, hi in zip(a, b)]
     assert values.tolist() == [v for v, _ in scalar]
     assert errors.tolist() == [e for _, e in scalar]
     assert all(type(v) is float and type(e) is float for v, e in scalar)
