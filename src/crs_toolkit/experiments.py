@@ -37,6 +37,7 @@ from .measures import (
     PairSpec,
     SyntheticSpec,
     discrete_spec,
+    json_number,
 )
 from .width import d_infinity, equality_case_width, two_level_width, width_eval
 
@@ -375,7 +376,9 @@ def load_suite_file(path: str) -> list[SuiteEntry]:
     entries = []
     for i, obj in enumerate(data):
         spec = parse_spec_json(obj)
-        eps = float(obj.get("eps_stop", SUITE_EPS_STOP))
+        eps = json_number(obj, "eps_stop") if "eps_stop" in obj else SUITE_EPS_STOP
+        if not 0.0 < eps < 1.0:
+            raise InvalidParameterError(f"'eps_stop' must lie in (0, 1), got {eps!r}")
         entries.append(SuiteEntry(obj.get("name", f"pair_{i}"), spec, eps))
     return entries
 

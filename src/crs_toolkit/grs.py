@@ -12,10 +12,10 @@ one map:
     p_k      = P[K = k] = T(L_k) - T(L_{k+1})
 
 so the whole index distribution is a deterministic functional of the width,
-and E[K] = sum_k S_k = sum_k (L_{k+1} - L_k) = h_max by telescoping. Each
-step costs one tail integral: closed forms for the Laplace, Gaussian and step
-widths (see width.py), quadrature for any other width. Both the stochastic
-and the exact paths read (L_k, S_k) from the same lazily extended orbit.
+and E[K] = sum_k S_k = sum_k (L_{k+1} - L_k) = h_max by telescoping. Samplers
+and index law read one lazily extended orbit. A step costs one tail integral
+(see width.py); a step width crosses a constant segment of value v < 1 in one
+closed-form geometric block (q_k = v) and a breakpoint in one exact band step.
 
 Truncation is certified: after stopping with survival mass s = S_{n+1},
 
@@ -29,7 +29,9 @@ and maximizing the normalized tail entropy at fixed mean by a geometric law.
 """
 from __future__ import annotations
 
+import bisect
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,46 +46,94 @@ LOG2_E = math.log2(math.e)
 DEFAULT_STEP_CAP = 10**6
 # relative tolerance of a quadrature tail integral; closed forms ignore it
 _TAIL_TOL_FACTOR = 1e-13
+# fewest steps a piece of a geometric block adds: a piece costs about the
+# same up to a few hundred steps, and most sampler runs end within one
+_MIN_PIECE = 64
 
 
 class GrsRecursion:
     """Lazily extended orbit L_{k+1} = L_k + S_k, S_{k+1} = T(L_{k+1}).
 
-    S is clamped to be non-increasing, so p_k = S_k - S_{k+1} >= 0 even
-    where a tail integral rounds up.
+    L, S and p are float64 arrays with L_k, S_k and p_k (stored per step) at
+    index k - 1; S is clamped to be non-increasing. A geometric block is built
+    from its first step in pieces that each at least double the orbit. With
+    eps_stop > 0 (the index law) a block is built whole and also ends where S
+    first falls to eps_stop; one the step cap cuts above eps_stop raises
+    before it is built. Reads past step step_cap + 1 raise.
     """
 
-    def __init__(self, w: WidthFunction, step_cap: int = DEFAULT_STEP_CAP):
+    def __init__(self, w: WidthFunction, step_cap: int = DEFAULT_STEP_CAP, eps_stop: float = 0.0):
         self.w = w
         self.step_cap = step_cap
-        self.L = [0.0]
-        self.S = [1.0]
-
-    @property
-    def q(self) -> np.ndarray:
-        """Conditional acceptance q_k = p_k / S_k of the steps taken so far."""
-        s = np.array(self.S)
-        q = np.ones(s.size - 1)
-        np.divide(s[:-1] - s[1:], s[:-1], out=q, where=s[:-1] > 0.0)
-        return q
+        self.eps_stop = eps_stop
+        self._blocks = isinstance(w, StepWidth)
+        self.L, self.S, self.p = array("d", [0.0]), array("d", [1.0]), array("d")
+        self._block = None  # (first step, length, L, S, v, log(1 - v), (1 - v)^length)
 
     def state(self, k: int) -> tuple[float, float]:
         """(L_k, S_k) at 1-based step k, extending the orbit as needed."""
         if k < 1:
             raise InvalidParameterError("steps are 1-based")
-        if k > self.step_cap:
-            raise StepBudgetError(f"recursion asked to extend beyond the step cap {self.step_cap}")
-        while len(self.L) < k:
-            self._advance()
+        while len(self.S) < k:
+            self._advance(k)
         return self.L[k - 1], self.S[k - 1]
 
-    def _advance(self):
-        S = self.S[-1]
-        L = self.L[-1] + S
-        if S > 0.0:
-            S = min(S, self.w.tail_integral(L, tol=max(S * _TAIL_TOL_FACTOR, 1e-300)).value)
-        self.L.append(L)
-        self.S.append(S)
+    def _advance(self, k: int):
+        """Extend the orbit toward step k: one step, or one piece of a block."""
+        steps, L, S = len(self.p), self.L[-1], self.S[-1]
+        if self._block is None:
+            block = self._open_block(steps, L, S) if self._blocks and steps < self.step_cap else None
+            S_cap = S if block is None else S * block[6]  # survival after step_cap steps
+            if steps >= self.step_cap or (block and steps + block[1] >= self.step_cap
+                                          and S_cap > self.eps_stop > 0.0):
+                raise StepBudgetError(f"survival mass still {S_cap:.3e} after {self.step_cap} steps; "
+                                      "raise eps_stop or the step cap")
+            if block is None:
+                return self._step(L, S)
+            self._block = block
+        start, m, L0, S0, v, ln_r, r_m = self._block
+        i = steps - start
+        j = m if self.eps_stop > 0.0 else min(m, i + max(k - len(self.S), len(self.S), _MIN_PIECE))
+        r = np.arange(i, j + 1.0)
+        np.exp(np.multiply(r, ln_r, out=r), out=r)
+        if j == m:
+            r[-1] = r_m  # the block's end, from which the orbit goes on
+            self._block = None
+        # in place: each temporary array is fresh memory, slow to touch first
+        x = r[:-1] * (S0 * v)
+        self.p.frombytes(x.data.cast("B"))
+        self.S.frombytes(np.multiply(r[1:], S0, out=x).data.cast("B"))
+        np.subtract(1.0, r[1:], out=x)
+        x *= S0 / v
+        self.L.frombytes(np.add(x, L0, out=x).data.cast("B"))
+
+    def _open_block(self, steps: int, L: float, S: float):
+        """The geometric block from (L, S), or None where one step is taken."""
+        j = min(bisect.bisect_right(self.w.breakpoints, L), len(self.w.values) - 1)
+        right, v = self.w.breakpoints[j], float(self.w.values[j])
+        if L + S > right or v >= 1.0:
+            return None
+        ln_r = math.log1p(-v)
+        m = self.step_cap - steps
+        if S > self.eps_stop > 0.0:
+            m = min(m, max(1, math.ceil(math.log(self.eps_stop / S) / ln_r)))
+        overshoot = L + S / v - right  # block limit of L minus segment end
+        if overshoot > 0.0:
+            rhs = overshoot / (S * (1.0 / v - 1.0))
+            m = min(m, 1 + max(0, math.floor(math.log(rhs) / ln_r)) if rhs < 1.0 else 1)
+        return steps, m, L, S, v, ln_r, math.exp(m * ln_r)
+
+    def _step(self, L: float, S: float):
+        if self._blocks:  # exact band step; S = 0 only past the width's end
+            q = min(max(self.w.band_integral(L, L + S) / S, 0.0), 1.0) if S > 0.0 else 1.0
+            p, S_next = S * q, S * (1.0 - q)
+        else:
+            tol = max(S * _TAIL_TOL_FACTOR, 1e-300)
+            S_next = min(S, self.w.tail_integral(L + S, tol=tol).value) if S > 0.0 else S
+            p = S - S_next
+        self.L.append(L + S)
+        self.S.append(S_next)
+        self.p.append(p)
 
 
 @dataclass(frozen=True)
@@ -122,71 +172,6 @@ def default_eps_stop(w: WidthFunction) -> float:
     return 1e-12 if isinstance(w, StepWidth) else 1e-9
 
 
-def _step_budget_error(survival: float, step_cap: int) -> StepBudgetError:
-    return StepBudgetError(f"survival mass still {survival:.3e} after {step_cap} steps; "
-                           "raise eps_stop or the step cap")
-
-
-def _step_width_lists(w: StepWidth, eps_stop: float, step_cap: int):
-    """(p_list, S_list, L_final, S_final) for a piecewise-constant width.
-
-    Inside one constant segment of value v the recursion is exactly geometric
-    (q_k = v), so it advances in closed-form blocks; only bands that straddle
-    a breakpoint take scalar steps. Identical to the scalar recursion up to
-    float rounding, at any eps_stop depth.
-    """
-    edges, values = w.edges, w.values
-    L, S = 0.0, 1.0
-    p_parts: list[np.ndarray] = []
-    s_parts: list[np.ndarray] = []
-    steps = 0
-    while S > eps_stop:
-        if steps >= step_cap:
-            raise _step_budget_error(S, step_cap)
-        j = min(int(np.searchsorted(edges, L, side="right")) - 1, len(values) - 1)
-        right = edges[j + 1]
-        v = values[j]
-        if L + S > right or v <= 0.0:
-            # straddling band: one exact scalar step
-            q = min(max(w.band_integral(L, L + S) / S, 0.0), 1.0)
-            p_parts.append(np.array([S * q]))
-            s_parts.append(np.array([S]))
-            L += S
-            S *= 1.0 - q
-            steps += 1
-            continue
-        if v >= 1.0:
-            p_parts.append(np.array([S]))
-            s_parts.append(np.array([S]))
-            L += S
-            S = 0.0
-            steps += 1
-            break
-        # geometric block: m steps with q = v, survival ratio r = 1 - v
-        ln_r = math.log1p(-v)
-        m_eps = max(1, math.ceil(math.log(eps_stop / S) / ln_r))
-        overshoot = L + S / v - right  # block limit of L minus segment end
-        if overshoot > 0.0:
-            rhs = overshoot / (S * (1.0 / v - 1.0))
-            m_exit = 1 + max(0, math.floor(math.log(rhs) / ln_r)) if rhs < 1.0 else 1
-        else:
-            m_exit = m_eps
-        m = min(m_eps, m_exit, step_cap - steps)
-        r_m = math.exp(m * ln_r)
-        if steps + m >= step_cap and S * r_m > eps_stop:
-            # the cap ends this block above eps_stop: fail before building it
-            raise _step_budget_error(S * r_m, step_cap)
-        ratios = np.exp(np.arange(m) * ln_r)
-        s_parts.append(S * ratios)
-        p_parts.append(S * v * ratios)
-        L += (S / v) * (1.0 - r_m)
-        S *= r_m
-        steps += m
-    p = np.concatenate(p_parts) if p_parts else np.zeros(0)
-    survival = np.concatenate(s_parts) if s_parts else np.zeros(0)
-    return p, survival, L, S
-
-
 def grs_index_distribution(
     w: WidthFunction,
     eps_stop: float | None = None,
@@ -203,31 +188,21 @@ def grs_index_distribution(
         raise InvalidParameterError("eps_stop must lie in (0, 1)")
     if not math.isfinite(w.h_max):
         raise InvalidParameterError("index distribution needs a width with finite h_max")
-    if isinstance(w, StepWidth):
-        p, survival, L_next, tail_mass = _step_width_lists(w, eps_stop, step_cap)
-    else:
-        rec = GrsRecursion(w, step_cap=step_cap)
-        n = 0
-        while rec.state(n + 1)[1] > eps_stop:
-            n += 1
-            if n >= step_cap:
-                raise _step_budget_error(rec.S[n - 1], step_cap)
-        # steps 1..n have S_k > eps_stop; S_{n+1} <= eps_stop is the tail mass
-        s = np.array(rec.S[:n + 1])
-        survival, p = s[:-1], s[:-1] - s[1:]
-        tail_mass = float(s[-1])
-        L_next = rec.L[n]
-    mean_index = float(np.sum(survival))
-    mean_tail = max(w.h_max - L_next, 0.0)
+    rec = GrsRecursion(w, step_cap=step_cap, eps_stop=eps_stop)
+    while rec.S[-1] > eps_stop:
+        rec.state(len(rec.S) + 1)
+    # steps 1..n have S_k > eps_stop; S_{n+1} <= eps_stop is the tail mass
+    p, tail_mass = np.frombuffer(rec.p), rec.S[-1]
+    mean_tail = max(w.h_max - rec.L[-1], 0.0)
     pos = p[p > 0.0]
     entropy_bits = float(-np.dot(pos, np.log2(pos))) + 0.0 if pos.size else 0.0
     return IndexDistribution(
         p=p,
         truncation_index=int(p.size),
-        tail_mass=float(tail_mass),
+        tail_mass=tail_mass,
         entropy_bits=entropy_bits,
-        entropy_tail_bound_bits=_entropy_tail_bound_bits(float(tail_mass), mean_tail),
-        mean_index=mean_index,
+        entropy_tail_bound_bits=_entropy_tail_bound_bits(tail_mass, mean_tail),
+        mean_index=float(np.sum(np.frombuffer(rec.S)[:-1])),
         mean_tail_bound=mean_tail,
     )
 

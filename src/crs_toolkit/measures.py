@@ -39,6 +39,14 @@ LN2 = math.log(2.0)
 _SUM_TOL = 1e-12
 
 
+def json_number(obj: dict, key: str) -> float:
+    """obj[key] as a float; a value that is not a number raises naming the key."""
+    try:
+        return float(obj[key])
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{key!r} must be a number, got {obj[key]!r}") from None
+
+
 class DistributionPair:
     """A concrete (Q, P) pair: proposal sampling plus the density ratio.
 
@@ -62,7 +70,7 @@ class DistributionPair:
     @classmethod
     def from_json(cls, obj: dict) -> DistributionPair:
         """Spec from its descriptor; a missing key raises KeyError."""
-        return cls(*(float(obj[f.name]) for f in fields(cls)))
+        return cls(*(json_number(obj, f.name) for f in fields(cls)))
 
     def descriptor(self) -> dict:
         """JSON descriptor in the verify suite format."""
@@ -240,9 +248,9 @@ class SyntheticSpec(DistributionPair):
     def from_json(cls, obj: dict) -> SyntheticSpec:
         kind = obj["width"]
         if kind == "equality":
-            return cls(equality_case_width(float(obj["c"])))
+            return cls(equality_case_width(json_number(obj, "c")))
         if kind == "two_level":
-            return cls(two_level_width(float(obj["eps"])))
+            return cls(two_level_width(json_number(obj, "eps")))
         if kind == "table":
             return cls(width_from_table(read_width_table(str(obj["path"]))))
         raise InvalidParameterError(f"unknown synthetic width descriptor {kind!r}")

@@ -283,10 +283,8 @@ class PhiSpec:
 
 
 def _phi_xlogx(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    m = (x > 0.0) & (x < 1.0)
-    out[m] = -x[m] * np.log(x[m])
-    return out
+    # the floor gives 0 at x = 0; "0.0 -" keeps phi(1) = +0.0, not -0.0
+    return 0.0 - x * np.log(np.maximum(x, math.ulp(0.0)))
 
 
 def _phi_binary_entropy(x: np.ndarray) -> np.ndarray:

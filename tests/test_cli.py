@@ -175,6 +175,11 @@ def test_verify_custom_suite_file(tmp_path, capsys):
     ({"family": "laplace"}, "'b'"),
     (3, "entry 3"),
     ({"family": "gaussian", "mu": 1.0, "sigma": 0.5, "d": 2.5}, "got 2.5"),
+    ({"family": "laplace", "b": "x"}, "'b'"),
+    ({"family": "synthetic", "width": "equality", "c": "x"}, "'c'"),
+    ({"family": "laplace", "b": 0.5, "eps_stop": "x"}, "'eps_stop'"),
+    ({"family": "laplace", "b": 0.5, "eps_stop": None}, "'eps_stop'"),
+    ({"family": "laplace", "b": 0.5, "eps_stop": 2}, "'eps_stop'"),
 ])
 def test_verify_malformed_suite_entry_exits_2(tmp_path, capsys, entry, named):
     suite = tmp_path / "suite.json"

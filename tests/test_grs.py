@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from crs_toolkit.width import (
     indicator_width,
     two_level_width,
     width_eval,
+    width_from_discrete,
 )
 
 LN2 = math.log(2.0)
@@ -64,14 +66,26 @@ def test_equality_case_c2_matches_discrete_example():
 
 
 def test_blocked_and_scalar_paths_agree():
-    w = two_level_width(0.1)
-    dist = grs_index_distribution(w, eps_stop=1e-6)
-    rec = GrsRecursion(w)
-    n = dist.truncation_index
-    rec.state(n + 1)
-    scalar_p = np.array(rec.S[:n]) * np.array(rec.q[:n])
-    assert np.max(np.abs(dist.p - scalar_p)) < 1e-12
-    assert rec.S[n] == pytest.approx(dist.tail_mass, rel=1e-10)
+    # reference: the scalar map, one tail integral per step, run here
+    for w in (two_level_width(0.1),
+              width_from_discrete((0.4, 0.3, 0.15, 0.1, 0.05), (0.1, 0.2, 0.2, 0.25, 0.25)),
+              equality_case_width(2.0**6)):
+        dist = grs_index_distribution(w)
+        n = dist.truncation_index
+        L, S = [0.0], [1.0]
+        for _ in range(n + 1):
+            L.append(L[-1] + S[-1])
+            S.append(w.tail_integral(L[-1]).value)
+        L, S = np.array(L), np.array(S)
+        assert np.max(np.abs(dist.p - (S[:n] - S[1:n + 1]))) < 1e-12
+        assert dist.tail_mass == pytest.approx(S[n], abs=1e-12)
+        assert dist.mean_index == pytest.approx(np.sum(S[:n]), rel=1e-12)
+        assert dist.mean_tail_bound == pytest.approx(w.h_max - L[n], abs=1e-12 * w.h_max)
+        # the samplers' lazily read orbit is the same orbit
+        rec = GrsRecursion(w)
+        rec.state(n + 2)
+        assert np.max(np.abs(np.array(rec.S[:n + 2]) - S)) < 1e-12
+        assert np.max(np.abs(np.array(rec.L[:n + 2]) - L)) < 1e-12 * w.h_max
 
 
 # Index laws of the six smooth default-suite pairs at their suite eps_stop,
@@ -96,6 +110,29 @@ def test_smooth_suite_index_laws_pinned(name):
     assert dist.truncation_index == n
     assert dist.entropy_bits == pytest.approx(entropy_bits, abs=1e-12)
     assert dist.mean_index + dist.mean_tail_bound == pytest.approx(w.h_max, rel=1e-12)
+
+
+# Index laws of the eight step-width default-suite pairs at their suite
+# eps_stop, as the earlier separate blocked recursion for step widths
+# computed them: (truncation index, H[K] in bits, tail mass, E[K] head)
+STEP_SUITE_LAWS = {
+    "laplace_identity": (1, 0.0, 0.0, 1.0),
+    "discrete_half_pair": (30, 1.9999999701976776, 9.313225746154793e-10, 1.9999999981373549),
+    "discrete_eight": (143, 1.802218392342072, 8.764749682378554e-10, 2.399999992988198),
+    "discrete_point_mass": (73, 3.245112472422581, 7.576562804644603e-10, 3.9999999969693754),
+    "equality_width_c2": (30, 1.9999999701976776, 9.313225746154793e-10, 1.9999999981373549),
+    "equality_width_c4": (73, 3.245112472422581, 7.576562804644603e-10, 3.9999999969693754),
+    "two_level_eps03": (58, 2.502911152117016, 7.579464069903691e-10, 2.70580334761019),
+    "two_level_eps01": (194, 4.012533584887664, 9.705077525625231e-10, 7.579527197964966),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_SUITE_LAWS))
+def test_step_suite_index_laws_pinned(name):
+    entry = next(e for e in default_suite() if e.name == name)
+    dist = grs_index_distribution(width_eval(entry.spec), eps_stop=entry.eps_stop)
+    assert (dist.truncation_index, dist.entropy_bits, dist.tail_mass,
+            dist.mean_index) == STEP_SUITE_LAWS[name]
 
 
 def test_default_eps_stop_by_width_kind():
@@ -155,6 +192,35 @@ def test_step_cap_inside_geometric_block_reports_survival():
         grs_index_distribution(equality_case_width(c), eps_stop=1e-9, step_cap=cap)
 
 
+def test_step_cap_inside_geometric_block_fails_before_building_it():
+    # the law needs about 2.2e7 steps; the first block would hold the cap's 1e6
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepBudgetError, match="after 1000000 steps"):
+            grs_index_distribution(equality_case_width(2.0**20), eps_stop=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_lazy_orbit_builds_blocks_in_pieces(monkeypatch):
+    # one block would reach the 1e6 step cap; a read builds only what it asks
+    rec = GrsRecursion(equality_case_width(2.0**20))
+    L, S = rec.state(100)
+    assert S == pytest.approx((1.0 - 2.0**-20) ** 99, rel=1e-14)
+    assert L == pytest.approx(2.0**20 * (1.0 - S), rel=1e-12)
+    assert 100 <= len(rec.S) <= 300
+    assert len(rec.L) == len(rec.S) == len(rec.p) + 1
+    # read step by step, as a sampler does, the block grows in doubling pieces
+    pieces = []
+    advance = rec._advance
+    monkeypatch.setattr(rec, "_advance", lambda k: (pieces.append(k), advance(k)))
+    for k in range(1, 5001):
+        rec.state(k)
+    assert len(pieces) <= 10 and len(rec.S) <= 10_000
+
+
 def test_sampler_identity_pair_accepts_first():
     pair = make_pair(LaplaceSpec(1.0))
     w = width_eval(LaplaceSpec(1.0))
@@ -202,7 +268,7 @@ def test_synthetic_first_step_acceptance():
     w = OptimalCsWidth(0.5)
     rec = GrsRecursion(w)
     rec.state(2)
-    assert rec.q[0] == pytest.approx(0.75, abs=1e-12)
+    assert rec.p[0] == pytest.approx(0.75, abs=1e-12)
     pair = make_pair(SyntheticSpec(w))
     n = 5000
     u = pair.sample_proposal(RngStream(3, 1), n)
