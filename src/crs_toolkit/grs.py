@@ -194,7 +194,7 @@ def grs_index_distribution(
     # steps 1..n have S_k > eps_stop; S_{n+1} <= eps_stop is the tail mass
     p, tail_mass = np.frombuffer(rec.p), rec.S[-1]
     mean_tail = max(w.h_max - rec.L[-1], 0.0)
-    pos = p[p > 0.0]
+    pos = p if p.min() > 0.0 else p[p > 0.0]  # no copy in the usual case
     entropy_bits = float(-np.dot(pos, np.log2(pos))) + 0.0 if pos.size else 0.0
     return IndexDistribution(
         p=p,
