@@ -58,7 +58,6 @@ from .divergences import (
     dcs_laplace_closed,
     kl_divergence,
     kl_sandwich,
-    optimal_family_values,
     quad_phi_integral,
 )
 from .grs import (

@@ -26,7 +26,6 @@ from .divergences import (
     GAUSSIAN_TOL_BITS,
     alternative_divergence,
     channel_simulation_divergence,
-    default_tolerance,
     kl_divergence,
 )
 from .errors import CrsToolkitError, InvalidParameterError
@@ -132,10 +131,8 @@ def _run_divergence(args) -> int:
     if args.kind == "kl":
         report = kl_divergence(spec, route=spec.kl_route, tol=args.tol)
     else:
-        w = width_eval(spec)
-        tol = args.tol if args.tol is not None else default_tolerance(w)
         fn = channel_simulation_divergence if args.kind == "cs" else alternative_divergence
-        report = fn(w, tol)
+        report = fn(width_eval(spec), args.tol)
     if not report.converged:
         print(f"warning: error estimate {report.abs_error_estimate:.3e} bits "
               "exceeds the requested tolerance", file=sys.stderr)
@@ -226,10 +223,7 @@ def main(argv=None) -> int:
         if args.command == "experiment":
             return _run_experiment(args)
         return _run_verify(args)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InvalidParameterError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CrsToolkitError as exc:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -28,12 +27,9 @@ from .quadrature import (
     integrate_interval,
     phi_of_width_integral,
     width_log_h_integral,
-    wrap_phi,
 )
 from .width import (
     GaussianWidth,
-    OptimalAcsWidth,
-    OptimalCsWidth,
     StepWidth,
     WidthFunction,
     width_eval,
@@ -92,22 +88,23 @@ def _phi_step_sum(w: StepWidth, phi: PhiSpec) -> float:
 
 def quad_phi_integral(
     w: WidthFunction,
-    phi: PhiSpec | Callable[[np.ndarray], np.ndarray],
+    phi: PhiSpec,
     tol: float = DEFAULT_TOL_BITS,
     kind: str = "PHI",
 ) -> DivergenceReport:
     """D^phi = integral of phi(w(h)) dh, reported in bits.
 
-    phi is a PhiSpec (or a bare concave callable with phi(0) = phi(1) = 0,
-    wrapped with a sampled sup). Step widths are summed exactly; otherwise
-    panels split at the width's breakpoints and an infinite h_max needs the
-    width's power-tail certificate. A run that exhausts its panel budget
-    reports its best value with converged = False.
+    phi is a PhiSpec, whose sup_value bounds the stub below the first panel;
+    a bare callable carries no such bound and is refused. Step widths are
+    summed exactly; otherwise panels split at the width's breakpoints and an
+    infinite h_max needs the width's power-tail certificate and phi's
+    majorant. A run that exhausts its panel budget reports its best value
+    with converged = False.
     """
     if not tol > 0.0:  # NaN fails too
         raise InvalidParameterError("tol must be positive")
     if not isinstance(phi, PhiSpec):
-        phi = wrap_phi(phi)
+        raise InvalidParameterError("phi must be a PhiSpec with a proven sup_value")
     if isinstance(w, StepWidth):
         return _report(kind, _phi_step_sum(w, phi) / LN2, 0.0, "discrete_sum")
     res = phi_of_width_integral(w, w.h_max, phi, tol * LN2, w.breakpoints, w.tail)
@@ -166,21 +163,6 @@ def dcs_laplace_closed(b: float) -> float:
     if not (0.0 < b <= 1.0):
         raise InvalidParameterError(f"laplace scale must be in (0, 1], got {b}")
     return (b + float(special.digamma(1.0 / b)) + np.euler_gamma - 1.0) / LN2
-
-
-def optimal_family_values(kind: str, alpha: float) -> tuple[float, float, WidthFunction]:
-    """(kl_bits, divergence_bits, width) of the extremal width family.
-
-    kind "CS" (alpha in (0, 1)): the width maximizing D_CS at fixed KL;
-    kind "ACS" (alpha > 1): the width maximizing D_ACS at fixed KL.
-    """
-    if kind == "CS":
-        w = OptimalCsWidth(alpha)
-        return w.kl_bits(), w.dcs_bits(), w
-    if kind == "ACS":
-        w = OptimalAcsWidth(alpha)
-        return w.kl_bits(), w.dacs_bits(), w
-    raise InvalidParameterError(f"kind must be CS or ACS, got {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ and maximizing the normalized tail entropy at fixed mean by a geometric law.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from array import array
 from dataclasses import dataclass
@@ -109,7 +108,7 @@ class GrsRecursion:
 
     def _open_block(self, steps: int, L: float, S: float):
         """The geometric block from (L, S), or None where one step is taken."""
-        j = min(bisect.bisect_right(self.w.breakpoints, L), len(self.w.values) - 1)
+        j = self.w._segment(L)
         right, v = self.w.breakpoints[j], float(self.w.values[j])
         if L + S > right or v >= 1.0:
             return None

@@ -76,12 +76,12 @@ _TINY = 2.0**-1000
 
 # The dot of w with each row of y, each by the 1-D kernel of `w @ row`, so a
 # panel's sums do not depend on its batch; a matrix product rounds otherwise.
-if hasattr(np, "vecdot"):  # numpy >= 2.0
-    def _row_dots(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.vecdot(y, w)
-else:
-    def _row_dots(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.array([w @ row for row in y])
+# np.vecdot (numpy >= 2.0) does this in one call; older numpy loops.
+def _row_dots_by_row(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.array([w @ row for row in y])
+
+
+_row_dots = getattr(np, "vecdot", _row_dots_by_row)
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,6 @@ def integrate_interval(
     hi: float,
     tol: float,
     cuts: Sequence[float] = (),
-    max_panels: int = DEFAULT_MAX_PANELS,
 ) -> QuadResult:
     """Plain adaptive integration of f over [lo, hi] in the given variable."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -247,8 +246,7 @@ def integrate_interval(
     if hi <= lo:
         return QuadResult(0.0, 0.0, True, 0)
     span = hi - lo
-    return adaptive(f, seed_panels(lo, hi, cuts, max_len=max(span / 8, 1e-12)), tol,
-                    max_panels=max_panels)
+    return adaptive(f, seed_panels(lo, hi, cuts, max_len=max(span / 8, 1e-12)), tol)
 
 
 @dataclass(frozen=True)
@@ -295,21 +293,6 @@ def _phi_binary_entropy(x: np.ndarray) -> np.ndarray:
 # and H_b(x) <= x - x ln x on (0, 1/2] since -(1-x) ln(1-x) <= x.
 PHI_XLOGX = PhiSpec(_phi_xlogx, sup_value=math.exp(-1.0), maj_a=0.0, maj_b=1.0)
 PHI_BINARY_ENTROPY = PhiSpec(_phi_binary_entropy, sup_value=math.log(2.0), maj_a=1.0, maj_b=1.0)
-
-
-def wrap_phi(fn: Callable[[np.ndarray], np.ndarray]) -> PhiSpec:
-    """Wrap a plain callable as a PhiSpec, estimating its sup on a dense grid.
-
-    No small-x majorant is attached, so the wrapped phi cannot certify
-    integrals against widths with infinite h_max.
-    """
-    grid = np.linspace(0.0, 1.0, 4097)
-    vals = np.asarray(fn(grid), dtype=float)
-    if vals.min() < -1e-12:
-        raise InvalidParameterError("phi must be non-negative on [0, 1]")
-    if abs(float(vals[0])) > 1e-12 or abs(float(vals[-1])) > 1e-12:
-        raise InvalidParameterError("phi must vanish at 0 and 1")
-    return PhiSpec(fn, sup_value=float(vals.max()) * 1.1 + 1e-3)
 
 
 def _tail_cut(ln_bound: Callable[[float], float], u_start: float,
@@ -364,7 +347,6 @@ def _log_h_quad(
     majorant: Callable[[PowerTail], tuple[Callable[[float], float], float]],
     tol: float,
     breakpoints: Sequence[float],
-    max_panels: int,
 ) -> QuadResult:
     """integral of g(w(h), ln h) dh over (e^u_lo, h_max], in u = ln h.
 
@@ -388,7 +370,7 @@ def _log_h_quad(
         h = np.exp(u)
         return g(weval(h), u) * h
 
-    res = adaptive(f, seed_panels(u_lo, u_hi, cuts, max_len=4.0), tol / 2.0, max_panels)
+    res = adaptive(f, seed_panels(u_lo, u_hi, cuts, max_len=4.0), tol / 2.0)
     return QuadResult(res.value, res.error + remainder, res.converged, res.panels)
 
 
@@ -399,7 +381,6 @@ def phi_of_width_integral(
     tol: float,
     breakpoints: Sequence[float] = (),
     tail: PowerTail | None = None,
-    max_panels: int = DEFAULT_MAX_PANELS,
 ) -> QuadResult:
     """integral of phi(w(h)) dh over (0, h_max], in nats.
 
@@ -409,8 +390,7 @@ def phi_of_width_integral(
     _check_tol(tol)
     u_lo = math.log(tol / (8.0 * phi.sup_value))
     return _log_h_quad(lambda w, u: phi(w), weval, u_lo, math.exp(u_lo) * phi.sup_value,
-                       h_max, tail, lambda t: _phi_majorant(t, phi), tol, breakpoints,
-                       max_panels)
+                       h_max, tail, lambda t: _phi_majorant(t, phi), tol, breakpoints)
 
 
 def width_mass_integral(
@@ -420,7 +400,6 @@ def width_mass_integral(
     tol: float,
     breakpoints: Sequence[float] = (),
     tail: PowerTail | None = None,
-    max_panels: int = DEFAULT_MAX_PANELS,
 ) -> QuadResult:
     """integral of w(h) dh over (h_lo, h_max], log-substituted.
 
@@ -437,7 +416,7 @@ def width_mass_integral(
         return lambda u: lnc + (1.0 - p) * u - ln_p1, max(math.log(t.h_from), u_lo)
 
     return _log_h_quad(lambda w, u: w, weval, u_lo, 0.0 if h_lo else math.exp(u_lo), h_max,
-                       tail, majorant, tol, breakpoints, max_panels)
+                       tail, majorant, tol, breakpoints)
 
 
 def width_log_h_integral(
@@ -446,7 +425,6 @@ def width_log_h_integral(
     tol: float,
     breakpoints: Sequence[float] = (),
     tail: PowerTail | None = None,
-    max_panels: int = DEFAULT_MAX_PANELS,
 ) -> QuadResult:
     """integral of w(h) ln(h) dh over (0, h_max], in nats.
 
@@ -464,4 +442,4 @@ def width_log_h_integral(
                 max(math.log(t.h_from), 1.0))
 
     return _log_h_quad(lambda w, u: w * u, weval, u_lo, d * (1.0 + abs(math.log(d))), h_max,
-                       tail, majorant, tol, (*breakpoints, 1.0), max_panels)
+                       tail, majorant, tol, (*breakpoints, 1.0))

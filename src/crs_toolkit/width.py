@@ -34,6 +34,7 @@ gaussian (the layer cake T(h) = Q(dQ/dP >= h) - h w(h)) and step widths
 """
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from typing import TYPE_CHECKING, Sequence
@@ -180,15 +181,20 @@ class WidthFunction:
         """Decreasing generalized inverse r(u) = sup{h : w(h) > u}, u in (0, 1).
 
         This is the density ratio of the synthetic pair built on this width.
-        The base implementation bisects the monotone evaluation; parametric
-        subclasses override with closed forms.
+        The domain lives here, as w's lives in __call__: u outside (0, 1),
+        NaN included, is rejected before a subclass's _inverse sees it.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((u <= 0.0) | (u >= 1.0)):
+        if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails too
             raise InvalidParameterError("ratio_inverse is defined on (0, 1)")
+        return self._inverse(u)
+
+    def _inverse(self, u: np.ndarray) -> np.ndarray:
+        """r(u) on an array of u in (0, 1), by bisecting the monotone w;
+        parametric subclasses override with closed forms."""
         if not math.isfinite(self.h_max):
             raise InvalidParameterError(
-                "generic bisection inverse needs finite h_max; override ratio_inverse")
+                "generic bisection inverse needs finite h_max; override _inverse")
         out = np.empty_like(u)
         for i, ui in enumerate(u):
             lo, hi = 0.0, self.h_max
@@ -240,7 +246,7 @@ class StepWidth(WidthFunction):
 
     def _segment(self, t: float) -> int:
         """Index j of the segment [edges[j], edges[j+1]) holding t in [0, h_max]."""
-        return min(int(np.searchsorted(self.edges, t, side="right")) - 1, len(self.values) - 1)
+        return min(bisect.bisect_right(self.breakpoints, t), len(self.values) - 1)
 
     def band_integral(self, lo: float, hi: float) -> float:
         """integral of w over [lo, hi], exact up to rounding."""
@@ -264,10 +270,7 @@ class StepWidth(WidthFunction):
         value = float(self.values[j] * (self.edges[j + 1] - h) + self._suffix[j + 1])
         return QuadResult(value, 0.0, True, 0)
 
-    def ratio_inverse(self, u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((u <= 0.0) | (u >= 1.0)):
-            raise InvalidParameterError("ratio_inverse is defined on (0, 1)")
+    def _inverse(self, u: np.ndarray) -> np.ndarray:
         # w(h) > u holds up to the right edge of the last segment whose value
         # exceeds u; the phantom level 1 at h = 0 makes count >= 1 always.
         vals = np.concatenate(([1.0], self.values))
@@ -328,15 +331,12 @@ class LaplaceWidth(WidthFunction):
         # half an ulp when b h is rounded, which moves b T by up to w(h) ulp/2
         return QuadResult(bt / self.b, _EPS * (4.0 * scale + min(1.0, e * delta)) / self.b, True, 0)
 
-    def ratio_inverse(self, u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+    def _inverse(self, u: np.ndarray) -> np.ndarray:
         return (1.0 / self.b) * np.power(1.0 - u, 1.0 / self.expo)
 
 
-def indicator_width(c: float = 1.0) -> StepWidth:
-    """Width 1[h <= c] of an identity-like pair (c = 1: Q = P)."""
-    if c != 1.0:
-        raise InvalidParameterError("indicator width has unit mass only at c = 1")
+def indicator_width() -> StepWidth:
+    """Width 1[h <= 1] of the identity pair Q = P."""
     return StepWidth([0.0, 1.0], [1.0])
 
 
@@ -468,8 +468,7 @@ class OptimalCsWidth(WidthFunction):
     def dcs_bits(self) -> float:
         return (1.0 - self.alpha) / self.alpha / LN2
 
-    def ratio_inverse(self, u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+    def _inverse(self, u: np.ndarray) -> np.ndarray:
         return self.alpha * np.power(u, -(1.0 - self.alpha))
 
 
@@ -505,8 +504,7 @@ class OptimalAcsWidth(WidthFunction):
         a = self.alpha
         return (a - math.pi / math.tan(math.pi / a)) / LN2
 
-    def ratio_inverse(self, u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+    def _inverse(self, u: np.ndarray) -> np.ndarray:
         return np.power(1.0 / u - 1.0, 1.0 / self.alpha) / self.beta
 
 

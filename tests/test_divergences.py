@@ -13,7 +13,6 @@ from crs_toolkit.divergences import (
     dcs_laplace_closed,
     kl_divergence,
     kl_sandwich,
-    optimal_family_values,
     quad_phi_integral,
 )
 from crs_toolkit.measures import (
@@ -22,7 +21,7 @@ from crs_toolkit.measures import (
     SyntheticSpec,
     discrete_spec,
 )
-from crs_toolkit.quadrature import PHI_BINARY_ENTROPY, PHI_XLOGX
+from crs_toolkit.quadrature import PHI_BINARY_ENTROPY, PHI_XLOGX, PhiSpec, width_log_h_integral
 from crs_toolkit.width import (
     OptimalAcsWidth,
     OptimalCsWidth,
@@ -41,6 +40,9 @@ CS_HALF_KL = 0.44269504088896344        # 1/a - 1 + ln(a) at a = 1/2, in bits
 CS_HALF_DCS = 1.4426950408889634        # (1-a)/a / ln 2
 ACS_TWO_KL = 0.7911989114166447         # (1 - ln(pi/2)) / ln 2
 ACS_TWO_DACS = 2.8853900817779268       # 2 / ln 2
+
+# phi(x) = x(1 - x) peaks at x = 1/2, so its sup is exactly 1/4
+PHI_X_ONE_MINUS_X = PhiSpec(lambda x: x * (1.0 - x), sup_value=0.25)
 
 
 def test_dcs_laplace_closed_values():
@@ -73,14 +75,21 @@ def test_quad_phi_rejects_bad_tol():
 def test_custom_phi_on_step_width_closed_form():
     # phi(x) = x(1-x): integral over (0, c] of (1/c)(1 - 1/c) dh = 1 - 1/c
     for c in (2.0, 5.0):
-        rep = quad_phi_integral(equality_case_width(c), lambda x: x * (1.0 - x))
+        rep = quad_phi_integral(equality_case_width(c), PHI_X_ONE_MINUS_X)
         assert rep.method == "discrete_sum"
         assert rep.value_bits == pytest.approx((1.0 - 1.0 / c) / LN2, abs=1e-12)
 
 
 def test_custom_phi_without_tail_certificate_rejected():
     with pytest.raises(QuadratureError):
-        quad_phi_integral(OptimalCsWidth(0.5), lambda x: x * (1.0 - x))
+        quad_phi_integral(OptimalCsWidth(0.5), PHI_X_ONE_MINUS_X)
+
+
+def test_quad_phi_rejects_bare_callable():
+    # a plain function carries no proven sup, so the stub has no bound
+    for w in (equality_case_width(2.0), width_eval(LaplaceSpec(0.5))):
+        with pytest.raises(InvalidParameterError):
+            quad_phi_integral(w, lambda x: x * (1.0 - x))
 
 
 def test_kl_closed_form_examples():
@@ -129,13 +138,15 @@ def test_kl_sandwich_examples():
 
 
 def test_optimal_family_fixture_values():
-    kl, dcs, w = optimal_family_values("CS", 0.5)
+    w = OptimalCsWidth(0.5)
+    kl, dcs = w.kl_bits(), w.dcs_bits()
     assert kl == pytest.approx(CS_HALF_KL, abs=1e-12)
     assert dcs == pytest.approx(CS_HALF_DCS, abs=1e-12)
     quad = quad_phi_integral(w, PHI_XLOGX, tol=1e-8, kind="CS")
     assert quad.value_bits == pytest.approx(dcs, abs=1e-6)
 
-    kl2, dacs2, w2 = optimal_family_values("ACS", 2.0)
+    w2 = OptimalAcsWidth(2.0)
+    kl2, dacs2 = w2.kl_bits(), w2.dacs_bits()
     assert kl2 == pytest.approx(ACS_TWO_KL, abs=1e-12)
     assert dacs2 == pytest.approx(ACS_TWO_DACS, abs=1e-12)
     quad2 = quad_phi_integral(w2, PHI_BINARY_ENTROPY, tol=1e-8, kind="ACS")
@@ -143,21 +154,19 @@ def test_optimal_family_fixture_values():
 
 
 def test_optimal_family_degenerate_alpha():
-    kl, dcs, _ = optimal_family_values("CS", 0.999)
-    assert kl < 0.002 and dcs < 0.002
+    w = OptimalCsWidth(0.999)
+    assert w.kl_bits() < 0.002 and w.dcs_bits() < 0.002
     with pytest.raises(InvalidParameterError):
-        optimal_family_values("CS", 1.5)
+        OptimalCsWidth(1.5)
     with pytest.raises(InvalidParameterError):
-        optimal_family_values("ACS", 0.5)
-    with pytest.raises(InvalidParameterError):
-        optimal_family_values("XX", 0.5)
+        OptimalAcsWidth(0.5)
 
 
 def test_optimal_family_kl_consistent_with_width_identity():
     # the closed-form KL of each extremal family equals the width-route KL
-    for kind, alpha in (("CS", 0.4), ("CS", 0.8), ("ACS", 1.5), ("ACS", 3.0)):
-        kl, _, w = optimal_family_values(kind, alpha)
-        from crs_toolkit.quadrature import width_log_h_integral
+    for w in (OptimalCsWidth(0.4), OptimalCsWidth(0.8), OptimalAcsWidth(1.5),
+              OptimalAcsWidth(3.0)):
+        kl = w.kl_bits()
         res = width_log_h_integral(w, w.h_max, 1e-9, w.breakpoints, w.tail)
         assert (1.0 + res.value) / LN2 == pytest.approx(kl, abs=1e-7)
 
@@ -176,27 +185,23 @@ def test_extremal_families_dominate():
     # any pair with smaller KL has smaller D_CS than the extremal family
     pair_stats = []
     for w in SUITE_WIDTHS:
-        from crs_toolkit.quadrature import width_log_h_integral
         res = width_log_h_integral(w, w.h_max, 1e-9, w.breakpoints, w.tail)
         kl = (1.0 + res.value) / LN2
         dcs = channel_simulation_divergence(w).value_bits
         dacs = alternative_divergence(w).value_bits
         pair_stats.append((kl, dcs, dacs))
-    for alpha in (0.3, 0.5, 0.7, 0.9, 0.999):
-        kl_a, dcs_a, _ = optimal_family_values("CS", alpha)
+    for w_cs in map(OptimalCsWidth, (0.3, 0.5, 0.7, 0.9, 0.999)):
         for kl, dcs, _ in pair_stats:
-            if kl <= kl_a:
-                assert dcs <= dcs_a + 1e-7
-    for alpha in (1.5, 2.0, 3.0, 4.0, 8.0):
-        kl_a, dacs_a, _ = optimal_family_values("ACS", alpha)
+            if kl <= w_cs.kl_bits():
+                assert dcs <= w_cs.dcs_bits() + 1e-7
+    for w_acs in map(OptimalAcsWidth, (1.5, 2.0, 3.0, 4.0, 8.0)):
         for kl, _, dacs in pair_stats:
-            if kl <= kl_a:
-                assert dacs <= dacs_a + 1e-7
+            if kl <= w_acs.kl_bits():
+                assert dacs <= w_acs.dacs_bits() + 1e-7
 
 
 def test_ordering_kl_cs_acs():
     for w in SUITE_WIDTHS:
-        from crs_toolkit.quadrature import width_log_h_integral
         res = width_log_h_integral(w, w.h_max, 1e-9, w.breakpoints, w.tail)
         kl = (1.0 + res.value) / LN2
         dcs = channel_simulation_divergence(w).value_bits

@@ -6,13 +6,16 @@ import pytest
 
 from crs_toolkit.divergences import alternative_divergence, channel_simulation_divergence
 from crs_toolkit.errors import InvalidParameterError, QuadratureError
+from crs_toolkit import quadrature
 from crs_toolkit.quadrature import (
     _ERR_SAFETY,
     _NODES,
     _W_GAUSS,
     _W_KRONROD,
+    _row_dots_by_row,
     PHI_BINARY_ENTROPY,
     PHI_XLOGX,
+    PhiSpec,
     PowerTail,
     adaptive,
     gk15,
@@ -21,7 +24,6 @@ from crs_toolkit.quadrature import (
     seed_panels,
     width_log_h_integral,
     width_mass_integral,
-    wrap_phi,
 )
 from crs_toolkit.width import (
     GaussianWidth,
@@ -84,15 +86,6 @@ def test_phi_constants():
     assert PHI_XLOGX(np.array([1.0 + 1e-15]))[0] == 0.0
 
 
-def test_wrap_phi_validates():
-    with pytest.raises(InvalidParameterError):
-        wrap_phi(lambda x: x)  # phi(1) != 0
-    with pytest.raises(InvalidParameterError):
-        wrap_phi(lambda x: -x * (1 - x))
-    spec = wrap_phi(lambda x: x * (1 - x))
-    assert spec.sup_value >= 0.25
-
-
 def test_phi_of_width_indicator_is_zero():
     w = lambda h: np.where(h <= 1.0, 1.0, 0.0)
     res = phi_of_width_integral(w, 1.0, PHI_XLOGX, 1e-12)
@@ -111,10 +104,11 @@ def test_infinite_h_max_requires_tail():
     w = lambda h: 1.0 / (1.0 + h**2)
     with pytest.raises(QuadratureError):
         phi_of_width_integral(w, math.inf, PHI_XLOGX, 1e-9)
-    # wrapped phi has no majorant: rejected even with a tail certificate
+    # a phi without a majorant is rejected even with a tail certificate
     tail = PowerTail(coef=1.0, exponent=2.0, h_from=1.0)
+    phi = PhiSpec(lambda x: x * (1 - x), sup_value=0.25)
     with pytest.raises(QuadratureError):
-        phi_of_width_integral(w, math.inf, wrap_phi(lambda x: x * (1 - x)), 1e-9, tail=tail)
+        phi_of_width_integral(w, math.inf, phi, 1e-9, tail=tail)
 
 
 def test_power_tail_integral():
@@ -352,6 +346,32 @@ def test_gk15_arrays_match_scalar_calls():
     assert values.tolist() == [v for v, _ in scalar]
     assert errors.tolist() == [e for _, e in scalar]
     assert all(type(v) is float and type(e) is float for v, e in scalar)
+
+
+@pytest.mark.skipif(not hasattr(np, "vecdot"), reason="np.vecdot needs numpy >= 2.0")
+def test_row_dots_by_row_matches_vecdot():
+    # numpy < 2.0 has only the loop; it must round as np.vecdot does, on the
+    # contiguous Kronrod rows and on the strided Gauss columns alike
+    rng = np.random.default_rng(21)
+    for _ in range(500):
+        n = int(rng.integers(0, 17))
+        y = rng.standard_normal((n, 15)) * 10.0 ** rng.integers(-30, 30, (n, 1))
+        for rows, w in ((y, _W_KRONROD), (y[:, 1::2], _W_GAUSS)):
+            assert _row_dots_by_row(rows, w).tobytes() == np.vecdot(rows, w).tobytes()
+
+
+def test_gk15_arrays_match_scalar_calls_by_row(monkeypatch):
+    # the GK15 path of numpy < 2.0: batched panels equal one-panel calls
+    monkeypatch.setattr(quadrature, "_row_dots", _row_dots_by_row)
+    rng = np.random.default_rng(4)
+    f = lambda x: np.exp(-x) * np.sin(3.0 * x) + np.sqrt(np.abs(x))
+    for n in (1, 2, 16, 40):
+        a = rng.uniform(-3.0, 3.0, n)
+        b = a + rng.uniform(1e-6, 2.0, n)
+        values, errors = gk15(f, a, b)
+        scalar = [_gk15_panel(f, float(lo), float(hi)) for lo, hi in zip(a, b)]
+        assert [gk15(f, float(lo), float(hi)) for lo, hi in zip(a, b)] == scalar
+        assert list(zip(values.tolist(), errors.tolist())) == scalar
 
 
 @pytest.mark.parametrize("call", [

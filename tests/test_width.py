@@ -266,6 +266,58 @@ def test_step_width_ratio_inverse_levels():
     assert r[2] == pytest.approx(a + span)
 
 
+# ratio_inverse at u = 0.1, 0.25, 0.5, 0.9, as exact reprs of the values
+# returned before the domain check moved into WidthFunction.ratio_inverse
+RATIO_INVERSE_PINNED = [
+    (two_level_width(0.3),
+     [2.7058033501366783, 2.7058033501366783, 0.2689414213699951, 0.2689414213699951]),
+    (LaplaceWidth(0.05),
+     [2.7017034353459857, 0.08456565170490649, 3.814697265625e-05, 1.9999999999999917e-18]),
+    (GaussianWidth(1.0, 0.5, 1),
+     [3.399229396107772, 1.7880370974993245, 0.2607128340986592, 0.00013661018043654256]),
+    (OptimalCsWidth(0.1),
+     [0.7943282347242815, 0.34822022531844965, 0.18660659830736148, 0.10994658424513493]),
+    (OptimalAcsWidth(1.3),
+     [1.4873735246772049, 0.6388570576972751, 0.2744020472316765, 0.05062378903192885]),
+]
+_RATIO_INVERSE_IDS = [type(w).__name__ for w, _ in RATIO_INVERSE_PINNED]
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0, -0.5, 1.5, math.nan])
+@pytest.mark.parametrize("w", [w for w, _ in RATIO_INVERSE_PINNED], ids=_RATIO_INVERSE_IDS)
+def test_ratio_inverse_rejects_u_outside_open_unit_interval(w, u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match=r"defined on \(0, 1\)"):
+            w.ratio_inverse(u)
+        # one bad point spoils the array, and a synthetic pair reads the same rule
+        with pytest.raises(InvalidParameterError, match=r"defined on \(0, 1\)"):
+            w.ratio_inverse(np.array([0.5, u]))
+        with pytest.raises(InvalidParameterError, match=r"defined on \(0, 1\)"):
+            SyntheticSpec(w).log_ratio(np.array([u, 0.5]))
+
+
+@pytest.mark.parametrize("w, want", RATIO_INVERSE_PINNED, ids=_RATIO_INVERSE_IDS)
+def test_ratio_inverse_valid_u_pinned(w, want):
+    assert w.ratio_inverse(np.array([0.1, 0.25, 0.5, 0.9])).tolist() == want
+    assert w.ratio_inverse(np.array([])).shape == (0,)
+
+
+def test_step_segment_matches_searchsorted_form():
+    # _segment by bisect on the breakpoints against the np.searchsorted form
+    # it replaced, at every edge, at h_max and inside random discrete widths
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        w = width_from_discrete(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)))
+        ts = [*w.edges, *(w.h_max * rng.random(20)), w.h_max,
+              *(math.nextafter(e, math.inf) for e in w.edges),
+              *(math.nextafter(e, 0.0) for e in w.edges)]
+        for t in ts:
+            old = min(int(np.searchsorted(w.edges, t, side="right")) - 1, len(w.values) - 1)
+            assert w._segment(t) == old
+
+
 def test_optimal_width_inverses_match_levels():
     for w in (OptimalCsWidth(0.5), OptimalAcsWidth(2.0)):
         u = np.linspace(0.05, 0.95, 19)
@@ -347,9 +399,8 @@ def test_width_rejects_negative_argument():
 
 
 def test_indicator_width_unit_mass_only():
-    assert indicator_width().total_mass == 1.0
-    with pytest.raises(InvalidParameterError):
-        indicator_width(2.0)
+    w = indicator_width()
+    assert (w.h_max, w.total_mass) == (1.0, 1.0)
 
 
 DOMAIN_WIDTHS = {
