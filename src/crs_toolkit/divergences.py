@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import measures
 from .errors import InvalidParameterError, QuadratureError
@@ -160,9 +159,11 @@ def kl_divergence(
 def dcs_laplace_closed(b: float) -> float:
     """Closed-form D_CS of Laplace(0, b) vs Laplace(0, 1), in bits:
     (b + psi(1/b) + gamma - 1) / ln 2."""
+    from scipy.special import digamma  # on first use: a 0.3 s import, off every hot path
+
     if not (0.0 < b <= 1.0):
         raise InvalidParameterError(f"laplace scale must be in (0, 1], got {b}")
-    return (b + float(special.digamma(1.0 / b)) + np.euler_gamma - 1.0) / LN2
+    return (b + float(digamma(1.0 / b)) + np.euler_gamma - 1.0) / LN2
 
 
 @dataclass(frozen=True)

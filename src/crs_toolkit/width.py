@@ -31,16 +31,20 @@ Tail integrals T(h) = integral of w over (h, h_max], which the GRS recursion
 reads once per step, are closed form for laplace (with a series near h_max),
 gaussian (the layer cake T(h) = Q(dQ/dP >= h) - h w(h)) and step widths
 (suffix sums); any other width integrates numerically.
+
+scipy.special is imported on first use, not with this module: a GaussianWidth
+builds its Poisson mixtures, and with them loads scipy.special, when it is
+first evaluated. No other width here touches scipy.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import sys
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidParameterError, QuadratureError
 from .quadrature import (
@@ -67,6 +71,10 @@ _LAPLACE_SERIES_TERMS = 40
 # Gaussian tail: quadrature once Q(r >= h) - h w(h) would cancel 7 digits
 _GAUSSIAN_CANCEL_LIMIT = 1e-7
 
+# scipy.special, bound by the first _poisson_mixture call: every Gaussian CDF
+# evaluation starts there, so _mixture_cdf reads a plain module global
+special = None
+
 
 def gaussian_log_ratio_constants(mu: float, sigma: float) -> tuple[float, float, float]:
     """Per-dimension constants (a, c, t0) of the Gaussian pair log-ratio.
@@ -90,6 +98,8 @@ def _poisson_mixture(df: int, noncentrality: float) -> tuple[np.ndarray, np.ndar
     they dominate the deep lower tail, where the central CDF factors fall off
     much faster than the Poisson weights.
     """
+    global special
+    from scipy import special
     lam = 0.5 * noncentrality
     if lam == 0.0:
         return np.array([0.5 * df]), np.array([1.0])
@@ -198,11 +208,16 @@ class WidthFunction:
         out = np.empty_like(u)
         for i, ui in enumerate(u):
             lo, hi = 0.0, self.h_max
+            # a step that leaves (lo, hi) as it was repeats itself: stop there
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 if float(self(mid)[0]) > ui:
+                    if mid == lo:
+                        break
                     lo = mid
                 else:
+                    if mid == hi:
+                        break
                     hi = mid
             out[i] = lo
         return out
@@ -238,6 +253,10 @@ class StepWidth(WidthFunction):
         # so a small tail is never the difference of two large masses
         self._cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
         self._suffix = np.append(np.cumsum(seg_mass[::-1])[::-1], 0.0)
+        # _inverse's levels, negated to ascend, and their right edges, with
+        # a phantom level 1 at h = 0
+        self._neg_levels = -np.concatenate(([1.0], values_a))
+        self._level_edges = np.concatenate(([0.0], edges_a[1:]))
 
     def _formula(self, h: np.ndarray) -> np.ndarray:
         # side="left" puts an exact edge hit in the segment to its left.
@@ -273,10 +292,8 @@ class StepWidth(WidthFunction):
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         # w(h) > u holds up to the right edge of the last segment whose value
         # exceeds u; the phantom level 1 at h = 0 makes count >= 1 always.
-        vals = np.concatenate(([1.0], self.values))
-        edges = np.concatenate(([0.0], self.edges[1:]))
-        count = np.searchsorted(-vals, -u, side="left")
-        return edges[count - 1]
+        count = np.searchsorted(self._neg_levels, -u, side="left")
+        return self._level_edges[count - 1]
 
 
 class LaplaceWidth(WidthFunction):
@@ -384,12 +401,20 @@ class GaussianWidth(WidthFunction):
         self.ln_h_max = d * self.t0
         self.h_max = math.exp(self.ln_h_max)
         self.breakpoints = (self.h_max,)
-        # Poisson weights of sum_i (x_i - c)^2 under P, and of the same sum
-        # over sigma^2 under Q, where its noncentrality is d (mu - c)^2 / sigma^2
-        self._p_mixture = _poisson_mixture(d, self.noncentrality)
-        self._q_mixture = _poisson_mixture(d, d * (self.mu - self.c) ** 2 / self.sigma**2)
 
-    def _chi2_argument(self, h: np.ndarray) -> np.ndarray:
+    # Poisson weights of sum_i (x_i - c)^2 under P, and of the same sum over
+    # sigma^2 under Q, where its noncentrality is d (mu - c)^2 / sigma^2; built
+    # on first evaluation, so that a width that is never evaluated never
+    # loads scipy
+    @functools.cached_property
+    def _p_mixture(self) -> tuple[np.ndarray, np.ndarray]:
+        return _poisson_mixture(self.d, self.noncentrality)
+
+    @functools.cached_property
+    def _q_mixture(self) -> tuple[np.ndarray, np.ndarray]:
+        return _poisson_mixture(self.d, self.d * (self.mu - self.c) ** 2 / self.sigma**2)
+
+    def _chi2_argument(self, h: np.ndarray | float) -> np.ndarray | float:
         """x = (d t0 - ln h)/a, so that {r >= h} = {sum_i (x_i - c)^2 <= x}."""
         return (self.ln_h_max - np.log(h)) / self.a
 
@@ -420,8 +445,10 @@ class GaussianWidth(WidthFunction):
             return QuadResult(1.0, 0.0, True, 0)
         # the same x as w(h) below: an error in x cancels between the two
         # terms only when both see it, and one ulp apart costs digits
-        x = float(self._chi2_argument(np.array([h]))[0])
-        q_mass = float(_mixture_cdf(x / self.sigma**2, self._q_mixture)[0])
+        x = float(self._chi2_argument(h))
+        shapes, weights = self._q_mixture
+        z = 0.5 * max(x / self.sigma**2, 0.0)
+        q_mass = min(float((weights * special.gammainc(shapes, z)).sum()), 1.0)
         value = q_mass - h * float(self(h)[0])
         if value < _GAUSSIAN_CANCEL_LIMIT * q_mass:
             scale = 2.0 * self.a * self.h_max

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import crs_toolkit
 from crs_toolkit.errors import InvalidParameterError
 from crs_toolkit.measures import (
     DiscreteSpec,
@@ -251,6 +255,71 @@ def test_gaussian_width_matches_fresh_mixture_bit_for_bit():
         h = np.linspace(0.0, gw.h_max, 1000)[1:-1]
         x = (gw.ln_h_max - np.log(h)) / gw.a
         assert np.array_equal(gw(h), noncentral_chi2_cdf(x, d, gw.noncentrality))
+
+
+# run in a fresh interpreter: this test module itself imports scipy
+_SCIPY_PROBE = """
+import sys
+
+from crs_toolkit.cli import main
+from crs_toolkit.measures import FAMILIES, GaussianSpec, LaplaceSpec, SyntheticSpec, discrete_spec
+from crs_toolkit.width import OptimalAcsWidth, OptimalCsWidth, equality_case_width, two_level_width
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+specs = [LaplaceSpec(0.5), LaplaceSpec(1.0), GaussianSpec(1.0, 0.5, 2),
+         discrete_spec((0.5, 0.5), (0.25, 0.75)), SyntheticSpec(equality_case_width(4.0)),
+         SyntheticSpec(two_level_width(0.2))]
+assert {spec.family for spec in specs} == set(FAMILIES)
+widths = [spec.width() for spec in specs] + [OptimalCsWidth(0.5), OptimalAcsWidth(2.0)]
+assert main(["grs", "entropy", "--family", "discrete",
+             "--q", "0.5,0.5,0,0", "--p", "0.25,0.25,0.25,0.25"]) == 0
+assert not scipy_modules(), scipy_modules()[:5]
+widths[2](1.0)
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_scipy_special_loads_on_first_gaussian_evaluation():
+    src = os.path.dirname(os.path.dirname(crs_toolkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2.000000000\n"
+
+
+class _CountingGaussianWidth(GaussianWidth):
+    calls = 0
+
+    def __call__(self, h):
+        self.calls += 1
+        return super().__call__(h)
+
+
+def _bisect_200_steps(w, u):
+    lo, hi = 0.0, w.h_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(w(mid)[0]) > u:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("mu, sigma, d", [(1.0, 0.5, 1), (0.0, 0.6, 1), (1.0, 0.5, 2)])
+def test_bisection_inverse_stops_early_with_the_200_step_result(mu, sigma, d):
+    w = _CountingGaussianWidth(mu, sigma, d)
+    u = np.concatenate(([1e-12, 1.0 - 1e-12], np.linspace(0.01, 0.99, 25)))
+    got = w.ratio_inverse(u)
+    # every point took 200 width calls before the early stop; about 60 now
+    assert w.calls <= 80 * u.size
+    assert got.tolist() == [_bisect_200_steps(w, ui) for ui in u]
 
 
 def test_step_width_ratio_inverse_levels():
