@@ -13,9 +13,18 @@ one map:
 
 so the whole index distribution is a deterministic functional of the width,
 and E[K] = sum_k S_k = sum_k (L_{k+1} - L_k) = h_max by telescoping. Samplers
-and index law read one lazily extended orbit. A step costs one tail integral
-(see width.py); a step width crosses a constant segment of value v < 1 in one
-closed-form geometric block (q_k = v) and a breakpoint in one exact band step.
+read one lazily extended orbit, as does a smooth width's index law. A step
+costs one tail integral (see width.py); a step width crosses a constant
+segment of value v < 1 in one closed-form geometric block (q_k = v) and a
+breakpoint in one exact band step.
+
+A block from survival S holds p_i = S v r^i for i < m, with r = 1 - v, and
+the index law of a step width sums each block in closed form, storing no p_k:
+
+    mass          S (1 - r^m),  1 - r^m = -expm1(m ln r)
+    E[K] share    S (1 - r^m) / v
+    entropy       -ln(S v) S (1 - r^m) - ln(r) S v sum_{i<m} i r^i   (nats),
+                  sum_{i<m} i r^i = ((1 - r^m) r / v - m r^m) / v
 
 Truncation is certified: after stopping with survival mass s = S_{n+1},
 
@@ -29,9 +38,10 @@ and maximizing the normalized tail entropy at fixed mean by a geometric law.
 """
 from __future__ import annotations
 
+import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +51,7 @@ from .measures import DistributionPair
 from .width import StepWidth, WidthFunction
 
 LOG2_E = math.log2(math.e)
+LN2 = math.log(2.0)
 
 DEFAULT_STEP_CAP = 10**6
 # relative tolerance of a quadrature tail integral; closed forms ignore it
@@ -55,19 +66,16 @@ class GrsRecursion:
 
     L, S and p are float64 arrays with L_k, S_k and p_k (stored per step) at
     index k - 1; S is clamped to be non-increasing. A geometric block is built
-    from its first step in pieces that each at least double the orbit. With
-    eps_stop > 0 (the index law) a block is built whole and also ends where S
-    first falls to eps_stop; one the step cap cuts above eps_stop raises
-    before it is built. Reads past step step_cap + 1 raise.
+    from its first step in pieces that each at least double the orbit. Reads
+    past step step_cap + 1 raise.
     """
 
-    def __init__(self, w: WidthFunction, step_cap: int = DEFAULT_STEP_CAP, eps_stop: float = 0.0):
+    def __init__(self, w: WidthFunction, step_cap: int = DEFAULT_STEP_CAP):
         self.w = w
         self.step_cap = step_cap
-        self.eps_stop = eps_stop
         self._blocks = isinstance(w, StepWidth)
         self.L, self.S, self.p = array("d", [0.0]), array("d", [1.0]), array("d")
-        self._block = None  # (first step, length, L, S, v, log(1 - v), (1 - v)^length)
+        self._block = None  # the block being built, as _next_piece gives it
 
     def state(self, k: int) -> tuple[float, float]:
         """(L_k, S_k) at 1-based step k, extending the orbit as needed."""
@@ -80,19 +88,26 @@ class GrsRecursion:
     def _advance(self, k: int):
         """Extend the orbit toward step k: one step, or one piece of a block."""
         steps, L, S = len(self.p), self.L[-1], self.S[-1]
+        if not self._blocks:  # one tail integral
+            if steps >= self.step_cap:
+                raise _budget_error(S, self.step_cap)
+            tol = max(S * _TAIL_TOL_FACTOR, 1e-300)
+            S_next = min(S, self.w.tail_integral(L + S, tol=tol).value) if S > 0.0 else S
+            self.L.append(L + S)
+            self.S.append(S_next)
+            self.p.append(S - S_next)
+            return
         if self._block is None:
-            block = self._open_block(steps, L, S) if self._blocks and steps < self.step_cap else None
-            S_cap = S if block is None else S * block[6]  # survival after step_cap steps
-            if steps >= self.step_cap or (block and steps + block[1] >= self.step_cap
-                                          and S_cap > self.eps_stop > 0.0):
-                raise StepBudgetError(f"survival mass still {S_cap:.3e} after {self.step_cap} steps; "
-                                      "raise eps_stop or the step cap")
-            if block is None:
-                return self._step(L, S)
-            self._block = block
+            piece = _next_piece(self.w, steps, L, S, self.step_cap, 0.0)
+            if len(piece) == 3:
+                self.L.append(piece[0])
+                self.S.append(piece[1])
+                self.p.append(piece[2])
+                return
+            self._block = piece
         start, m, L0, S0, v, ln_r, r_m = self._block
         i = steps - start
-        j = m if self.eps_stop > 0.0 else min(m, i + max(k - len(self.S), len(self.S), _MIN_PIECE))
+        j = min(m, i + max(k - len(self.S), len(self.S), _MIN_PIECE))
         r = np.arange(i, j + 1.0)
         np.exp(np.multiply(r, ln_r, out=r), out=r)
         if j == m:
@@ -106,46 +121,68 @@ class GrsRecursion:
         x *= S0 / v
         self.L.frombytes(np.add(x, L0, out=x).data.cast("B"))
 
-    def _open_block(self, steps: int, L: float, S: float):
-        """The geometric block from (L, S), or None where one step is taken."""
-        j = self.w._segment(L)
-        right, v = self.w.breakpoints[j], float(self.w.values[j])
-        if L + S > right or v >= 1.0:
-            return None
-        ln_r = math.log1p(-v)
-        m = self.step_cap - steps
-        if S > self.eps_stop > 0.0:
-            m = min(m, max(1, math.ceil(math.log(self.eps_stop / S) / ln_r)))
-        overshoot = L + S / v - right  # block limit of L minus segment end
-        if overshoot > 0.0:
-            rhs = overshoot / (S * (1.0 / v - 1.0))
-            m = min(m, 1 + max(0, math.floor(math.log(rhs) / ln_r)) if rhs < 1.0 else 1)
-        return steps, m, L, S, v, ln_r, math.exp(m * ln_r)
 
-    def _step(self, L: float, S: float):
-        if self._blocks:  # exact band step; S = 0 only past the width's end
-            q = min(max(self.w.band_integral(L, L + S) / S, 0.0), 1.0) if S > 0.0 else 1.0
-            p, S_next = S * q, S * (1.0 - q)
-        else:
-            tol = max(S * _TAIL_TOL_FACTOR, 1e-300)
-            S_next = min(S, self.w.tail_integral(L + S, tol=tol).value) if S > 0.0 else S
-            p = S - S_next
-        self.L.append(L + S)
-        self.S.append(S_next)
-        self.p.append(p)
+def _budget_error(S: float, step_cap: int) -> StepBudgetError:
+    return StepBudgetError(f"survival mass still {S:.3e} after {step_cap} steps; "
+                           "raise eps_stop or the step cap")
+
+
+def _next_piece(w: StepWidth, steps: int, L: float, S: float, step_cap: int, eps_stop: float):
+    """The piece of a step width's orbit after `steps` steps, at (L, S).
+
+    One exact band step (L_next, S_next, p) where the band straddles a
+    breakpoint or v = 1; else a geometric block (first step, length m, L, S, v,
+    log(1 - v), (1 - v)^m) that ends at the segment's end, at the step cap
+    and, with eps_stop > 0 (the index law), where S first falls to eps_stop.
+    Such a block that the cap cuts above eps_stop raises at once.
+    """
+    if steps >= step_cap:
+        raise _budget_error(S, step_cap)
+    j = w._segment(L)
+    right, v = w.breakpoints[j], float(w.values[j])
+    if L + S > right or v >= 1.0:  # exact band step; S = 0 only past the width's end
+        q = min(max(w.band_integral(L, L + S) / S, 0.0), 1.0) if S > 0.0 else 1.0
+        return L + S, S * (1.0 - q), S * q
+    ln_r = math.log1p(-v)
+    m = step_cap - steps
+    if S > eps_stop > 0.0:
+        m = min(m, max(1, math.ceil(math.log(eps_stop / S) / ln_r)))
+    overshoot = L + S / v - right  # block limit of L minus segment end
+    if overshoot > 0.0:
+        rhs = overshoot / (S * (1.0 / v - 1.0))
+        m = min(m, 1 + max(0, math.floor(math.log(rhs) / ln_r)) if rhs < 1.0 else 1)
+    r_m = math.exp(m * ln_r)
+    if steps + m >= step_cap and S * r_m > eps_stop > 0.0:
+        raise _budget_error(S * r_m, step_cap)  # the survival after step_cap steps
+    return steps, m, L, S, v, ln_r, r_m
+
+
+def _pieces_p(pieces: tuple) -> np.ndarray:
+    """p_1..p_n of a step width's law, each as the orbit stores it."""
+    # a block (first step, m, L, S, v, ln r, r^m) holds p_i = S v r^i, i < m
+    return np.concatenate([np.exp(np.arange(piece[1]) * piece[5]) * (piece[3] * piece[4])
+                           if len(piece) == 7 else [piece[2]] for piece in pieces])
 
 
 @dataclass(frozen=True)
 class IndexDistribution:
-    """Exact (truncated) GRS index law with certified tails. Bits throughout."""
+    """Exact (truncated) GRS index law with certified tails. Bits throughout.
 
-    p: np.ndarray
+    p = (p_1, ..., p_n) is built when first read: a step width's law keeps
+    only its pieces, one per band step or geometric block.
+    """
+
     truncation_index: int
     tail_mass: float
     entropy_bits: float
     entropy_tail_bound_bits: float
     mean_index: float
     mean_tail_bound: float
+    _build_p: functools.partial = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        return self._build_p()
 
     def to_json(self) -> dict:
         return {
@@ -166,8 +203,8 @@ def _entropy_tail_bound_bits(tail_mass: float, mean_tail: float) -> float:
 
 
 def default_eps_stop(w: WidthFunction) -> float:
-    """1e-12 for step widths (their recursion advances in closed-form blocks,
-    so deep truncation is free), 1e-9 for smooth widths."""
+    """1e-12 for step widths (their law sums closed-form geometric blocks, so
+    deep truncation is free), 1e-9 for smooth widths."""
     return 1e-12 if isinstance(w, StepWidth) else 1e-9
 
 
@@ -187,7 +224,9 @@ def grs_index_distribution(
         raise InvalidParameterError("eps_stop must lie in (0, 1)")
     if not math.isfinite(w.h_max):
         raise InvalidParameterError("index distribution needs a width with finite h_max")
-    rec = GrsRecursion(w, step_cap=step_cap, eps_stop=eps_stop)
+    if isinstance(w, StepWidth):
+        return _step_width_law(w, eps_stop, step_cap)
+    rec = GrsRecursion(w, step_cap=step_cap)
     while rec.S[-1] > eps_stop:
         rec.state(len(rec.S) + 1)
     # steps 1..n have S_k > eps_stop; S_{n+1} <= eps_stop is the tail mass
@@ -196,13 +235,48 @@ def grs_index_distribution(
     pos = p if p.min() > 0.0 else p[p > 0.0]  # no copy in the usual case
     entropy_bits = float(-np.dot(pos, np.log2(pos))) + 0.0 if pos.size else 0.0
     return IndexDistribution(
-        p=p,
         truncation_index=int(p.size),
         tail_mass=tail_mass,
         entropy_bits=entropy_bits,
         entropy_tail_bound_bits=_entropy_tail_bound_bits(tail_mass, mean_tail),
         mean_index=float(np.sum(np.frombuffer(rec.S)[:-1])),
         mean_tail_bound=mean_tail,
+        _build_p=functools.partial(np.frombuffer, rec.p),
+    )
+
+
+def _step_width_law(w: StepWidth, eps_stop: float, step_cap: int) -> IndexDistribution:
+    """The law from the orbit's pieces, each block summed in closed form."""
+    pieces, steps, L, S = [], 0, 0.0, 1.0
+    mean_terms, entropy_terms = [], []  # E[K] shares; entropy in bits
+    while S > eps_stop:
+        piece = _next_piece(w, steps, L, S, step_cap, eps_stop)
+        pieces.append(piece)
+        if len(piece) == 3:
+            mean_terms.append(S)
+            L, S, p = piece
+            if p > 0.0:
+                entropy_terms.append(-p * math.log2(p))
+            steps += 1
+            continue
+        _, m, L0, S0, v, ln_r, r_m = piece
+        one_minus_r_m = -math.expm1(m * ln_r)
+        mass = S0 * one_minus_r_m
+        sum_i_r_i = (one_minus_r_m * (1.0 - v) / v - m * r_m) / v
+        mean_terms.append(mass / v)
+        entropy_terms.append(-math.log2(S0 * v) * mass - ln_r / LN2 * S0 * v * sum_i_r_i)
+        # the block's end as the orbit stores it
+        S, L = S0 * r_m, (1.0 - r_m) * (S0 / v) + L0
+        steps += m
+    mean_tail = max(w.h_max - L, 0.0)
+    return IndexDistribution(
+        truncation_index=steps,
+        tail_mass=S,
+        entropy_bits=math.fsum(entropy_terms) + 0.0,
+        entropy_tail_bound_bits=_entropy_tail_bound_bits(S, mean_tail),
+        mean_index=math.fsum(mean_terms),
+        mean_tail_bound=mean_tail,
+        _build_p=functools.partial(_pieces_p, tuple(pieces)),
     )
 
 

@@ -114,14 +114,17 @@ def test_smooth_suite_index_laws_pinned(name):
 
 # Index laws of the eight step-width default-suite pairs at their suite
 # eps_stop, as the earlier separate blocked recursion for step widths
-# computed them: (truncation index, H[K] in bits, tail mass, E[K] head)
+# computed them: (truncation index, H[K] in bits, tail mass, E[K] head).
+# H and E[K] of the c = 4 law, p_k = (1/4)(3/4)^(k-1) for k <= 73, are the
+# closed-form block sums, nearer than the earlier values to the 40-digit
+# sums 3.245112472422580530... and 3.999999996969374878...
 STEP_SUITE_LAWS = {
     "laplace_identity": (1, 0.0, 0.0, 1.0),
     "discrete_half_pair": (30, 1.9999999701976776, 9.313225746154793e-10, 1.9999999981373549),
     "discrete_eight": (143, 1.802218392342072, 8.764749682378554e-10, 2.399999992988198),
-    "discrete_point_mass": (73, 3.245112472422581, 7.576562804644603e-10, 3.9999999969693754),
+    "discrete_point_mass": (73, 3.2451124724225804, 7.576562804644603e-10, 3.999999996969375),
     "equality_width_c2": (30, 1.9999999701976776, 9.313225746154793e-10, 1.9999999981373549),
-    "equality_width_c4": (73, 3.245112472422581, 7.576562804644603e-10, 3.9999999969693754),
+    "equality_width_c4": (73, 3.2451124724225804, 7.576562804644603e-10, 3.999999996969375),
     "two_level_eps03": (58, 2.502911152117016, 7.579464069903691e-10, 2.70580334761019),
     "two_level_eps01": (194, 4.012533584887664, 9.705077525625231e-10, 7.579527197964966),
 }
@@ -202,6 +205,84 @@ def test_step_cap_inside_geometric_block_fails_before_building_it():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def two_level_at_bits(bits):
+    """The two-level width whose h_max is 2**bits."""
+    return two_level_width(math.e / ((1.0 + math.e) * (2.0**bits - 1.0 / (1.0 + math.e))))
+
+
+# 40-digit sums over the exact orbit of each width (mpmath, from its float
+# edges and values) at eps_stop 1e-12: (truncation index, H[K], E[K] head),
+# then the tail mass and mean tail bound as the dense law computed them
+DEEP_STEP_LAWS = {
+    "equality_c2^13": (equality_case_width(2.0**13), 226340,
+                       14.44260698213422847627779078571271269448,
+                       8191.999999991808490825220307150757309555,
+                       9.999400848119715e-13, 8.191818778868765e-09),
+    "two_level_13_bits": (two_level_at_bits(13), 306091,
+                          11.72783371957840798091711324658926079718,
+                          8191.999999988795655128105131296138826124,
+                          9.999147161880944e-13, 1.120315573643893e-08),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_STEP_LAWS))
+def test_deep_step_laws_match_40_digit_sums(name):
+    w, n, entropy_bits, mean_index, tail_mass, mean_tail_bound = DEEP_STEP_LAWS[name]
+    dist = grs_index_distribution(w, eps_stop=1e-12)
+    assert dist.truncation_index == n
+    assert abs(dist.entropy_bits - entropy_bits) <= 1e-12
+    assert abs(dist.mean_index - mean_index) <= 1e-15 * mean_index
+    assert (dist.tail_mass, dist.mean_tail_bound) == (tail_mass, mean_tail_bound)
+
+
+def step_law_corpus():
+    rng = np.random.default_rng(20261018)
+    for c_bits in range(1, 15):
+        yield f"equality_c2^{c_bits}", equality_case_width(2.0**c_bits)
+    for bits in range(1, 14):
+        yield f"two_level_{bits}_bits", two_level_at_bits(bits)
+    for size in range(2, 13):
+        # half of q on one atom whose ratio sets D_inf; the rest from Dirichlet
+        bits = float(rng.uniform(1.0, 13.0))
+        p_top = 0.5 * 2.0**-bits
+        q = np.append(0.5 * rng.dirichlet(np.ones(size - 1)), 0.5)
+        p = np.append((1.0 - p_top) * rng.dirichlet(np.ones(size - 1)), p_top)
+        yield f"discrete_{size}", width_from_discrete(tuple(q), tuple(p))
+
+
+def test_step_width_laws_match_the_lazily_read_orbit():
+    # the law sums blocks in closed form; the samplers' orbit stores each p_k
+    for name, w in step_law_corpus():
+        for eps_stop in (1e-6, 1e-9, 1e-12):
+            dist = grs_index_distribution(w, eps_stop=eps_stop)
+            n = dist.truncation_index
+            rec = GrsRecursion(w)
+            rec.state(n + 1)
+            assert rec.S[n - 1] > eps_stop >= rec.S[n], name
+            # the law ends its last block at S math.exp(m ln r); the orbit
+            # reads that step from np.exp, which can differ in the last bit
+            assert abs(dist.tail_mass - rec.S[n]) <= 2 * math.ulp(rec.S[n]), name
+            assert dist.mean_tail_bound == max(w.h_max - rec.L[n], 0.0), name
+            p = np.frombuffer(rec.p)[:n]
+            assert np.array_equal(dist.p, p), name
+            pos = p[p > 0.0]
+            assert abs(dist.entropy_bits - math.fsum(-pos * np.log2(pos))) <= 1e-14, name
+            mean_index = math.fsum(rec.S[:n])
+            assert abs(dist.mean_index - mean_index) <= 1e-15 * mean_index, name
+
+
+def test_step_width_law_stores_no_per_step_arrays():
+    w = two_level_at_bits(13)
+    tracemalloc.start()
+    try:
+        dist = grs_index_distribution(w, eps_stop=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.truncation_index > 3 * 10**5
+    assert peak < 64 * 2**10
 
 
 def test_lazy_orbit_builds_blocks_in_pieces(monkeypatch):
