@@ -9,9 +9,9 @@
     crs-toolkit verify --suite {default|PATH}
 
 Exit status: 0 on success, 1 when a verified bound fails or a computation
-cannot be completed, 2 on usage or parameter errors. Scalar output carries
-nine digits after the decimal point; all values are bits unless a column
-name says nats. Identical argv and seed give byte-identical output.
+cannot be completed, 2 on usage, parameter or input-file errors. Scalars
+carry nine digits after the decimal point; all values are bits unless a
+column name says nats. Identical argv and seed give byte-identical output.
 """
 from __future__ import annotations
 
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
         if args.command == "experiment":
             return _run_experiment(args)
         return _run_verify(args)
-    except (InvalidParameterError, FileNotFoundError) as exc:
+    except (InvalidParameterError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CrsToolkitError as exc:

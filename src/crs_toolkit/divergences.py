@@ -181,7 +181,7 @@ def kl_sandwich(kl_bits: float) -> SandwichBounds:
     """Bounds implied by kl = D_KL: D_CS lies in [kl, kl + log2(kl+1) + 1],
     the sampler entropy below that plus log2(e+1), refined constant
     log2(ln 4) + log2(e + 1) < 2.366."""
-    if kl_bits < 0.0:
+    if not kl_bits >= 0.0:
         raise InvalidParameterError("kl_bits must be >= 0")
     cs_upper = kl_bits + math.log2(kl_bits + 1.0) + 1.0
     refined = kl_bits + math.log2(kl_bits + 1.0) + math.log2(math.log(4.0)) + LOG2_E_PLUS_1

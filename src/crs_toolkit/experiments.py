@@ -131,10 +131,7 @@ class EpsilonRow:
             self.eps, self.dcs_bits, self.entropy_bits, self.gap_bits))
 
 
-def laplace_sweep(
-    b_grid: Sequence[float] | None = None,
-    eps_stop: float = SWEEP_EPS_STOP,
-) -> list[LaplaceRow]:
+def laplace_sweep(b_grid: Sequence[float] | None = None) -> list[LaplaceRow]:
     """Closed-form D_CS, KL, their gap with its digamma band, and the exact
     sampler entropy, per scale b; rows ordered by -ln b."""
     grid = DEFAULT_B_GRID if b_grid is None else tuple(float(b) for b in b_grid)
@@ -144,7 +141,7 @@ def laplace_sweep(
     def one(b: float) -> LaplaceRow:
         kl = kl_divergence(LaplaceSpec(b)).value_bits
         dcs = dcs_laplace_closed(b)
-        dist = grs_index_distribution(width_eval(LaplaceSpec(b)), eps_stop=eps_stop)
+        dist = grs_index_distribution(width_eval(LaplaceSpec(b)), eps_stop=SWEEP_EPS_STOP)
         row = LaplaceRow(
             b=b,
             neg_ln_b=-math.log(b) + 0.0,
@@ -188,8 +185,7 @@ def gaussian_sweep(
     return [one(x) for x in grid]
 
 
-def epsilon_family_study(eps_grid: Sequence[float] | None = None,
-                         eps_stop: float = SUITE_EPS_STOP) -> list[EpsilonRow]:
+def epsilon_family_study(eps_grid: Sequence[float] | None = None) -> list[EpsilonRow]:
     """Exact entropy gap H[K] - D_CS of the two-level tightness family."""
     grid = DEFAULT_EPS_GRID if eps_grid is None else tuple(float(e) for e in eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(grid, grid[1:])):
@@ -198,7 +194,7 @@ def epsilon_family_study(eps_grid: Sequence[float] | None = None,
     def one(eps: float) -> EpsilonRow:
         w = two_level_width(eps)
         dcs = channel_simulation_divergence(w).value_bits
-        dist = grs_index_distribution(w, eps_stop=eps_stop)
+        dist = grs_index_distribution(w, eps_stop=SUITE_EPS_STOP)
         row = EpsilonRow(
             eps=eps,
             dcs_bits=dcs,
@@ -370,7 +366,10 @@ def parse_spec_json(obj: dict) -> PairSpec:
 
 def load_suite_file(path: str) -> list[SuiteEntry]:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"suite file line {exc.lineno}: {exc.msg}") from None
     if not isinstance(data, list):
         raise InvalidParameterError("suite file must be a JSON list of pair specs")
     entries = []

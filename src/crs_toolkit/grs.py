@@ -42,6 +42,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -56,26 +57,24 @@ LN2 = math.log(2.0)
 DEFAULT_STEP_CAP = 10**6
 # relative tolerance of a quadrature tail integral; closed forms ignore it
 _TAIL_TOL_FACTOR = 1e-13
-# fewest steps a piece of a geometric block adds: a piece costs about the
-# same up to a few hundred steps, and most sampler runs end within one
-_MIN_PIECE = 64
 
 
 class GrsRecursion:
     """Lazily extended orbit L_{k+1} = L_k + S_k, S_{k+1} = T(L_{k+1}).
 
-    L, S and p are float64 arrays with L_k, S_k and p_k (stored per step) at
-    index k - 1; S is clamped to be non-increasing. A geometric block is built
-    from its first step in pieces that each at least double the orbit. Reads
-    past step step_cap + 1 raise.
+    L and S are float64 arrays with L_k and S_k at index k - 1, so that
+    p_k = S_k - S_{k+1}; S is clamped to be non-increasing. A geometric block
+    is filled only up to the step read, step i of it from its first step as
+    S r^i with r^i = exp(i ln r), the call that ends the block in _next_piece.
+    Reads past step step_cap + 1 raise.
     """
 
     def __init__(self, w: WidthFunction, step_cap: int = DEFAULT_STEP_CAP):
         self.w = w
         self.step_cap = step_cap
         self._blocks = isinstance(w, StepWidth)
-        self.L, self.S, self.p = array("d", [0.0]), array("d", [1.0]), array("d")
-        self._block = None  # the block being built, as _next_piece gives it
+        self.L, self.S = array("d", [0.0]), array("d", [1.0])
+        self._block = None  # the block being filled, as _next_piece gives it
 
     def state(self, k: int) -> tuple[float, float]:
         """(L_k, S_k) at 1-based step k, extending the orbit as needed."""
@@ -86,8 +85,8 @@ class GrsRecursion:
         return self.L[k - 1], self.S[k - 1]
 
     def _advance(self, k: int):
-        """Extend the orbit toward step k: one step, or one piece of a block."""
-        steps, L, S = len(self.p), self.L[-1], self.S[-1]
+        """Extend the orbit toward step k: one step, or a block up to step k."""
+        steps, L, S = len(self.S) - 1, self.L[-1], self.S[-1]
         if not self._blocks:  # one tail integral
             if steps >= self.step_cap:
                 raise _budget_error(S, self.step_cap)
@@ -95,31 +94,22 @@ class GrsRecursion:
             S_next = min(S, self.w.tail_integral(L + S, tol=tol).value) if S > 0.0 else S
             self.L.append(L + S)
             self.S.append(S_next)
-            self.p.append(S - S_next)
             return
         if self._block is None:
             piece = _next_piece(self.w, steps, L, S, self.step_cap, 0.0)
             if len(piece) == 3:
                 self.L.append(piece[0])
                 self.S.append(piece[1])
-                self.p.append(piece[2])
                 return
             self._block = piece
-        start, m, L0, S0, v, ln_r, r_m = self._block
-        i = steps - start
-        j = min(m, i + max(k - len(self.S), len(self.S), _MIN_PIECE))
-        r = np.arange(i, j + 1.0)
-        np.exp(np.multiply(r, ln_r, out=r), out=r)
-        if j == m:
-            r[-1] = r_m  # the block's end, from which the orbit goes on
+        start, m, L0, S0, v, ln_r, _ = self._block
+        end, span = min(m, k - 1 - start), S0 / v  # span: the block's limit of L - L0
+        for i in range(steps - start + 1, end + 1):
+            r_i = math.exp(i * ln_r)
+            self.S.append(S0 * r_i)
+            self.L.append((1.0 - r_i) * span + L0)
+        if end == m:  # the block's end, from which the orbit goes on
             self._block = None
-        # in place: each temporary array is fresh memory, slow to touch first
-        x = r[:-1] * (S0 * v)
-        self.p.frombytes(x.data.cast("B"))
-        self.S.frombytes(np.multiply(r[1:], S0, out=x).data.cast("B"))
-        np.subtract(1.0, r[1:], out=x)
-        x *= S0 / v
-        self.L.frombytes(np.add(x, L0, out=x).data.cast("B"))
 
 
 def _budget_error(S: float, step_cap: int) -> StepBudgetError:
@@ -158,7 +148,7 @@ def _next_piece(w: StepWidth, steps: int, L: float, S: float, step_cap: int, eps
 
 
 def _pieces_p(pieces: tuple) -> np.ndarray:
-    """p_1..p_n of a step width's law, each as the orbit stores it."""
+    """p_1..p_n of a step width's law, built from its pieces."""
     # a block (first step, m, L, S, v, ln r, r^m) holds p_i = S v r^i, i < m
     return np.concatenate([np.exp(np.arange(piece[1]) * piece[5]) * (piece[3] * piece[4])
                            if len(piece) == 7 else [piece[2]] for piece in pieces])
@@ -178,7 +168,7 @@ class IndexDistribution:
     entropy_tail_bound_bits: float
     mean_index: float
     mean_tail_bound: float
-    _build_p: functools.partial = field(repr=False, compare=False)
+    _build_p: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @functools.cached_property
     def p(self) -> np.ndarray:
@@ -230,7 +220,8 @@ def grs_index_distribution(
     while rec.S[-1] > eps_stop:
         rec.state(len(rec.S) + 1)
     # steps 1..n have S_k > eps_stop; S_{n+1} <= eps_stop is the tail mass
-    p, tail_mass = np.frombuffer(rec.p), rec.S[-1]
+    S = np.frombuffer(rec.S)
+    p, tail_mass = S[:-1] - S[1:], rec.S[-1]
     mean_tail = max(w.h_max - rec.L[-1], 0.0)
     pos = p if p.min() > 0.0 else p[p > 0.0]  # no copy in the usual case
     entropy_bits = float(-np.dot(pos, np.log2(pos))) + 0.0 if pos.size else 0.0
@@ -239,9 +230,9 @@ def grs_index_distribution(
         tail_mass=tail_mass,
         entropy_bits=entropy_bits,
         entropy_tail_bound_bits=_entropy_tail_bound_bits(tail_mass, mean_tail),
-        mean_index=float(np.sum(np.frombuffer(rec.S)[:-1])),
+        mean_index=float(np.sum(S[:-1])),
         mean_tail_bound=mean_tail,
-        _build_p=functools.partial(np.frombuffer, rec.p),
+        _build_p=lambda: p,
     )
 
 

@@ -578,9 +578,11 @@ def width_mc_estimate(pair: "DistributionPair", h: float, n: int,
     """
     if n < 100:
         raise InvalidParameterError("need n >= 100")
+    if not h >= 0.0:
+        raise InvalidParameterError("h must be >= 0")
     x = pair.sample_proposal(rng_stream, n)
     log_r = pair.log_ratio(x)
-    thresh = -math.inf if h <= 0.0 else math.log(h)
+    thresh = -math.inf if h == 0.0 else math.log(h)
     est = float(np.mean(log_r >= thresh))
     stderr = math.sqrt(est * (1.0 - est) / n)
     return est, stderr
@@ -625,15 +627,17 @@ def width_table_csv(w: WidthFunction, n: int = 1024) -> str:
 def read_width_table(path: str) -> list[tuple[float, float]]:
     rows = []
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "h,w":
+        if fh.readline().strip() != "h,w":
             raise InvalidParameterError("width table must start with the header 'h,w'")
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
                 continue
-            h_str, w_str = line.split(",")
-            rows.append((float(h_str), float(w_str)))
+            try:  # float() ignores the whitespace around a cell
+                h_str, w_str = line.split(",")
+                rows.append((float(h_str), float(w_str)))
+            except ValueError:
+                raise InvalidParameterError(f"width table line {lineno}: expected two "
+                                            f"numbers 'h,w', got {line.strip()!r}") from None
     return rows
 
 
@@ -650,9 +654,9 @@ def width_from_table(rows: Sequence[tuple[float, float]]) -> StepWidth:
     v = np.asarray([r[1] for r in rows], dtype=float)
     if h[0] != 0.0 or v[0] != 1.0:
         raise InvalidParameterError("width table must start at h = 0 with w = 1")
-    if np.any(np.diff(h) <= 0.0):
+    if not np.all(np.diff(h) > 0.0):  # NaN fails too
         raise InvalidParameterError("width table h column must strictly increase")
-    if np.any(np.diff(v) > 0.0) or v[-1] != 0.0:
+    if not np.all(np.diff(v) <= 0.0) or v[-1] != 0.0:
         raise InvalidParameterError("width table w column must be non-increasing, ending at 0")
     w = StepWidth(h, v[:-1])
     if abs(w.total_mass - 1.0) > 1e-9:

@@ -156,6 +156,18 @@ def test_width_table_synthetic_pipeline(tmp_path, capsys):
     code, _, err = run_cli(capsys, "divergence", "--family", "synthetic",
                            "--width-table", str(tmp_path / "missing.csv"), "--kind", "cs")
     assert code == 2
+    # a cell that is not a number and a row of three cells name their line
+    for text in ("h,w\n0,1\n0.5,x\n1.5,0\n", "h,w\n0,1\n0.5,0.5,0\n1.5,0\n"):
+        bad.write_text(text)
+        for argv in (("divergence", "--kind", "cs"), ("grs", "entropy")):
+            code, out, err = run_cli(capsys, *argv, "--family", "synthetic",
+                                     "--width-table", str(bad))
+            assert (code, out) == (2, "") and "width table line 3" in err
+    bad.write_bytes(b"h,w\n0,1\n0.5,\xff\n1.5,0\n")  # not UTF-8
+    for path in (bad, tmp_path):
+        code, out, err = run_cli(capsys, "divergence", "--family", "synthetic",
+                                 "--width-table", str(path), "--kind", "cs")
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_verify_custom_suite_file(tmp_path, capsys):
@@ -169,6 +181,13 @@ def test_verify_custom_suite_file(tmp_path, capsys):
     report = json.loads(out)
     assert len(report) == 2
     assert all(i["pass"] for entry in report for i in entry["inequalities"])
+    # a file that is not JSON names its line; a directory or no file exits 2
+    suite.write_text('[{"family": "laplace", "b": 0.5},\n{"family": }]\n')
+    code, out, err = run_cli(capsys, "verify", "--suite", str(suite))
+    assert (code, out) == (2, "") and "suite file line 2" in err
+    for path in (tmp_path, tmp_path / "missing.json"):
+        code, out, err = run_cli(capsys, "verify", "--suite", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("entry,named", [

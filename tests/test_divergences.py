@@ -133,8 +133,9 @@ def test_kl_sandwich_examples():
     assert s0.refined_entropy_upper_bits < 2.366
     assert kl_sandwich(1.0).cs_upper_bits == pytest.approx(3.0, abs=1e-12)
     assert kl_sandwich(7.0).cs_upper_bits == pytest.approx(11.0, abs=1e-12)
-    with pytest.raises(InvalidParameterError):
-        kl_sandwich(-0.1)
+    for kl_bits in (-0.1, math.nan, -math.inf):
+        with pytest.raises(InvalidParameterError):
+            kl_sandwich(kl_bits)
 
 
 def test_optimal_family_fixture_values():

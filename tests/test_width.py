@@ -142,6 +142,9 @@ def test_width_mc_estimate_trivial_cases():
     assert width_mc_estimate(make_pair(DISCRETE_EXAMPLE), 3.0, 1000, RngStream(0, 0))[0] == 0.0
     with pytest.raises(InvalidParameterError):
         width_mc_estimate(make_pair(LaplaceSpec(1.0)), 0.5, 50, RngStream(0, 0))
+    for h in (math.nan, -1.0, -math.inf):
+        with pytest.raises(InvalidParameterError):
+            width_mc_estimate(make_pair(LaplaceSpec(1.0)), h, 1000, RngStream(0, 0))
 
 
 def test_superlevel_measures_examples():
@@ -460,6 +463,10 @@ def test_width_from_table_validation():
         width_from_table([(0.0, 1.0), (0.5, 0.25), (4.0, 0.0)])  # mass != 1
     with pytest.raises(InvalidParameterError):
         width_from_table([(0.0, 1.0), (1.0, 1e-4), (1.001, 0.0)])  # mass 1.0001
+    for rows in ([(0.0, 1.0), (math.nan, 0.5), (1.5, 0.0)],
+                 [(0.0, 1.0), (0.5, math.nan), (1.5, 0.0)]):
+        with pytest.raises(InvalidParameterError):
+            width_from_table(rows)
 
 
 def test_width_rejects_negative_argument():
