@@ -187,8 +187,7 @@ def _run_experiment(args) -> int:
         meta = sweep_metadata("laplace", args.seed, [r.b for r in rows],
                               {"eps_stop": SWEEP_EPS_STOP})
     elif args.study == "gaussian":
-        d_grid = [int(v) for v in grid] if grid is not None else None
-        rows = gaussian_sweep(d_grid, mu=args.mu, sigma=args.sigma)
+        rows = gaussian_sweep(grid, mu=args.mu, sigma=args.sigma)
         header = GAUSSIAN_HEADER
         meta = sweep_metadata("gaussian", args.seed, [r.d for r in rows],
                               {"dcs_tol_bits": GAUSSIAN_TOL_BITS, "mu": args.mu,

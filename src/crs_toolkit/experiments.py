@@ -166,14 +166,14 @@ def gaussian_sweep(
 ) -> list[GaussianRow]:
     """KL (closed form), D_CS (quadrature over the noncentral chi-square
     width), their gap, and the half-log conjecture column, per dimension."""
-    grid = DEFAULT_D_GRID if d_grid is None else tuple(int(d) for d in d_grid)
+    grid = DEFAULT_D_GRID if d_grid is None else d_grid
 
     def one(d: int) -> GaussianRow:
-        spec = GaussianSpec(mu, sigma, d)
+        spec = GaussianSpec(mu, sigma, d)  # rejects a d that is not an integer
         kl = kl_divergence(spec).value_bits
         dcs = channel_simulation_divergence(width_eval(spec)).value_bits
         row = GaussianRow(
-            d=d,
+            d=spec.d,
             kl_bits=kl,
             dcs_bits=dcs,
             delta_bits=dcs - kl,

@@ -135,7 +135,7 @@ class GaussianSpec(DistributionPair):
             raise InvalidParameterError(f"gaussian mu must be finite, got {self.mu}")
         if not (0.0 < self.sigma < 1.0):
             raise InvalidParameterError(f"gaussian sigma must be in (0, 1), got {self.sigma}")
-        if self.d < 1 or self.d != int(self.d):
+        if not (self.d >= 1 and self.d % 1 == 0):  # NaN and inf fail too
             raise InvalidParameterError(
                 f"gaussian dimension d must be a positive integer, got {self.d}")
         a, c, t0 = gaussian_log_ratio_constants(self.mu, self.sigma)
@@ -181,7 +181,7 @@ class DiscreteSpec(DistributionPair):
         p = np.array(self.p, dtype=float)
         if q.ndim != 1 or q.shape != p.shape or q.size == 0:
             raise InvalidParameterError("q and p must be equal-length non-empty vectors")
-        if np.any(q < 0.0) or np.any(p < 0.0):
+        if not (np.all(q >= 0.0) and np.all(p >= 0.0)):  # NaN fails too
             raise InvalidParameterError("probability vectors must be non-negative")
         if abs(q.sum() - 1.0) > _SUM_TOL or abs(p.sum() - 1.0) > _SUM_TOL:
             raise InvalidParameterError("q and p must each sum to 1 within 1e-12")

@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,8 +84,7 @@ def _row_dots_by_row(y: np.ndarray, w: np.ndarray) -> np.ndarray:
 _row_dots = getattr(np, "vecdot", _row_dots_by_row)
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     error: float
     converged: bool

@@ -6,10 +6,13 @@ at jump points follow P(dQ/dP >= h) exactly, which is the left-continuous
 choice at atoms of the density ratio (the discrete pair with ratios {2, 0}
 has w(2) = 0.5); every integral here is insensitive to that choice.
 
-Each class states only its formula, _formula(h), valid on h >= 0. The domain
-lives in one place, WidthFunction.__call__: it rejects negative and NaN h,
-clips the formula to [0, 1], then pins w(0) = 1 and w = 0 for h > h_max,
-each pin only when the argument's min or max reaches it.
+Each class states its formula, _formula(h), valid on h >= 0, and optionally
+closed forms; the WidthFunction docstring gives the full subclass contract.
+The domains live in the base class, once each. WidthFunction.__call__ rejects
+negative and NaN h, clips the formula to [0, 1], then pins w(0) = 1 and w = 0
+for h > h_max, each pin only when the argument's min or max reaches it.
+WidthFunction.tail_integral rejects the same h and returns T = 0 from h_max
+on, so _tail sees only 0 <= h < h_max; ratio_inverse admits u in (0, 1) only.
 
 Analytic widths per family:
 
@@ -28,9 +31,9 @@ Analytic widths per family:
                 r(u) = sup{h : w(h) > u}.
 
 Tail integrals T(h) = integral of w over (h, h_max], which the GRS recursion
-reads once per step, are closed form for laplace (with a series near h_max),
-gaussian (the layer cake T(h) = Q(dQ/dP >= h) - h w(h)) and step widths
-(suffix sums); any other width integrates numerically.
+reads once per step, are closed form (_tail) for laplace (with a series near
+h_max), gaussian (the layer cake T(h) = Q(dQ/dP >= h) - h w(h)) and step
+widths (suffix sums); any other width integrates numerically.
 
 scipy.special is imported on first use, not with this module: a GaussianWidth
 builds its Poisson mixtures, and with them loads scipy.special, when it is
@@ -133,18 +136,18 @@ def noncentral_chi2_cdf(x, df: int, noncentrality: float) -> np.ndarray:
 class WidthFunction:
     """Base width function: vectorized evaluation plus integral helpers.
 
-    Subclasses set h_max, breakpoints, optionally a PowerTail certificate,
-    and implement _formula: w on an array of h >= 0, finite and free of
-    floating-point warnings there. __call__ overrides its values at h = 0
-    and beyond h_max, the only places where it may be wrong.
+    A subclass sets h_max and breakpoints and implements _formula: w on an
+    array of h >= 0, finite and free of floating-point warnings there.
+    __call__ overrides its values at h = 0 and beyond h_max, the only places
+    where it may be wrong. Optionally it sets a PowerTail certificate `tail`
+    (needed when h_max is infinite), a known `total_mass`, and closed forms
+    _tail(h, tol) of T on [0, h_max) and _inverse(u) of r on (0, 1). There
+    is no base-class __init__ to call.
     """
 
     h_max: float
     breakpoints: tuple[float, ...]
     tail: PowerTail | None = None
-
-    def __init__(self):
-        self._mass: float | None = None
 
     def _formula(self, h: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -165,25 +168,31 @@ class WidthFunction:
             out[h > self.h_max] = 0.0
         return out
 
-    @property
+    @functools.cached_property
     def total_mass(self) -> float:
-        """integral of w over (0, h_max], computed once and cached."""
-        if self._mass is None:
-            res = width_mass_integral(self.__call__, 0.0, self.h_max, _MASS_TOL,
-                                      self.breakpoints, self.tail)
-            if not res.converged:
-                raise QuadratureError("width mass integral did not converge")
-            self._mass = res.value
-        return self._mass
+        """integral of w over (0, h_max], by quadrature on first read."""
+        res = width_mass_integral(self.__call__, 0.0, self.h_max, _MASS_TOL,
+                                  self.breakpoints, self.tail)
+        if not res.converged:
+            raise QuadratureError("width mass integral did not converge")
+        return res.value
 
     def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
-        """T(h) = integral of w over (h, h_max], by adaptive quadrature.
+        """T(h) = integral of w over (h, h_max], which the GRS recursion reads
+        as its survival masses S_k = T(L_k).
 
-        Families with a closed form override this; the GRS recursion reads
-        its survival masses S_k = T(L_k) from here.
+        The domain lives here, as w's lives in __call__: NaN and negative h
+        are rejected and T is exactly 0 from h_max on, so a subclass's _tail
+        only sees 0 <= h < h_max.
         """
         if not h >= 0.0:  # NaN fails too
             raise InvalidParameterError("h must be >= 0")
+        if h >= self.h_max:
+            return QuadResult(0.0, 0.0, True, 0)
+        return self._tail(h, tol)
+
+    def _tail(self, h: float, tol: float) -> QuadResult:
+        """T(h) by adaptive quadrature; families with a closed form override."""
         return width_mass_integral(self.__call__, h, self.h_max, tol,
                                    self.breakpoints, self.tail)
 
@@ -231,14 +240,15 @@ class StepWidth(WidthFunction):
     """
 
     def __init__(self, edges: Sequence[float], values: Sequence[float]):
-        super().__init__()
         edges_a = np.asarray(edges, dtype=float)
         values_a = np.asarray(values, dtype=float)
         if edges_a.ndim != 1 or values_a.ndim != 1 or len(edges_a) != len(values_a) + 1:
             raise InvalidParameterError("need len(edges) == len(values) + 1")
-        if edges_a[0] != 0.0 or np.any(np.diff(edges_a) <= 0.0):
-            raise InvalidParameterError("edges must start at 0 and strictly increase")
-        if np.any(values_a < 0.0) or np.any(values_a > 1.0) or np.any(np.diff(values_a) > 0.0):
+        # NaN fails each `not np.all(...)` test
+        if not (edges_a[0] == 0.0 and np.all(np.diff(edges_a) > 0.0)
+                and math.isfinite(edges_a[-1])):
+            raise InvalidParameterError("edges must start at 0, strictly increase and be finite")
+        if not (np.all((values_a >= 0.0) & (values_a <= 1.0)) and np.all(np.diff(values_a) <= 0.0)):
             raise InvalidParameterError("values must be non-increasing within [0, 1]")
         if values_a[-1] <= 0.0:
             raise InvalidParameterError(
@@ -248,7 +258,7 @@ class StepWidth(WidthFunction):
         self.h_max = float(edges_a[-1])
         self.breakpoints = tuple(float(e) for e in edges_a[1:])
         seg_mass = np.diff(edges_a) * values_a
-        self._mass = float(np.dot(np.diff(edges_a), values_a))
+        self.total_mass = float(np.dot(np.diff(edges_a), values_a))
         # mass below edges[j], and mass above edges[j] summed from the right,
         # so a small tail is never the difference of two large masses
         self._cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
@@ -280,11 +290,7 @@ class StepWidth(WidthFunction):
 
         return below(hi) - below(lo)
 
-    def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
-        if not h >= 0.0:  # NaN fails too
-            raise InvalidParameterError("h must be >= 0")
-        if h >= self.h_max:
-            return QuadResult(0.0, 0.0, True, 0)
+    def _tail(self, h: float, tol: float) -> QuadResult:
         j = self._segment(h)
         value = float(self.values[j] * (self.edges[j + 1] - h) + self._suffix[j + 1])
         return QuadResult(value, 0.0, True, 0)
@@ -300,7 +306,6 @@ class LaplaceWidth(WidthFunction):
     """Width of Laplace(0, b) against Laplace(0, 1), 0 < b < 1."""
 
     def __init__(self, b: float):
-        super().__init__()
         if not (0.0 < b < 1.0):
             raise InvalidParameterError("LaplaceWidth needs 0 < b < 1; b = 1 is a step")
         self.b = float(b)
@@ -314,7 +319,7 @@ class LaplaceWidth(WidthFunction):
         # either way; the clamp keeps a large exponent from overflowing
         return 1.0 - np.power(np.minimum(self.b * h, 1.0), self.expo)
 
-    def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
+    def _tail(self, h: float, tol: float) -> QuadResult:
         """Closed form: with delta = 1 - b h and e = b/(1-b),
 
             b T(h) = delta + expm1((e+1) log1p(-delta)) / (e+1)
@@ -324,11 +329,9 @@ class LaplaceWidth(WidthFunction):
         shrinks, so the series takes over once delta * max(e, 1) is small
         enough for it to converge in a dozen terms.
         """
-        if not h >= 0.0:  # NaN fails too
-            raise InvalidParameterError("h must be >= 0")
-        delta = 1.0 - self.b * h
-        if delta <= 0.0:
-            return QuadResult(0.0, 0.0, True, 0)
+        # within an ulp of h_max, b h can round to 1 or above, where T is 0:
+        # the series at delta = 0 returns (0.0, 0.0)
+        delta = max(1.0 - self.b * h, 0.0)
         e = self.expo
         if delta < self._series_below:
             term = e * delta * delta  # C(e, n-1) (-delta)^n at n = 2
@@ -359,7 +362,7 @@ def indicator_width() -> StepWidth:
 
 def equality_case_width(c: float) -> StepWidth:
     """Width (1/c) 1[h <= c], c >= 1: the family where D_CS = D_KL = log2 c."""
-    if c < 1.0:
+    if not c >= 1.0:  # NaN fails too
         raise InvalidParameterError("need c >= 1")
     w = indicator_width() if c == 1.0 else StepWidth([0.0, c], [1.0 / c])
     w.label = f"equality_case(c={c:g})"
@@ -384,12 +387,11 @@ class GaussianWidth(WidthFunction):
     """Width of N(mu, sigma^2)^d against N(0, 1)^d, 0 < sigma < 1."""
 
     def __init__(self, mu: float, sigma: float, d: int):
-        super().__init__()
         if not math.isfinite(mu):
             raise InvalidParameterError("need a finite mu")
         if not (0.0 < sigma < 1.0):
             raise InvalidParameterError("need 0 < sigma < 1")
-        if d < 1 or d != int(d):
+        if not (d >= 1 and d % 1 == 0):  # NaN and inf fail too
             raise InvalidParameterError("need integer dimension d >= 1")
         if d > 256:
             raise InvalidParameterError(
@@ -423,7 +425,7 @@ class GaussianWidth(WidthFunction):
         # smallest subnormal stands in for h = 0, whose log would be -inf
         return _mixture_cdf(self._chi2_argument(np.maximum(h, _TINY)), self._p_mixture)
 
-    def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
+    def _tail(self, h: float, tol: float) -> QuadResult:
         """Layer cake: T(h) = Q(r >= h) - h w(h), with r = dQ/dP.
 
         With x = (d t0 - ln h)/a, Q(r >= h) is the noncentral chi-square
@@ -437,10 +439,6 @@ class GaussianWidth(WidthFunction):
         F the P mixture's CDF. The endpoint h_max sits at v = 0, where
         floats resolve it, and the integrand is smooth in v for every d.
         """
-        if not h >= 0.0:  # NaN fails too
-            raise InvalidParameterError("h must be >= 0")
-        if h >= self.h_max:
-            return QuadResult(0.0, 0.0, True, 0)
         if h == 0.0:
             return QuadResult(1.0, 0.0, True, 0)
         # the same x as w(h) below: an error in x cancels between the two
@@ -471,8 +469,9 @@ class OptimalCsWidth(WidthFunction):
     D_KL = 1/alpha - 1 + ln(alpha), D_CS = (1 - alpha)/alpha.
     """
 
+    total_mass = 1.0
+
     def __init__(self, alpha: float):
-        super().__init__()
         if not (0.0 < alpha < 1.0):
             raise InvalidParameterError("need 0 < alpha < 1")
         self.alpha = float(alpha)
@@ -483,7 +482,6 @@ class OptimalCsWidth(WidthFunction):
         # certificate an upper bound under float rounding
         self.tail = PowerTail(coef=self.alpha**self.p * (1.0 + 1e-12),
                               exponent=self.p, h_from=self.alpha)
-        self._mass = 1.0
 
     def _formula(self, h: np.ndarray) -> np.ndarray:
         # up to alpha the clamped ratio is exactly 1, and so is its power
@@ -506,8 +504,9 @@ class OptimalAcsWidth(WidthFunction):
     D_KL = -(ln(beta) - 1 + beta cos(pi/alpha)), D_ACS = alpha - pi cot(pi/alpha).
     """
 
+    total_mass = 1.0
+
     def __init__(self, alpha: float):
-        super().__init__()
         if not alpha > 1.0:
             raise InvalidParameterError("need alpha > 1")
         self.alpha = float(alpha)
@@ -517,7 +516,6 @@ class OptimalAcsWidth(WidthFunction):
         # 1/(1+y) < 1/y, but the slack is absorbed by rounding once y > 1e16
         self.tail = PowerTail(coef=self.beta**-alpha * (1.0 + 1e-12),
                               exponent=alpha, h_from=2.0 / self.beta)
-        self._mass = 1.0
 
     def _formula(self, h: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # (beta h)^alpha = inf gives w = 0
@@ -594,9 +592,7 @@ def superlevel_measures(w: WidthFunction, h: float, tol: float = 1e-10) -> tuple
     P-mass is w(h) itself; Q-mass follows from the layer-cake identity
     Q(dQ/dP >= h) = h w(h) + integral of w over (h, h_max].
     """
-    if h < 0.0:
-        raise InvalidParameterError("h must be >= 0")
-    p_mass = float(w(h)[0])
+    p_mass = float(w(h)[0])  # w rejects NaN and negative h
     res = w.tail_integral(h, tol)
     if not res.converged:
         raise QuadratureError("tail integral for q_mass did not converge")

@@ -48,6 +48,14 @@ def test_parameter_error_exits_2(capsys):
                            "--kind", "cs")
     assert code == 2
     assert "error" in err
+    # a NaN probability printed 1.000000000 (exit 0) or ran the recursion out
+    # of steps (exit 1); a fractional dimension was truncated to an integer
+    for argv in (("divergence", "--family", "discrete", "--q", "nan,1", "--p", "0.5,0.5",
+                  "--kind", "kl"),
+                 ("grs", "entropy", "--family", "discrete", "--q", "0.5,0.5", "--p", "nan,1"),
+                 ("experiment", "gaussian", "--grid", "1.5,2.9")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_missing_flags_exit_2(capsys):
@@ -199,6 +207,9 @@ def test_verify_custom_suite_file(tmp_path, capsys):
     ({"family": "laplace", "b": 0.5, "eps_stop": "x"}, "'eps_stop'"),
     ({"family": "laplace", "b": 0.5, "eps_stop": None}, "'eps_stop'"),
     ({"family": "laplace", "b": 0.5, "eps_stop": 2}, "'eps_stop'"),
+    ({"family": "synthetic", "width": "equality", "c": float("nan")}, "c >= 1"),
+    ({"family": "gaussian", "mu": 1.0, "sigma": 0.5, "d": float("nan")}, "got nan"),
+    ({"family": "gaussian", "mu": 1.0, "sigma": 0.5, "d": float("inf")}, "got inf"),
 ])
 def test_verify_malformed_suite_entry_exits_2(tmp_path, capsys, entry, named):
     suite = tmp_path / "suite.json"

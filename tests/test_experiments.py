@@ -71,6 +71,13 @@ def test_gaussian_sweep_rows():
     assert rows[0].kl_bits == pytest.approx((LN2 + 0.125) / LN2, abs=1e-9)
 
 
+def test_gaussian_sweep_rejects_non_integer_dimension():
+    # d used to be truncated to int(1.7) = 1
+    with pytest.raises(InvalidParameterError, match="got 1.7"):
+        gaussian_sweep([1.7])
+    assert [r.d for r in gaussian_sweep([1.0])] == [1]
+
+
 def test_gaussian_sweep_near_identity_sigma():
     rows = gaussian_sweep([1], mu=0.0, sigma=1.0 - 1e-12)
     assert abs(rows[0].delta_bits) < 1e-6

@@ -78,6 +78,14 @@ def test_invalid_specs_rejected():
         discrete_spec((0.6, 0.5), (0.5, 0.5))
     with pytest.raises(InvalidParameterError):
         discrete_spec((0.5, 0.5), (1.0, 0.0))  # Q not << P
+    # NaN passed np.any(q < 0.0), and the NaN sum passed the sum check
+    for q, p in (((math.nan, 1.0), (0.5, 0.5)), ((0.5, 0.5), (math.nan, 1.0))):
+        with pytest.raises(InvalidParameterError, match="non-negative"):
+            discrete_spec(q, p)
+    # int(d) raised a bare ValueError for NaN and OverflowError for inf
+    for d in (math.nan, math.inf, 1.5):
+        with pytest.raises(InvalidParameterError, match="positive integer"):
+            GaussianSpec(1.0, 0.5, d)
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf])

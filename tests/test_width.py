@@ -18,6 +18,7 @@ from crs_toolkit.measures import (
     discrete_spec,
     make_pair,
 )
+from crs_toolkit.quadrature import QuadResult, width_mass_integral
 from crs_toolkit.streams import RngStream
 from crs_toolkit.width import (
     GaussianWidth,
@@ -96,6 +97,13 @@ def test_gaussian_width_h_max_in_bits():
 def test_gaussian_width_rejects_large_dimension():
     with pytest.raises(InvalidParameterError):
         GaussianWidth(1.0, 0.5, 300)
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf, 1.5, 0])
+def test_gaussian_width_rejects_non_integer_dimension(d):
+    # int(d) used to raise a bare ValueError (NaN) or OverflowError (inf)
+    with pytest.raises(InvalidParameterError, match="integer dimension"):
+        GaussianWidth(1.0, 0.5, d)
 
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS)
@@ -223,8 +231,10 @@ def test_closed_form_tail_matches_quadrature(name):
         # 1e-12 relative is the tightest request the base quadrature meets at
         # every point here; at 1e-13 it spends its whole panel budget on
         # laplace b = 0.99 and returns unconverged
-        quad = WidthFunction.tail_integral(w, h, tol=1e-12 * closed.value)
-        assert quad.converged
+        # the base class's quadrature, not tail_integral, which would
+        # dispatch back to the closed form under test
+        quad = WidthFunction._tail(w, h, tol=1e-12 * closed.value)
+        assert quad.converged and quad.panels > 0
         assert closed.value == pytest.approx(quad.value, rel=1e-10)
 
 
@@ -404,11 +414,36 @@ def test_optimal_width_tail_certificates_hold():
         assert np.all(w(h) <= t.coef * h**-t.exponent + 1e-300)
 
 
-@pytest.mark.parametrize("width", [LaplaceWidth(0.5), two_level_width(0.1), OptimalCsWidth(0.5)],
-                         ids=["laplace_closed_form", "step_closed_form", "base_quadrature"])
+class TriangleWidth(WidthFunction):
+    """A custom width, w(h) = 1 - h/2 on [0, 2], with its own __init__ that
+    calls no base-class __init__."""
+
+    def __init__(self):
+        self.h_max = 2.0
+        self.breakpoints = ()
+
+    def _formula(self, h: np.ndarray) -> np.ndarray:
+        return 1.0 - 0.5 * h
+
+
+@pytest.mark.parametrize("width", [LaplaceWidth(0.5), two_level_width(0.1), OptimalCsWidth(0.5),
+                                   GaussianWidth(1.0, 0.5, 1), TriangleWidth()],
+                         ids=["laplace_closed_form", "step_closed_form", "base_quadrature",
+                              "gaussian_closed_form", "custom_subclass"])
 def test_tail_integral_rejects_nan(width):
-    with pytest.raises(InvalidParameterError, match="h must be >= 0"):
-        width.tail_integral(math.nan)
+    for h in (math.nan, -1.0, -math.inf):
+        with pytest.raises(InvalidParameterError, match="h must be >= 0"):
+            width.tail_integral(h)
+
+
+def test_custom_width_without_base_init_has_mass():
+    # the mass cache used to live in WidthFunction.__init__, so this width
+    # raised AttributeError on total_mass
+    w = TriangleWidth()
+    want = width_mass_integral(w, 0.0, 2.0, 1e-10)
+    assert w.total_mass == want.value == pytest.approx(1.0, abs=1e-10)
+    assert vars(w)["total_mass"] == want.value  # cached on first read
+    assert w.tail_integral(1.0).value == pytest.approx(0.25, abs=1e-12)
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
@@ -424,6 +459,15 @@ def test_gaussian_h_max_overflow_stays_overflow_error():
 
 
 def test_step_width_validation():
+    # NaN anywhere and an infinite last edge (h_max = total_mass = inf) used
+    # to pass the np.any(...) checks
+    for edges, values in (([0.0, math.nan], [math.nan]), ([0.0, 1.0, math.inf], [1.0, 0.5]),
+                          ([0.0, math.nan, 2.0], [1.0, 0.5]), ([0.0, 1.0, 2.0], [1.0, math.nan])):
+        with pytest.raises(InvalidParameterError):
+            StepWidth(edges, values)
+    for c in (math.nan, 0.5):
+        with pytest.raises(InvalidParameterError, match="need c >= 1"):
+            equality_case_width(c)
     with pytest.raises(InvalidParameterError):
         StepWidth([0.5, 1.0], [1.0])
     with pytest.raises(InvalidParameterError):
@@ -480,6 +524,9 @@ def test_indicator_width_unit_mass_only():
 
 
 DOMAIN_WIDTHS = {
+    # b h_max rounds below 1 at b = 0.09, where the closed form alone leaves a
+    # rounding-level T(h_max) > 0
+    "laplace_b009": LaplaceWidth(0.09),
     "laplace_b025": LaplaceWidth(0.25),
     "laplace_b05": LaplaceWidth(0.5),
     "gaussian_mu1_s05_d1": GaussianWidth(1.0, 0.5, 1),
@@ -489,6 +536,7 @@ DOMAIN_WIDTHS = {
     "discrete_example": width_eval(DISCRETE_EXAMPLE),
     "optimal_cs_a05": OptimalCsWidth(0.5),
     "optimal_acs_a3": OptimalAcsWidth(3.0),
+    "custom_triangle": TriangleWidth(),
 }
 
 
@@ -508,6 +556,14 @@ def test_width_domain_pins(name):
         assert [float(w(h)[0]) for h in beyond] == [0.0, 0.0]
     empty = w(np.array([]))
     assert empty.shape == (0,) and empty.dtype == float
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_WIDTHS))
+def test_tail_integral_is_zero_from_h_max_on(name):
+    w = DOMAIN_WIDTHS[name]
+    hs = [w.h_max, 2.0 * w.h_max, math.inf] if math.isfinite(w.h_max) else [math.inf]
+    for h in hs:
+        assert repr(w.tail_integral(h)) == repr(QuadResult(0.0, 0.0, True, 0))
 
 
 @pytest.mark.parametrize("name", sorted(DOMAIN_WIDTHS))
