@@ -38,7 +38,6 @@ from .width import (
     d_infinity,
     equality_case_width,
     indicator_width,
-    noncentral_chi2_cdf,
     superlevel_measures,
     two_level_width,
     width_eval,

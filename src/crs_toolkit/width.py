@@ -24,7 +24,8 @@ Analytic widths per family:
                 a = 1/(2 sigma^2) - 1/2 and c = mu/(1 - sigma^2), so
                 w(h) = F[(d*t0 - ln h)/a] where F is the noncentral
                 chi-square CDF with d degrees of freedom and noncentrality
-                d*c^2, evaluated by a Poisson mixture of central chi-squares.
+                d*c^2, read from scipy.special.chndtr (Boost Math, which sums
+                only the Poisson terms that matter at each x).
   discrete:     exact step function over the sorted ratio levels.
   synthetic:    any caller-supplied width; uniform proposal on (0, 1) with
                 density ratio equal to the decreasing generalized inverse
@@ -36,8 +37,8 @@ h_max), gaussian (the layer cake T(h) = Q(dQ/dP >= h) - h w(h)) and step
 widths (suffix sums); any other width integrates numerically.
 
 scipy.special is imported on first use, not with this module: a GaussianWidth
-builds its Poisson mixtures, and with them loads scipy.special, when it is
-first evaluated. No other width here touches scipy.
+binds chndtr, and with it loads scipy.special, when it is first evaluated.
+No other width here touches scipy.
 """
 from __future__ import annotations
 
@@ -64,7 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover
 LN2 = math.log(2.0)
 
 _MASS_TOL = 1e-10
-_POISSON_TAIL_WEIGHT = 1e-14
 _EPS = sys.float_info.epsilon
 _TINY = math.ulp(0.0)
 # Laplace tail: series below this delta * max(e, 1), where its terms shrink
@@ -73,11 +73,6 @@ _LAPLACE_SERIES_BAND = 0.05
 _LAPLACE_SERIES_TERMS = 40
 # Gaussian tail: quadrature once Q(r >= h) - h w(h) would cancel 7 digits
 _GAUSSIAN_CANCEL_LIMIT = 1e-7
-
-# scipy.special, bound by the first _poisson_mixture call: every Gaussian CDF
-# evaluation starts there, so _mixture_cdf reads a plain module global
-special = None
-
 
 def gaussian_log_ratio_constants(mu: float, sigma: float) -> tuple[float, float, float]:
     """Per-dimension constants (a, c, t0) of the Gaussian pair log-ratio.
@@ -89,48 +84,6 @@ def gaussian_log_ratio_constants(mu: float, sigma: float) -> tuple[float, float,
     c = mu / (1.0 - sigma**2)
     t0 = -math.log(sigma) - (c - mu) ** 2 / (2.0 * sigma**2) + c**2 / 2.0
     return a, c, t0
-
-
-def _poisson_mixture(df: int, noncentrality: float) -> tuple[np.ndarray, np.ndarray]:
-    """(shapes, weights) of the noncentral chi-square CDF as a Poisson mixture.
-
-    Term j is Poisson(noncentrality/2) weight j times the central CDF with
-    shape df/2 + j; a central law is the single term (df/2, 1). The Poisson
-    tail beyond lam + k*sqrt(lam) decays like exp(-k^2/2), so k derived from
-    _POISSON_TAIL_WEIGHT caps the discarded weight. Low-j terms always stay:
-    they dominate the deep lower tail, where the central CDF factors fall off
-    much faster than the Poisson weights.
-    """
-    global special
-    from scipy import special
-    lam = 0.5 * noncentrality
-    if lam == 0.0:
-        return np.array([0.5 * df]), np.array([1.0])
-    k_pad = math.sqrt(2.0 * math.log(1.0 / _POISSON_TAIL_WEIGHT)) + 3.0
-    j_hi = int(lam + k_pad * math.sqrt(lam + 1.0) + 30.0)
-    j = np.arange(j_hi + 1)
-    log_w = j * math.log(lam) - lam - special.gammaln(j + 1.0)
-    return 0.5 * df + j, np.exp(log_w)
-
-
-def _mixture_cdf(x, mixture: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Noncentral chi-square CDF at x from the terms of _poisson_mixture."""
-    shapes, weights = mixture
-    z = 0.5 * np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), 0.0)
-    cdf = (weights * special.gammainc(shapes, z[..., None])).sum(axis=-1)
-    return cdf.clip(0.0, 1.0)
-
-
-def noncentral_chi2_cdf(x, df: int, noncentrality: float) -> np.ndarray:
-    """CDF of the noncentral chi-square, vectorized over x.
-
-    Poisson(noncentrality/2) mixture of central chi-square CDFs, truncated
-    once the Poisson tail weight drops below _POISSON_TAIL_WEIGHT. Terms are
-    formed from log-space Poisson weights and the regularized lower
-    incomplete gamma, which keeps relative accuracy in the deep lower tail
-    where the divergence integrands need it.
-    """
-    return _mixture_cdf(x, _poisson_mixture(df, noncentrality))
 
 
 class WidthFunction:
@@ -395,71 +348,71 @@ class GaussianWidth(WidthFunction):
             raise InvalidParameterError("need integer dimension d >= 1")
         if d > 256:
             raise InvalidParameterError(
-                "d > 256 exceeds the noncentral chi-square series budget; "
+                "d > 256 is outside the supported dimensions; "
                 "use Monte Carlo width estimates instead")
         self.mu, self.sigma, self.d = float(mu), float(sigma), int(d)
         self.a, self.c, self.t0 = gaussian_log_ratio_constants(mu, sigma)
+        # noncentralities of sum_i (x_i - c)^2 under P, and of the same sum
+        # over sigma^2 under Q
         self.noncentrality = d * self.c**2
+        self._q_noncentrality = d * (self.mu - self.c) ** 2 / self.sigma**2
         self.ln_h_max = d * self.t0
         self.h_max = math.exp(self.ln_h_max)
         self.breakpoints = (self.h_max,)
 
-    # Poisson weights of sum_i (x_i - c)^2 under P, and of the same sum over
-    # sigma^2 under Q, where its noncentrality is d (mu - c)^2 / sigma^2; built
-    # on first evaluation, so that a width that is never evaluated never
-    # loads scipy
+    # the noncentral chi-square CDF, bound on first evaluation, so that a
+    # width that is never evaluated never loads scipy
     @functools.cached_property
-    def _p_mixture(self) -> tuple[np.ndarray, np.ndarray]:
-        return _poisson_mixture(self.d, self.noncentrality)
-
-    @functools.cached_property
-    def _q_mixture(self) -> tuple[np.ndarray, np.ndarray]:
-        return _poisson_mixture(self.d, self.d * (self.mu - self.c) ** 2 / self.sigma**2)
+    def _chndtr(self):
+        from scipy.special import chndtr
+        return chndtr
 
     def _chi2_argument(self, h: np.ndarray | float) -> np.ndarray | float:
         """x = (d t0 - ln h)/a, so that {r >= h} = {sum_i (x_i - c)^2 <= x}."""
         return (self.ln_h_max - np.log(h)) / self.a
 
     def _formula(self, h: np.ndarray) -> np.ndarray:
-        # x <= 0 beyond h_max gives w = 0 from the mixture itself; the
+        # x < 0 beyond h_max, where chndtr is NaN, clamps to w = 0; the
         # smallest subnormal stands in for h = 0, whose log would be -inf
-        return _mixture_cdf(self._chi2_argument(np.maximum(h, _TINY)), self._p_mixture)
+        x = self._chi2_argument(np.maximum(h, _TINY))
+        return self._chndtr(np.maximum(x, 0.0), self.d, self.noncentrality)
 
     def _tail(self, h: float, tol: float) -> QuadResult:
         """Layer cake: T(h) = Q(r >= h) - h w(h), with r = dQ/dP.
 
-        With x = (d t0 - ln h)/a, Q(r >= h) is the noncentral chi-square
-        CDF of the Q mixture at x / sigma^2. Near h_max the two terms
-        cancel; once more than 7 digits would go, T is integrated instead
-        in v = sqrt(x), where t = h_max exp(-a v^2) maps [h, h_max] onto
-        [0, sqrt(x)]:
+        With x = (d t0 - ln h)/a, Q(r >= h) is the Q-side noncentral
+        chi-square CDF at x / sigma^2. Near h_max the two terms cancel; once
+        more than 7 digits would go, T is integrated instead in v = sqrt(x),
+        where t = h_max exp(-a v^2) maps [h, h_max] onto [0, sqrt(x)]:
 
             T(h) = 2 a h_max * integral over [0, sqrt(x)] of F(v^2) exp(-a v^2) v dv,
 
-        F the P mixture's CDF. The endpoint h_max sits at v = 0, where
-        floats resolve it, and the integrand is smooth in v for every d.
+        F the P-side CDF. The endpoint h_max sits at v = 0, where floats
+        resolve it, and the integrand is smooth in v for every d.
         """
         if h == 0.0:
             return QuadResult(1.0, 0.0, True, 0)
         # the same x as w(h) below: an error in x cancels between the two
         # terms only when both see it, and one ulp apart costs digits
         x = float(self._chi2_argument(h))
-        shapes, weights = self._q_mixture
-        z = 0.5 * max(x / self.sigma**2, 0.0)
-        q_mass = min(float((weights * special.gammainc(shapes, z)).sum()), 1.0)
-        value = q_mass - h * float(self(h)[0])
+        q_mass = float(self._chndtr(max(x, 0.0) / self.sigma**2, self.d, self._q_noncentrality))
+        hw = h * float(self(h)[0])
+        value = q_mass - hw
+        # T moves by h w(h) per unit of a x, and a x carries a few ulp of ln h
+        # and of ln h_max = d t0: near h_max this outgrows T, as a x shrinks
+        x_rounding = 64.0 * _EPS * (1.0 + abs(self.ln_h_max) + abs(math.log(h))) * hw
         if value < _GAUSSIAN_CANCEL_LIMIT * q_mass:
             scale = 2.0 * self.a * self.h_max
 
             def integrand(v: np.ndarray) -> np.ndarray:
                 y = v * v
-                return _mixture_cdf(y, self._p_mixture) * np.exp(-self.a * y) * v
+                return self._chndtr(y, self.d, self.noncentrality) * np.exp(-self.a * y) * v
 
             res = adaptive(integrand, [(0.0, math.sqrt(x))], tol / scale)
-            return QuadResult(scale * res.value, scale * res.error, res.converged, res.panels)
-        # rounding estimate: the two terms carry ulp-level errors relative to
-        # Q, plus the rounding of x, which grows like Q/T near h_max
-        return QuadResult(value, 64.0 * _EPS * q_mass, True, 0)
+            return QuadResult(scale * res.value, scale * res.error + x_rounding,
+                              res.converged, res.panels)
+        # the two terms also carry ulp-level errors relative to Q
+        return QuadResult(value, 64.0 * _EPS * q_mass + x_rounding, True, 0)
 
 
 class OptimalCsWidth(WidthFunction):

@@ -29,7 +29,6 @@ from crs_toolkit.width import (
     d_infinity,
     equality_case_width,
     indicator_width,
-    noncentral_chi2_cdf,
     superlevel_measures,
     two_level_width,
     width_eval,
@@ -39,6 +38,11 @@ from crs_toolkit.width import (
     WidthFunction,
     width_table,
     width_table_csv,
+)
+from reference_values import (
+    GAUSSIAN_RATIO_INVERSE,
+    GAUSSIAN_WIDTH,
+    GAUSSIAN_WIDTH_NEAR_H_MAX,
 )
 
 DISCRETE_EXAMPLE = discrete_spec((0.5, 0.5, 0.0, 0.0), (0.25,) * 4)
@@ -186,22 +190,40 @@ def test_d_infinity_examples():
     assert d_infinity(OptimalCsWidth(0.5)) == math.inf
 
 
-def test_noncentral_chi2_against_scipy():
-    rng = np.random.default_rng(5)
-    for df, nc in ((1, 1.5), (3, 0.0), (8, 20.0), (64, 113.8)):
-        x = rng.uniform(0.1, df + nc + 30.0, 50)
-        mine = noncentral_chi2_cdf(x, df, nc)
-        ref = stats.ncx2.cdf(x, df, nc) if nc > 0 else stats.chi2.cdf(x, df)
-        assert np.allclose(mine, ref, rtol=5e-11, atol=1e-300)
+def _ids(rows):
+    return [f"mu{mu:g}_s{sigma:g}_d{d}_h{h:.6g}" for mu, sigma, d, h, _, _ in rows]
 
 
-def test_noncentral_chi2_deep_tail_relative_accuracy():
-    # Poisson-mixture sum must keep its low-j terms: the j = 0 term dominates
-    # this regime and a bulk-only truncation loses double-digit percentages
-    mine = noncentral_chi2_cdf(np.array([11.35]), 64, 113.7778)
-    ref = stats.ncx2.cdf(11.35, 64, 113.7778)
-    assert mine[0] == pytest.approx(ref, rel=1e-9)
-    assert mine[0] < 1e-30
+@pytest.mark.parametrize("mu, sigma, d, h, w_ref, t_ref", GAUSSIAN_WIDTH, ids=_ids(GAUSSIAN_WIDTH))
+def test_gaussian_width_and_tail_match_40_digit_references(mu, sigma, d, h, w_ref, t_ref):
+    gw = GaussianWidth(mu, sigma, d)
+    assert float(gw(h)[0]) == pytest.approx(w_ref, rel=1e-13, abs=0.0)
+    res = gw.tail_integral(h)
+    assert res.value == pytest.approx(t_ref, rel=1e-13, abs=0.0)
+    assert abs(res.value - t_ref) <= res.error
+
+
+def _x_rounding(gw, h):
+    """Relative error of x = (d t0 - ln h)/a: a few ulp of ln h_max against a x.
+
+    Near h_max, where x is small, it swamps the chi-square CDF's own error;
+    w is about x^(d/2) there, so w carries d/2 times it and T one more.
+    """
+    x = (gw.ln_h_max - math.log(h)) / gw.a
+    return 4.0 * sys.float_info.epsilon * max(1.0, abs(gw.ln_h_max)) / (gw.a * x)
+
+
+@pytest.mark.parametrize("mu, sigma, d, h, w_ref, t_ref", GAUSSIAN_WIDTH_NEAR_H_MAX,
+                         ids=_ids(GAUSSIAN_WIDTH_NEAR_H_MAX))
+def test_gaussian_width_and_tail_near_h_max_match_40_digit_references(mu, sigma, d, h, w_ref,
+                                                                      t_ref):
+    gw = GaussianWidth(mu, sigma, d)
+    rel = _x_rounding(gw, h)
+    assert float(gw(h)[0]) == pytest.approx(w_ref, rel=1e-13 + (d / 2 + 1) * rel, abs=0.0)
+    # a tol relative to T, which the default absolute 1e-12 far exceeds at d = 64
+    res = gw.tail_integral(h, tol=1e-12 * t_ref)
+    assert res.value == pytest.approx(t_ref, rel=1e-12 + (d / 2 + 2) * rel, abs=0.0)
+    assert abs(res.value - t_ref) <= res.error
 
 
 def test_step_width_band_and_tail_integrals_exact():
@@ -252,22 +274,6 @@ def test_gaussian_tail_falls_back_to_quadrature_near_h_max():
     res = w.tail_integral(h, tol=1e-13 * 7e-13)
     assert res.converged and res.panels > 0
     assert 0.0 < res.value <= (w.h_max - h) * float(w(h)[0])
-    # both layer-cake terms from one x keep the cancellation at 1e-7 here
-    x = (w.ln_h_max - math.log(h)) / w.a
-    q_nc = w.d * (w.mu - w.c) ** 2 / w.sigma**2
-    layer_cake = (noncentral_chi2_cdf(x / w.sigma**2, w.d, q_nc)[0]
-                  - h * noncentral_chi2_cdf(x, w.d, w.noncentrality)[0])
-    assert res.value == pytest.approx(layer_cake, rel=1e-6)
-
-
-def test_gaussian_width_matches_fresh_mixture_bit_for_bit():
-    # the Poisson weights cached at construction are the ones
-    # noncentral_chi2_cdf builds on every call
-    for mu, sigma, d in ((1.0, 0.5, 1), (0.0, 0.6, 1), (1.0, 0.5, 2)):
-        gw = GaussianWidth(mu, sigma, d)
-        h = np.linspace(0.0, gw.h_max, 1000)[1:-1]
-        x = (gw.ln_h_max - np.log(h)) / gw.a
-        assert np.array_equal(gw(h), noncentral_chi2_cdf(x, d, gw.noncentrality))
 
 
 # run in a fresh interpreter: this test module itself imports scipy
@@ -356,7 +362,7 @@ RATIO_INVERSE_PINNED = [
     (LaplaceWidth(0.05),
      [2.7017034353459857, 0.08456565170490649, 3.814697265625e-05, 1.9999999999999917e-18]),
     (GaussianWidth(1.0, 0.5, 1),
-     [3.399229396107772, 1.7880370974993245, 0.2607128340986592, 0.00013661018043654256]),
+     [3.399229396107772, 1.7880370974993238, 0.2607128340986599, 0.00013661018043654183]),
     (OptimalCsWidth(0.1),
      [0.7943282347242815, 0.34822022531844965, 0.18660659830736148, 0.10994658424513493]),
     (OptimalAcsWidth(1.3),
@@ -383,6 +389,15 @@ def test_ratio_inverse_rejects_u_outside_open_unit_interval(w, u):
 def test_ratio_inverse_valid_u_pinned(w, want):
     assert w.ratio_inverse(np.array([0.1, 0.25, 0.5, 0.9])).tolist() == want
     assert w.ratio_inverse(np.array([])).shape == (0,)
+
+
+def test_gaussian_ratio_inverse_pins_match_40_digit_references():
+    # the bisection ends within float resolution of w: an error of an ulp or
+    # two in w moves r by up to 8e-15 relative where w is flat (u = 0.9)
+    (w, want), = [row for row in RATIO_INVERSE_PINNED if isinstance(row[0], GaussianWidth)]
+    assert [u for u, _ in GAUSSIAN_RATIO_INVERSE] == [0.1, 0.25, 0.5, 0.9]
+    for pinned, (_, ref) in zip(want, GAUSSIAN_RATIO_INVERSE):
+        assert pinned == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_step_segment_matches_searchsorted_form():
