@@ -202,23 +202,28 @@ def dcs_integral_representation_check(
 
         D_CS ln 2 = -1 + int_0^1 dy/y int_0^inf min{w(h), y} dh.
 
-    Finite h_max only. The inner integral is evaluated to a tolerance
-    proportional to y so the 1/y factor cannot amplify its error.
+    Finite h_max only. The inner integral is a layer cake: w is
+    non-increasing and exceeds y exactly on [0, r(y)), r = w.ratio_inverse,
+    so it equals y r(y) + T(r(y)) with T = w.tail_integral. Each outer
+    panel batch takes one ratio_inverse call and one tail integral per node.
+    The value is stationary in r, since d/dr [y r + T(r)] = y - w(r) = 0 at
+    r(y), so an error in r enters only at second order. T is read to a
+    tolerance proportional to y, so the 1/y factor cannot amplify its error.
     """
     if not math.isfinite(w.h_max):
         raise InvalidParameterError("integral representation check needs finite h_max")
     lhs = channel_simulation_divergence(w, tol / 4.0)
-    h_max = w.h_max
-    cuts = [b for b in w.breakpoints if 0.0 < b < h_max]
+    cuts = [b for b in w.breakpoints if 0.0 < b < w.h_max]
     tol_nats = tol * LN2
 
     def outer_integrand(ys: np.ndarray) -> np.ndarray:
         out = np.empty_like(ys)
-        for i, y in enumerate(ys):
-            y = float(y)
-            f = lambda h: np.minimum(w(h), y)
-            inner = integrate_interval(f, 0.0, h_max, max(y * tol_nats / 4.0, 1e-15), cuts)
-            out[i] = inner.value / y
+        for i, (y, r) in enumerate(zip(ys.tolist(), w.ratio_inverse(ys).tolist())):
+            tail = w.tail_integral(r, max(y * tol_nats / 4.0, 1e-15))
+            if not tail.converged:
+                raise QuadratureError(
+                    f"inner tail integral of the representation check did not converge at y = {y!r}")
+            out[i] = r + tail.value / y
         return out
 
     levels = sorted({float(v) for v in np.atleast_1d(w(np.asarray(cuts))) if 0.0 < v < 1.0}) \

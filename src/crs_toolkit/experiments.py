@@ -27,6 +27,7 @@ from .divergences import (
     channel_simulation_divergence,
     dcs_laplace_closed,
     kl_divergence,
+    kl_sandwich,
 )
 from .errors import CrsToolkitError, InvalidParameterError, SweepValidationError
 from .grs import grs_index_distribution
@@ -80,7 +81,7 @@ class LaplaceRow:
                 <= self.upper_digamma_nats + 1e-9):
             raise SweepValidationError(f"digamma band violated at b={self.b}")
         slack = self.entropy_tail_bound_bits + 1e-9
-        chain_tail = self.kl_bits + math.log2(self.kl_bits + 1.0) + LOG2_E_PLUS_1 + 1.0
+        chain_tail = kl_sandwich(self.kl_bits).entropy_upper_bits
         ok = (self.kl_bits <= self.dcs_bits + 1e-12
               and self.dcs_bits <= self.entropy_bits + slack
               and self.entropy_bits <= self.dcs_bits + LOG2_E_PLUS_1 + slack
@@ -304,7 +305,7 @@ def _verify_pair(entry: SuiteEntry) -> PairBoundReport:
             Inequality("entropy_le_dcs_plus_log2_e_plus_1", ent, dcs + LOG2_E_PLUS_1,
                        dcs_rep.abs_error_estimate + ent_slack + 1e-12),
             Inequality("chain_upper_kl_form", dcs + LOG2_E_PLUS_1,
-                       kl + math.log2(kl + 1.0) + LOG2_E_PLUS_1 + 1.0, quad + 1e-12),
+                       kl_sandwich(kl).entropy_upper_bits, quad + 1e-12),
             Inequality("runtime_ge_exp2_dinf", 2.0**dinf, mean_total, 1e-9),
             Inequality("dcs_le_dacs", dcs, dacs,
                        dcs_rep.abs_error_estimate + dacs_rep.abs_error_estimate + 1e-12),

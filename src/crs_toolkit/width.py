@@ -163,25 +163,33 @@ class WidthFunction:
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         """r(u) on an array of u in (0, 1), by bisecting the monotone w;
-        parametric subclasses override with closed forms."""
+        parametric subclasses override with closed forms.
+
+        One array bisection: the points still open take their steps
+        together, in one width call. A step that leaves a point's (lo, hi)
+        as it was would repeat itself, so that point stops there, and each
+        point ends where its own scalar bisection of at most 200 steps ends.
+        """
         if not math.isfinite(self.h_max):
             raise InvalidParameterError(
                 "generic bisection inverse needs finite h_max; override _inverse")
         out = np.empty_like(u)
-        for i, ui in enumerate(u):
-            lo, hi = 0.0, self.h_max
-            # a step that leaves (lo, hi) as it was repeats itself: stop there
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if float(self(mid)[0]) > ui:
-                    if mid == lo:
-                        break
-                    lo = mid
-                else:
-                    if mid == hi:
-                        break
-                    hi = mid
-            out[i] = lo
+        at = np.arange(u.size)
+        lo, hi = np.zeros_like(u), np.full_like(u, self.h_max)
+        for _ in range(200):
+            if at.size == 0:
+                break
+            mid = lo + hi
+            mid *= 0.5
+            above = self(mid) > u
+            stops = mid == np.where(above, lo, hi)
+            np.putmask(lo, above, mid)
+            np.putmask(hi, ~above, mid)
+            if np.count_nonzero(stops):
+                out[at[stops]] = lo[stops]
+                go = ~stops
+                at, u, lo, hi = at[go], u[go], lo[go], hi[go]
+        out[at] = lo
         return out
 
 

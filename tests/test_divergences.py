@@ -23,6 +23,8 @@ from crs_toolkit.measures import (
 )
 from crs_toolkit.quadrature import PHI_BINARY_ENTROPY, PHI_XLOGX, PhiSpec, width_log_h_integral
 from crs_toolkit.width import (
+    GaussianWidth,
+    LaplaceWidth,
     OptimalAcsWidth,
     OptimalCsWidth,
     equality_case_width,
@@ -269,6 +271,32 @@ def test_integral_representation_check():
     assert rhs == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(InvalidParameterError):
         dcs_integral_representation_check(OptimalCsWidth(0.5))
+
+
+@pytest.mark.parametrize("b", [0.02, 0.25, 0.5, 0.9, 0.95, 0.99])
+def test_integral_representation_matches_the_laplace_closed_form(b):
+    # r and T are closed forms on Laplace widths, so the layer-cake inner
+    # integral y r(y) + T(r(y)) leaves rhs with the outer quadrature's error only
+    lhs, rhs = dcs_integral_representation_check(LaplaceWidth(b))
+    ref = dcs_laplace_closed(b)
+    assert abs(lhs - ref) <= 1e-6 / 4.0
+    assert abs(rhs - ref) <= 1e-8
+
+
+@pytest.mark.parametrize("mu, sigma, d", [(0.5, 0.6, 1), (0.8, 0.45, 1)])
+def test_integral_representation_sides_agree_on_gaussian_widths(mu, sigma, d):
+    lhs, rhs = dcs_integral_representation_check(GaussianWidth(mu, sigma, d))
+    assert abs(lhs - rhs) <= 1e-7
+
+
+class _UnconvergedTailWidth(LaplaceWidth):
+    def _tail(self, h, tol):
+        return super()._tail(h, tol)._replace(converged=False)
+
+
+def test_integral_representation_raises_on_an_unconverged_inner_tail():
+    with pytest.raises(QuadratureError, match=r"inner tail integral .* at y = "):
+        dcs_integral_representation_check(_UnconvergedTailWidth(0.5))
 
 
 def test_report_json_schema():
