@@ -320,9 +320,10 @@ def _verify_pair(entry: SuiteEntry) -> PairBoundReport:
 def default_suite() -> list[SuiteEntry]:
     """Verification pairs spanning all four families, all with finite D_inf.
 
-    The d = 2 gaussian runs its recursion to 1e-6 survival: its survival
-    mass decays quadratically, so 1e-9 would cost hundreds of thousands of
-    extra steps for tail bounds far below the chain slack anyway.
+    The d = 2 gaussian keeps eps_stop 1e-6. Its survival mass decays
+    quadratically, so at 1e-9 its law still needs about 32 000 steps behind
+    the entropy enclosure (734 000 run densely to 1e-9), about ten times
+    those at 1e-6, for a tail bound far below the chain slack anyway.
     """
     eight_q = (0.30, 0.20, 0.15, 0.10, 0.10, 0.05, 0.05, 0.05)
     eight_p = (0.125,) * 8

@@ -35,18 +35,62 @@ Truncation is certified: after stopping with survival mass s = S_{n+1},
 
 the entropy bound coming from splitting -log2 p_k = -log2(p_k/s) - log2 s
 and maximizing the normalized tail entropy at fixed mean by a geometric law.
+That bound is about as large as the tail itself, so a step width's law, and
+a smooth width's law that reaches eps_stop, report it.
+
+A smooth width's law usually stops much earlier, behind a two-sided
+enclosure of the remaining entropy. Let p(L) = T(L) - T(L + T(L)), so that
+p_k = p(L_k), and f = -p log2 p. Then
+
+    p'(L) = w(L + T)(1 - w(L)) - w(L) <= -w(L)^2,
+
+so p falls with L, and f falls once p < 1/e. Let phi(L) = integral of dL/T,
+the orbit's stretch function (GPRS's sigma). One step advances phi by
+integral over [L_k, L_k + S_k] of dL/T, which is at least S_k/S_k = 1, as T
+falls, and at most 1/(1 - w(L_k)), as T >= S_k - p_k >= S_k (1 - w(L_k))
+there. So with g = f read as a function of phi, falling, the term g(phi_k)
+is at most the mean of g over the step before it, so at most its integral
+there, and at least the mean over the step after it, so at least 1 - w(L_k)
+times its integral there. Summing from a step N where p_N < 1/e, with
+w(L_k) <= w(L_N),
+
+    (1 - w(L_N)) I  <=  sum_{k>=N} f(p_k)  <=  f(p_N) + I,
+    I = integral over [L_N, h_max] of f(L)/T(L) dL = integral of g dphi.
+
+T(h_max) = 0, so I is integrated only up to a cut X near h_max. The orbit
+points at or beyond X hold at most the max-entropy bound at (T(X), h_max - X),
+as the bound grows with both arguments, and the points before X see only the
+integral up to X; so the enclosure is (1 - w) I_X <= tail <= f(p_N) + I_X +
+maxent(T(X), h_max - X). I_X is bracketed by monotone panel bounds: on
+[a, b], f/T lies in [f(b)/T(a), f(a)/T(b)], with T's and p's error bars
+folded in, and the widest panel is split until the enclosure is narrow
+enough. w(L_N) is bounded by the chord of T over the step before L_N.
+
+What is narrow enough. Were the orbit continued to survival eps_stop, its
+max-entropy bound would be at least tau = s (log2(1/(s w)) + log2 e) with
+w = w(L_N) and s = (1 - w) eps_stop: its survival would be above s, as each
+step keeps at least 1 - w of it, and its mean tail h_max - L above s/w, as
+T(L) <= w(L) (h_max - L). The orbit stops at the first step N where
+f(p_N) + w I is at most _STOP_SHARE tau, with I at most the max-entropy
+bound at (S_N, h_max - L_N) over 1 - w: a test of O(1) per step on orbit
+values. The rest of tau goes to the panel bracket and the cut, which are
+built once, there. An enclosure that still misses tau is dropped, and the
+orbit tries again once its survival has fallen fourfold.
 """
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, StepBudgetError
+from .errors import InvalidParameterError, QuadratureError, StepBudgetError
 from .streams import RngStream
 from .measures import DistributionPair
 from .width import StepWidth, WidthFunction
@@ -57,6 +101,17 @@ LN2 = math.log(2.0)
 DEFAULT_STEP_CAP = 10**6
 # relative tolerance of a quadrature tail integral; closed forms ignore it
 _TAIL_TOL_FACTOR = 1e-13
+# a smooth law's stopping test leaves all but this share of the target
+# width to the panel bracket and the cut of its entropy enclosure; the
+# bracket converges only to first order, so a small share, which stops the
+# orbit later, needs far fewer panels
+_STOP_SHARE = 0.05
+# the cut's max-entropy term takes at most this share of what remains
+_CUT_SHARE = 0.25
+# relative pad of the enclosure's ends for the rounding of its float sums
+_ROUNDING_PAD = 1e-12
+_EPS = sys.float_info.epsilon
+_INV_E = 1.0 / math.e
 
 
 class GrsRecursion:
@@ -216,24 +271,159 @@ def grs_index_distribution(
         raise InvalidParameterError("index distribution needs a width with finite h_max")
     if isinstance(w, StepWidth):
         return _step_width_law(w, eps_stop, step_cap)
-    rec = GrsRecursion(w, step_cap=step_cap)
-    while rec.S[-1] > eps_stop:
-        rec.state(len(rec.S) + 1)
-    # steps 1..n have S_k > eps_stop; S_{n+1} <= eps_stop is the tail mass
-    S = np.frombuffer(rec.S)
-    p, tail_mass = S[:-1] - S[1:], rec.S[-1]
-    mean_tail = max(w.h_max - rec.L[-1], 0.0)
+    return _smooth_width_law(w, eps_stop, step_cap)
+
+
+def _smooth_width_law(w: WidthFunction, eps_stop: float, step_cap: int) -> IndexDistribution:
+    """The law from the orbit, one tail integral a step, up to the first step
+    N whose entropy enclosure is narrow enough, or else to S <= eps_stop."""
+    rec, h_max = GrsRecursion(w, step_cap=step_cap), w.h_max
+    n, (L, S), retry_below, tail = 1, rec.state(1), 1.0, None
+    while S > eps_stop:
+        L_next, S_next = rec.state(n + 1)
+        if 1 < n and S <= retry_below:  # the O(1) stopping test at N = n
+            p, L_prev = S - S_next, rec.L[n - 2]
+            w_est = (rec.S[n - 2] - S) / (L - L_prev)
+            if p < _INV_E and 0.0 < w_est < 1.0:
+                tau = _target_width_bits(eps_stop, w_est)
+                i_max = _entropy_tail_bound_bits(S, h_max - L) / (1.0 - w_est)
+                if _xlog2(p) + w_est * i_max <= _STOP_SHARE * tau:
+                    try:  # at most n panel splits: about the orbit's own cost
+                        tail = _entropy_enclosure(w, L_prev, rec.S[n - 2], L, eps_stop, n)
+                    except QuadratureError:  # an unconverged T certifies nothing
+                        tail = None
+                    if tail is not None:
+                        break
+                    retry_below = S / 4.0
+        n, L, S = n + 1, L_next, S_next
+    # steps 1..n-1 are the head; S = S_n is the tail mass
+    S_head = np.frombuffer(rec.S)[:n]
+    p = S_head[:-1] - S_head[1:]
+    mean_tail = max(h_max - L, 0.0)
     pos = p if p.min() > 0.0 else p[p > 0.0]  # no copy in the usual case
     entropy_bits = float(-np.dot(pos, np.log2(pos))) + 0.0 if pos.size else 0.0
+    tail_lo, tail_width = (0.0, _entropy_tail_bound_bits(S, mean_tail)) if tail is None else tail
     return IndexDistribution(
         truncation_index=int(p.size),
-        tail_mass=tail_mass,
-        entropy_bits=entropy_bits,
-        entropy_tail_bound_bits=_entropy_tail_bound_bits(tail_mass, mean_tail),
-        mean_index=float(np.sum(S[:-1])),
+        tail_mass=S,
+        entropy_bits=entropy_bits + tail_lo,
+        entropy_tail_bound_bits=tail_width,
+        mean_index=float(np.sum(S_head[:-1])),
         mean_tail_bound=mean_tail,
         _build_p=lambda: p,
     )
+
+
+def _xlog2(p: float) -> float:
+    """-p log2 p, 0 at p = 0."""
+    return -p * math.log2(p) if p > 0.0 else 0.0
+
+
+def _target_width_bits(eps_stop: float, w_bar: float) -> float:
+    """A lower bound on the max-entropy bound the orbit would report at
+    survival eps_stop, for w_bar >= w(L_N) (module docstring)."""
+    s = (1.0 - w_bar) * eps_stop
+    return s * (LOG2_E - math.log2(s * w_bar))
+
+
+def _tail_bar(w: WidthFunction, L: float, scale: float) -> tuple[float, float]:
+    """T(L) and its error bar, at the orbit's relative tolerance of scale."""
+    res = w.tail_integral(L, tol=max(scale * _TAIL_TOL_FACTOR, 1e-300))
+    if not res.converged:
+        raise QuadratureError(f"tail integral at L = {L!r} did not converge")
+    return res.value, res.error
+
+
+class _Node(NamedTuple):
+    """Bars on T(L), on p(L) = T(L) - T(L + T(L)) and on w(L) at one L."""
+
+    L: float
+    t_lo: float
+    t_hi: float
+    p_lo: float
+    p_hi: float
+    w_hi: float
+
+
+def _node(w: WidthFunction, L: float, L_left: float, t_hi_left: float) -> _Node:
+    """The node at L, from an upper bar on T at some L_left < L, whose chord
+    of T bounds w(L) from above."""
+    t, t_err = _tail_bar(w, L, t_hi_left)
+    w_hi = min(1.0, (t_hi_left - (t - t_err)) / (L - L_left) * (1.0 + 4.0 * _EPS))
+    L2 = L + t
+    t2, t2_err = _tail_bar(w, L2, t)
+    # T is read at the float L2, off L + T(L) by t_err and half an ulp, which
+    # moves the second T by at most w(L) times that
+    p_err = t_err + t2_err + w_hi * (t_err + 0.5 * math.ulp(L2)) + _EPS * t
+    return _Node(L, t - t_err, t + t_err, max(t - t2 - p_err, 0.0), t - t2 + p_err, w_hi)
+
+
+def _panel(a: _Node, b: _Node) -> tuple[float, float]:
+    """Bounds on the integral of f/T over [a.L, b.L] between two nodes with
+    t_lo > 0: f and T fall, so f/T lies in [f(b)/T(a), f(a)/T(b)]. f rises
+    up to p = 1/e, its largest value, and falls after."""
+    d = b.L - a.L
+    return _xlog2(b.p_lo) / a.t_hi * d, _xlog2(min(a.p_hi, _INV_E)) / b.t_lo * d
+
+
+def _cut_nodes(w: WidthFunction, first: _Node, budget: float) -> list[_Node]:
+    """Nodes from first toward h_max, the offset h_max - L halving each time,
+    up to the cut X: the first node whose max-entropy term is within budget,
+    or else the last one whose T is resolved from 0."""
+    h_max, nodes = w.h_max, [first]
+    offset = h_max - first.L
+    while _entropy_tail_bound_bits(nodes[-1].t_hi, h_max - nodes[-1].L) > budget:
+        offset *= 0.5
+        X = h_max - offset
+        if not nodes[-1].L < X < h_max:
+            break
+        node = _node(w, X, nodes[-1].L, nodes[-1].t_hi)
+        if not node.t_lo > 0.0:
+            break
+        nodes.append(node)
+    return nodes
+
+
+def _entropy_enclosure(w: WidthFunction, L_prev: float, S_prev: float, L: float,
+                       eps_stop: float, max_splits: int) -> tuple[float, float] | None:
+    """(lower end, width) of the enclosure of sum_{k>=N} -p_k log2 p_k from
+    the orbit point L = L_N after (L_prev, S_prev) = (L_{N-1}, S_{N-1}), with
+    at most max_splits panel splits, or None when it is wider than the
+    target. A tail integral on the way that does not converge raises
+    QuadratureError."""
+    t_prev, t_err = _tail_bar(w, L_prev, S_prev)
+    first = _node(w, L, L_prev, t_prev + t_err)
+    w_bar = first.w_hi
+    if not (first.t_lo > 0.0 and first.p_hi < _INV_E and 0.0 < w_bar < 1.0):
+        return None
+    tau = _target_width_bits(eps_stop, w_bar)
+    nodes = _cut_nodes(w, first, _CUT_SHARE * (1.0 - _STOP_SHARE) * tau)
+    X = nodes[-1]
+    fixed = _xlog2(first.p_hi) + _entropy_tail_bound_bits(X.t_hi, w.h_max - X.L)
+    # panels by bracket width, widest first; the count breaks ties
+    order, heap = itertools.count(), []
+    for a, b in zip(nodes, nodes[1:]):
+        lo, hi = _panel(a, b)
+        heap.append((lo - hi, next(order), a, b, lo, hi))
+    heapq.heapify(heap)
+    lo_sum, hi_sum = sum(e[4] for e in heap), sum(e[5] for e in heap)
+    for _ in range(max_splits):
+        if fixed + hi_sum - (1.0 - w_bar) * lo_sum <= tau or not heap:
+            break
+        _, _, a, b, lo, hi = heap[0]
+        mid = w.h_max - math.sqrt((w.h_max - a.L) * (w.h_max - b.L))
+        c = _node(w, mid, a.L, a.t_hi) if a.L < mid < b.L else None
+        if c is None or not c.t_lo > 0.0:  # the widest panel cannot be split
+            break
+        heapq.heappop(heap)
+        lo_sum, hi_sum = lo_sum - lo, hi_sum - hi
+        for x, y in ((a, c), (c, b)):
+            lo, hi = _panel(x, y)
+            heapq.heappush(heap, (lo - hi, next(order), x, y, lo, hi))
+            lo_sum, hi_sum = lo_sum + lo, hi_sum + hi
+    tail_lo = (1.0 - w_bar) * math.fsum(e[4] for e in heap) * (1.0 - _ROUNDING_PAD)
+    tail_hi = (fixed + math.fsum(e[5] for e in heap)) * (1.0 + _ROUNDING_PAD)
+    return (tail_lo, tail_hi - tail_lo) if tail_hi - tail_lo <= tau else None
 
 
 def _step_width_law(w: StepWidth, eps_stop: float, step_cap: int) -> IndexDistribution:

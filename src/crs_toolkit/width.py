@@ -90,7 +90,8 @@ class WidthFunction:
     """Base width function: vectorized evaluation plus integral helpers.
 
     A subclass sets h_max and breakpoints and implements _formula: w on an
-    array of h >= 0, finite and free of floating-point warnings there.
+    array of h >= 0, as a new array, finite and free of floating-point
+    warnings there.
     __call__ overrides its values at h = 0 and beyond h_max, the only places
     where it may be wrong. Optionally it sets a PowerTail certificate `tail`
     (needed when h_max is infinite), a known `total_mass`, and closed forms
@@ -107,6 +108,8 @@ class WidthFunction:
 
     def __call__(self, h) -> np.ndarray:
         h = np.atleast_1d(np.asarray(h, dtype=float))
+        if h.size == 1:  # one point: the same values from scalar tests
+            return self._one_point(h)
         if h.size == 0:
             return np.zeros_like(h)
         lo, hi = h.min(), h.max()
@@ -120,6 +123,17 @@ class WidthFunction:
         if hi > self.h_max:
             out[h > self.h_max] = 0.0
         return out
+
+    def _one_point(self, h: np.ndarray) -> np.ndarray:
+        """__call__ on an array of one point, with no reductions, and no clip
+        of a value already in [0, 1]."""
+        x = h.item()
+        if not x >= 0.0:  # NaN fails too
+            raise InvalidParameterError("width argument h must be >= 0")
+        if x == 0.0 or x > self.h_max:
+            return np.full_like(h, 1.0 if x == 0.0 else 0.0)
+        out = self._formula(h)
+        return out if 0.0 <= out.item() <= 1.0 else out.clip(0.0, 1.0)
 
     @functools.cached_property
     def total_mass(self) -> float:

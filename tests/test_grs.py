@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from crs_toolkit import grs
 from crs_toolkit.errors import InvalidParameterError, StepBudgetError
 from crs_toolkit.experiments import default_suite
 from crs_toolkit.grs import (
@@ -24,6 +25,8 @@ from crs_toolkit.measures import (
 )
 from crs_toolkit.streams import RngStream
 from crs_toolkit.width import (
+    GaussianWidth,
+    LaplaceWidth,
     OptimalCsWidth,
     equality_case_width,
     indicator_width,
@@ -31,6 +34,8 @@ from crs_toolkit.width import (
     width_eval,
     width_from_discrete,
 )
+
+from reference_values import LAPLACE_HALF_ENTROPY
 
 LN2 = math.log(2.0)
 DISCRETE_EXAMPLE = discrete_spec((0.5, 0.5, 0.0, 0.0), (0.25,) * 4)
@@ -99,6 +104,51 @@ SMOOTH_SUITE_LAWS = {
     "gaussian_mu0_s06_d1": (3459, 1.3907750968379031),
     "gaussian_mu1_s05_d2": (23076, 4.58749742704518),
 }
+# the max-entropy tail bounds those dense laws reported, run to S <= eps_stop
+SMOOTH_SUITE_DENSE_TAIL_BOUNDS = {
+    "laplace_b075": 4.620113071266388e-08,
+    "laplace_b05": 4.728833964599097e-08,
+    "laplace_b025": 4.858090774881734e-08,
+    "gaussian_mu1_s05_d1": 4.3607341869272447e-08,
+    "gaussian_mu0_s06_d1": 4.20797843028996e-08,
+    "gaussian_mu1_s05_d2": 3.587575452574899e-05,
+}
+# the same laws as they stop now, behind the continuum entropy enclosure
+SMOOTH_SUITE_REPRS = {
+    "laplace_b075": "IndexDistribution(truncation_index=3930, tail_mass=5.737666578342765e-08, "
+                    "entropy_bits=0.7519756453427959, entropy_tail_bound_bits=4.225443862784168e-08, "
+                    "mean_index=1.3331074855075917, mean_tail_bound=0.0002258478257357588)",
+    "laplace_b05": "IndexDistribution(truncation_index=6449, tail_mass=9.58642418882252e-08, "
+                   "entropy_bits=1.5338801582038408, entropy_tail_bound_bits=4.295387488615488e-08, "
+                   "mean_index=1.9993807609770373, mean_tail_bound=0.0006192390229571298)",
+    "laplace_b025": "IndexDistribution(truncation_index=11634, tail_mass=1.7659533334522815e-07, "
+                    "entropy_bits=2.6914686303422513, entropy_tail_bound_bits=4.383546882145999e-08, "
+                    "mean_index=3.9979414074626667, mean_tail_bound=0.0020585925373066694)",
+    "gaussian_mu1_s05_d1": "IndexDistribution(truncation_index=3158, tail_mass=3.038307307395155e-08, "
+                           "entropy_bits=2.916249733908285, "
+                           "entropy_tail_bound_bits=4.132258184654484e-08, "
+                           "mean_index=3.8954197653421883, mean_tail_bound=4.8316767168987695e-05)",
+    "gaussian_mu0_s06_d1": "IndexDistribution(truncation_index=1445, tail_mass=1.3507528527981205e-08, "
+                           "entropy_bits=1.3907751141766913, "
+                           "entropy_tail_bound_bits=4.0144262537563414e-08, "
+                           "mean_index=1.6666568178646943, mean_tail_bound=9.84880197907323e-06)",
+    "gaussian_mu1_s05_d2": "IndexDistribution(truncation_index=3181, tail_mass=4.994908849387421e-05, "
+                           "entropy_bits=4.58751600168292, "
+                           "entropy_tail_bound_bits=3.198716596153166e-05, "
+                           "mean_index=15.011007969671786, mean_tail_bound=0.1636636090609418)",
+}
+
+
+def counted_tail_integrals(w):
+    """Make w count its tail_integral calls into the list returned."""
+    calls, tail_integral = [], w.tail_integral
+
+    def counted(h, *args, **kwargs):
+        calls.append(h)
+        return tail_integral(h, *args, **kwargs)
+
+    w.tail_integral = counted
+    return calls
 
 
 @pytest.mark.parametrize("name", sorted(SMOOTH_SUITE_LAWS))
@@ -106,10 +156,116 @@ def test_smooth_suite_index_laws_pinned(name):
     entry = next(e for e in default_suite() if e.name == name)
     w = width_eval(entry.spec)
     dist = grs_index_distribution(w, eps_stop=entry.eps_stop)
-    n, entropy_bits = SMOOTH_SUITE_LAWS[name]
-    assert dist.truncation_index == n
-    assert dist.entropy_bits == pytest.approx(entropy_bits, abs=1e-12)
+    assert repr(dist) == SMOOTH_SUITE_REPRS[name]
+    # the enclosure and the dense law's interval both hold H[K], so they
+    # overlap, and the enclosure is no wider than the dense bound
+    _, dense_bits = SMOOTH_SUITE_LAWS[name]
+    dense_bound = SMOOTH_SUITE_DENSE_TAIL_BOUNDS[name]
+    assert dist.entropy_bits <= dense_bits + dense_bound
+    assert dense_bits <= dist.entropy_bits + dist.entropy_tail_bound_bits
+    assert dist.entropy_tail_bound_bits <= dense_bound
+    # the head stays exact: p, the tail mass and the telescoped mean
+    assert dist.p.size == dist.truncation_index
+    assert math.fsum(dist.p) + dist.tail_mass == pytest.approx(1.0, abs=1e-14)
     assert dist.mean_index + dist.mean_tail_bound == pytest.approx(w.h_max, rel=1e-12)
+
+
+def test_smooth_suite_laws_take_few_tail_integrals():
+    # the dense laws took 284 367 steps, one tail integral each
+    total = 0
+    for entry in default_suite():
+        if entry.name in SMOOTH_SUITE_LAWS:
+            w = width_eval(entry.spec)
+            calls = counted_tail_integrals(w)
+            dist = grs_index_distribution(w, eps_stop=entry.eps_stop)
+            assert dist.truncation_index < SMOOTH_SUITE_LAWS[entry.name][0] / 2
+            total += len(calls)
+    assert total <= 95_000
+
+
+def test_deep_gaussian_d2_law_stops_early():
+    # the dense law at 1e-9: 733 776 steps, H[K] 4.587532973408886 and a
+    # max-entropy tail bound of 5.082525294534859e-08 bits
+    dense_bits, dense_bound = 4.587532973408886, 5.082525294534859e-08
+    dist = grs_index_distribution(width_eval(GaussianSpec(1.0, 0.5, 2)), eps_stop=1e-9)
+    assert dist.truncation_index <= 245_000
+    assert dist.entropy_tail_bound_bits <= dense_bound
+    assert dist.entropy_bits <= dense_bits + dense_bound
+    assert dense_bits <= dist.entropy_bits + dist.entropy_tail_bound_bits
+
+
+@pytest.mark.parametrize("w, eps_stop", [(LaplaceWidth(0.01), 1e-9), (GaussianWidth(1.0, 0.5, 4), 1e-6)],
+                         ids=["laplace_b001", "gaussian_d4"])
+def test_deep_smooth_laws_finish_behind_the_enclosure(w, eps_stop):
+    # run densely, both laws exhaust the 10^6-step cap above eps_stop; the
+    # enclosure at 100 eps_stop, from another N, must overlap theirs
+    dist = grs_index_distribution(w, eps_stop=eps_stop)
+    coarse = grs_index_distribution(w, eps_stop=100.0 * eps_stop)
+    assert dist.truncation_index < 2 * 10**5 and dist.tail_mass > eps_stop
+    assert dist.entropy_tail_bound_bits < coarse.entropy_tail_bound_bits
+    assert dist.entropy_bits <= coarse.entropy_bits + coarse.entropy_tail_bound_bits
+    assert coarse.entropy_bits <= dist.entropy_bits + dist.entropy_tail_bound_bits
+
+
+def dense_law_bits(w, eps_stop):
+    """(head sum, max-entropy bound) of the orbit run until S <= eps_stop."""
+    rec, k = GrsRecursion(w), 1
+    while rec.state(k)[1] > eps_stop:
+        k += 1
+    S = np.array(rec.S[:k])
+    p = S[:-1] - S[1:]
+    m = max(w.h_max - rec.L[k - 1], S[-1])
+    bound = S[-1] * (math.log2(m) - 2.0 * math.log2(S[-1]) + math.log2(math.e))
+    return float(-np.dot(p, np.log2(p))), bound
+
+
+@pytest.mark.parametrize("spec", [LaplaceSpec(0.75), GaussianSpec(0.0, 0.6, 1)])
+def test_enclosure_holds_the_deeper_dense_law(spec):
+    w = width_eval(spec)
+    dist = grs_index_distribution(w, eps_stop=1e-7)
+    dense_bits, dense_bound = dense_law_bits(w, 1e-10)
+    assert dist.tail_mass > 1e-7  # the law stopped early, behind its enclosure
+    assert dist.entropy_bits <= dense_bits + dense_bound
+    assert dense_bits <= dist.entropy_bits + dist.entropy_tail_bound_bits
+
+
+def test_law_without_a_certified_tail_runs_densely():
+    # with every tail integral reported unconverged no enclosure certifies,
+    # so each try is dropped and the law runs to eps_stop, as the dense law
+    w = width_eval(LaplaceSpec(0.75))
+    tail_integral = w.tail_integral
+    w.tail_integral = lambda h, tol=1e-12: tail_integral(h, tol)._replace(converged=False)
+    dist = grs_index_distribution(w, eps_stop=1e-6)
+    dense_bits, dense_bound = dense_law_bits(w, 1e-6)
+    assert dist.tail_mass <= 1e-6 < dist.tail_mass + dist.p[-1]
+    assert dist.entropy_bits == pytest.approx(dense_bits, abs=1e-15)
+    assert dist.entropy_tail_bound_bits == pytest.approx(dense_bound, rel=1e-15)
+
+
+@pytest.mark.parametrize("eps_stop", [1e-9, 1e-6])
+def test_laplace_half_law_holds_its_reference_entropy(eps_stop):
+    _, ref_lo, ref_hi = LAPLACE_HALF_ENTROPY
+    dist = grs_index_distribution(width_eval(LaplaceSpec(0.5)), eps_stop=eps_stop)
+    assert ref_hi - ref_lo < 3e-10
+    assert dist.entropy_bits <= ref_lo
+    assert ref_hi <= dist.entropy_bits + dist.entropy_tail_bound_bits
+
+
+@pytest.mark.parametrize("w", [width_eval(LaplaceSpec(0.5)), width_eval(GaussianSpec(1.0, 0.5, 2))],
+                         ids=["laplace", "gaussian"])
+def test_cut_panels_near_h_max_stay_finite(w):
+    # from orbit points ever nearer h_max, where T and p sink below the
+    # rounding of L, the cut keeps every panel bound and the enclosure finite
+    for offset in (1e-3, 1e-6, 1e-9, 1e-12, 1e-14):
+        L_prev, L = w.h_max * (1.0 - 2.0 * offset), w.h_max * (1.0 - offset)
+        S_prev = w.tail_integral(L_prev).value
+        first = grs._node(w, L, L_prev, S_prev)
+        nodes = grs._cut_nodes(w, first, 0.0)
+        assert all(node.L < w.h_max and node.t_lo > 0.0 for node in nodes[1:])
+        for a, b in zip(nodes, nodes[1:]):
+            assert all(math.isfinite(v) and v >= 0.0 for v in grs._panel(a, b))
+        tail = grs._entropy_enclosure(w, L_prev, S_prev, L, 1e-9, 10**4)
+        assert tail is None or all(math.isfinite(v) and v >= 0.0 for v in tail)
 
 
 # Index laws of the eight step-width default-suite pairs at their suite

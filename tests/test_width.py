@@ -591,11 +591,16 @@ def test_width_rejects_nan(name):
 
 @pytest.mark.parametrize("name", sorted(DOMAIN_WIDTHS))
 def test_one_point_calls_match_array_call(name):
-    # the array call pins w(0) through its range check; one-point calls at
-    # interior points never do, and must still give the same bits
+    # a one-point call takes its own path, with scalar pins and no clip of
+    # a value in [0, 1]; it must give the array call's bits and shapes
     w = DOMAIN_WIDTHS[name]
-    h = _grid(w)
+    h = np.append(_grid(w, 1000), [-0.0, 5e-324, 2.0 * w.h_max, 1e300])
     assert np.array_equal(w(h), [float(w(x)[0]) for x in h])
+    for x in (0.0, 0.5 * min(w.h_max, 20.0), 2.0 * w.h_max):
+        for arg in (x, np.float64(x), np.array([x]), np.array([[x]])):
+            out = w(arg)
+            assert out.dtype == float and out.shape == np.atleast_1d(arg).shape
+            assert out.item() == w(np.array([x, 0.0]))[0]
 
 
 @pytest.mark.parametrize("name", sorted(DOMAIN_WIDTHS))

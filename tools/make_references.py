@@ -14,6 +14,15 @@ the tail is the layer cake T(h) = F_Q(x / sigma^2) - h F_P(x). F_P and F_Q
 are noncentral chi-square CDFs with d degrees of freedom and noncentralities
 d c^2 and d (mu - c)^2 / sigma^2, summed here as Poisson mixtures of
 regularized lower incomplete gammas.
+
+The LaplaceWidth(0.5) index law. Its width is w(h) = 1 - h/2 on [0, 2], so
+with delta = 1 - h/2 the tail is T = delta^2 and the orbit is the exact map
+delta -> delta - delta^2/2 from delta_1 = 1, with p_k = delta_k^2 -
+delta_{k+1}^2 = delta_k^3 (1 - delta_k/4). H[K] is enclosed by the dense sum
+over the first 10^6 steps and that sum plus the max-entropy bound on the
+rest, s (log2 m - 2 log2 s + log2 e) with s = delta^2 the survival and
+m = 2 delta = h_max - L the mean tail after them: about 2.4e-10 bits apart.
+The whole script takes about 25 s on a 2-vCPU x86 host, most of it in this sum.
 """
 from __future__ import annotations
 
@@ -104,6 +113,7 @@ NEAR_H_MAX_DEFAULT = (1e-6,)
 SMALLEST = 1e-300
 
 RATIO_INVERSE_U = (0.1, 0.25, 0.5, 0.9)
+LAPLACE_HALF_STEPS = 10**6
 
 
 def fmt(v) -> str:
@@ -137,6 +147,20 @@ def ratio_inverse_rows() -> list[str]:
     return [f"    ({u!r}, {fmt(g.ratio_inverse(u))})," for u in RATIO_INVERSE_U]
 
 
+def laplace_half_entropy_row() -> str:
+    """(steps, dense sum, dense sum plus the max-entropy bound), in bits."""
+    d, nats = mp.mpf(1), mp.mpf(0)
+    for _ in range(LAPLACE_HALF_STEPS):
+        p = d**3 * (1 - d / 4)
+        nats -= p * mp.log(p)
+        d -= d * d / 2
+    s, m = d * d, 2 * d
+    lo, hi = nats / mp.ln(2), (nats + s * (mp.log(m) - 2 * mp.log(s) + 1)) / mp.ln(2)
+    print(f"laplace b=0.5: H[K] in [{mp.nstr(lo, 20)}, {mp.nstr(hi, 20)}], "
+          f"width {mp.nstr(hi - lo, 3)}", file=sys.stderr)
+    return f"    {LAPLACE_HALF_STEPS!r},\n    {fmt(lo)},\n    {fmt(hi)},"
+
+
 def main() -> None:
     away, near = gaussian_rows()
     lines = [
@@ -163,6 +187,13 @@ def main() -> None:
         "GAUSSIAN_RATIO_INVERSE = [",
         *ratio_inverse_rows(),
         "]",
+        "",
+        "# H[K] in bits of the LaplaceWidth(0.5) index law, whose orbit is the exact",
+        "# map delta -> delta - delta^2/2: (steps, the dense sum over them, that sum",
+        "# plus the max-entropy bound on the rest), an interval holding H[K]",
+        "LAPLACE_HALF_ENTROPY = (",
+        laplace_half_entropy_row(),
+        ")",
         "",
     ]
     with open(OUT, "w") as fh:
