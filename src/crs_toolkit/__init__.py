@@ -38,14 +38,10 @@ from .width import (
     d_infinity,
     equality_case_width,
     indicator_width,
-    superlevel_measures,
     two_level_width,
     width_eval,
     width_from_discrete,
     width_from_table,
-    width_mc_estimate,
-    width_table,
-    width_table_csv,
 )
 from .quadrature import PHI_BINARY_ENTROPY, PHI_XLOGX, PhiSpec, PowerTail
 from .divergences import (

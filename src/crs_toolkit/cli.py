@@ -3,8 +3,9 @@
     crs-toolkit divergence --family {laplace|gaussian|discrete|synthetic}
                  [--b B] [--mu M --sigma S --d D] [--q CSV --p CSV]
                  [--width-table PATH] --kind {kl|cs|acs} [--tol T]
-    crs-toolkit grs {entropy|mean|sample|empirical} <pair flags>
-                 [--eps-stop E] [--seed N] [--runs N]
+    crs-toolkit grs {entropy|mean} <pair flags> [--eps-stop E]
+    crs-toolkit grs sample <pair flags> [--seed N]
+    crs-toolkit grs empirical <pair flags> [--seed N] [--runs N]
     crs-toolkit experiment {laplace|gaussian|epsilon} [--grid CSV] [--out PATH]
     crs-toolkit verify --suite {default|PATH}
 
@@ -103,10 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     for action in ("entropy", "mean", "sample", "empirical"):
         ap = grs_sub.add_parser(action)
         _add_pair_flags(ap)
-        ap.add_argument("--eps-stop", type=float, default=None,
-                        help="survival cutoff of the exact recursion")
-        ap.add_argument("--seed", type=int, default=0)
-        ap.add_argument("--runs", type=int, default=1000, help="replicas for empirical")
+        if action in ("entropy", "mean"):
+            ap.add_argument("--eps-stop", type=float, default=None,
+                            help="survival cutoff of the exact recursion")
+        else:
+            ap.add_argument("--seed", type=int, default=0)
+        if action == "empirical":
+            ap.add_argument("--runs", type=int, default=1000, help="replicas")
         ap.add_argument("--format", choices=["plain", "json"], default="plain")
 
     exp = sub.add_parser("experiment", help="parameter sweeps emitting CSV")
@@ -115,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         ep = exp_sub.add_parser(study)
         ep.add_argument("--grid", type=str, default=None, help="comma-separated grid values")
         ep.add_argument("--out", type=str, default=None, help="CSV output path (stdout if absent)")
-        ep.add_argument("--seed", type=int, default=0)
         if study == "gaussian":
             ep.add_argument("--mu", type=float, default=1.0)
             ep.add_argument("--sigma", type=float, default=0.5)
@@ -151,7 +154,9 @@ def _run_grs(args) -> int:
         if args.format == "json":
             print(json.dumps(dist.to_json()))
         else:
-            value = dist.entropy_bits if args.action == "entropy" else dist.mean_index
+            # E[K]: the head sum plus the mean of the steps beyond it
+            value = (dist.entropy_bits if args.action == "entropy"
+                     else dist.mean_index + dist.mean_tail_bound)
             print(_num(value))
         return 0
     stream = RngStream(args.seed, 0)
@@ -184,18 +189,18 @@ def _run_experiment(args) -> int:
     if args.study == "laplace":
         rows = laplace_sweep(grid)
         header = LAPLACE_HEADER
-        meta = sweep_metadata("laplace", args.seed, [r.b for r in rows],
+        meta = sweep_metadata("laplace", [r.b for r in rows],
                               {"eps_stop": SWEEP_EPS_STOP})
     elif args.study == "gaussian":
         rows = gaussian_sweep(grid, mu=args.mu, sigma=args.sigma)
         header = GAUSSIAN_HEADER
-        meta = sweep_metadata("gaussian", args.seed, [r.d for r in rows],
+        meta = sweep_metadata("gaussian", [r.d for r in rows],
                               {"dcs_tol_bits": GAUSSIAN_TOL_BITS, "mu": args.mu,
                                "sigma": args.sigma})
     else:
         rows = epsilon_family_study(grid)
         header = EPSILON_HEADER
-        meta = sweep_metadata("epsilon", args.seed, [r.eps for r in rows],
+        meta = sweep_metadata("epsilon", [r.eps for r in rows],
                               {"eps_stop": SUITE_EPS_STOP})
     if args.out is None:
         sys.stdout.write(rows_to_csv(header, rows))

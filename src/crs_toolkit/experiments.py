@@ -398,5 +398,5 @@ def write_sweep(path: str, header: str, rows: Sequence, sidecar: dict | None = N
             fh.write("\n")
 
 
-def sweep_metadata(name: str, seed: int, grid: Sequence, tolerances: dict) -> dict:
-    return {"sweep": name, "seed": seed, "grid": list(grid), "tolerances": tolerances}
+def sweep_metadata(name: str, grid: Sequence, tolerances: dict) -> dict:
+    return {"sweep": name, "grid": list(grid), "tolerances": tolerances}

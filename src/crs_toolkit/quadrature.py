@@ -31,11 +31,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError, QuadratureError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .width import WidthFunction  # width.py imports this module
 
 # Kronrod-15 abscissae on [-1, 1]; Gauss-7 points are the odd indices.
 _NODES = np.array([
@@ -65,8 +68,8 @@ _ERR_SAFETY = 4.0
 DEFAULT_MAX_PANELS = 20000
 
 # Panels per call of the integrand in adaptive(). Up to about 150 points a
-# call costs mostly its fixed overhead, but a Gaussian width of large d sums
-# a Poisson mixture of hundreds of terms per point, and wider calls slow it.
+# call costs mostly its fixed overhead, so 16 panels (240 points) take most
+# of what grouping gains.
 _BATCH = 16
 
 _EPS = 2.0**-52
@@ -338,49 +341,42 @@ def _phi_majorant(tail: PowerTail, phi: PhiSpec) -> tuple[Callable[[float], floa
 
 def _log_h_quad(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    weval: Callable[[np.ndarray], np.ndarray],
+    w: WidthFunction,
     u_lo: float,
     stub: float,
-    h_max: float,
-    tail: PowerTail | None,
     majorant: Callable[[PowerTail], tuple[Callable[[float], float], float]],
     tol: float,
-    breakpoints: Sequence[float],
+    cuts: Sequence[float] = (),
 ) -> QuadResult:
-    """integral of g(w(h), ln h) dh over (e^u_lo, h_max], in u = ln h.
+    """integral of g(w(h), ln h) dh over (e^u_lo, w.h_max], in u = ln h.
 
-    stub bounds the part below e^u_lo. For infinite h_max, majorant(tail)
+    stub bounds the part below e^u_lo. For infinite h_max, majorant(w.tail)
     gives (ln_bound, u_start) for _tail_cut, and the cut's remainder is
-    folded into the error as the stub is.
+    folded into the error as the stub is. Panels are seeded between the
+    width's breakpoints and the extra cuts, all in h.
     """
     remainder = stub
-    if math.isinf(h_max):
-        if tail is None:
+    if math.isinf(w.h_max):
+        if w.tail is None:
             raise QuadratureError("width has infinite h_max and no tail certificate")
-        u_hi, tail_rem = _tail_cut(*majorant(tail), tol / 8.0)
+        u_hi, tail_rem = _tail_cut(*majorant(w.tail), tol / 8.0)
         remainder += tail_rem
     else:
-        u_hi = math.log(h_max)
+        u_hi = math.log(w.h_max)
     if u_hi <= u_lo:
         return QuadResult(0.0, remainder, True, 0)
-    cuts = [math.log(b) for b in breakpoints if b > 0 and u_lo < math.log(b) < u_hi]
+    u_cuts = [math.log(b) for b in (*w.breakpoints, *cuts)
+              if b > 0 and u_lo < math.log(b) < u_hi]
 
     def f(u: np.ndarray) -> np.ndarray:
         h = np.exp(u)
-        return g(weval(h), u) * h
+        return g(w(h), u) * h
 
-    res = adaptive(f, seed_panels(u_lo, u_hi, cuts, max_len=4.0), tol / 2.0)
+    res = adaptive(f, seed_panels(u_lo, u_hi, u_cuts, max_len=4.0), tol / 2.0)
     return QuadResult(res.value, res.error + remainder, res.converged, res.panels)
 
 
-def phi_of_width_integral(
-    weval: Callable[[np.ndarray], np.ndarray],
-    h_max: float,
-    phi: PhiSpec,
-    tol: float,
-    breakpoints: Sequence[float] = (),
-    tail: PowerTail | None = None,
-) -> QuadResult:
+def phi_of_width_integral(w: WidthFunction, phi: PhiSpec, tol: float) -> QuadResult:
     """integral of phi(w(h)) dh over (0, h_max], in nats.
 
     The stub below e^u_lo contributes at most e^u_lo * sup(phi); an infinite
@@ -388,18 +384,11 @@ def phi_of_width_integral(
     """
     _check_tol(tol)
     u_lo = math.log(tol / (8.0 * phi.sup_value))
-    return _log_h_quad(lambda w, u: phi(w), weval, u_lo, math.exp(u_lo) * phi.sup_value,
-                       h_max, tail, lambda t: _phi_majorant(t, phi), tol, breakpoints)
+    return _log_h_quad(lambda v, u: phi(v), w, u_lo, math.exp(u_lo) * phi.sup_value,
+                       lambda t: _phi_majorant(t, phi), tol)
 
 
-def width_mass_integral(
-    weval: Callable[[np.ndarray], np.ndarray],
-    h_lo: float,
-    h_max: float,
-    tol: float,
-    breakpoints: Sequence[float] = (),
-    tail: PowerTail | None = None,
-) -> QuadResult:
+def width_mass_integral(w: WidthFunction, h_lo: float, tol: float) -> QuadResult:
     """integral of w(h) dh over (h_lo, h_max], log-substituted.
 
     h_lo = 0 is allowed: the stub below e^u_lo is bounded by its length since
@@ -414,17 +403,10 @@ def width_mass_integral(
         lnc, p, ln_p1 = math.log(t.coef), t.exponent, math.log(t.exponent - 1.0)
         return lambda u: lnc + (1.0 - p) * u - ln_p1, max(math.log(t.h_from), u_lo)
 
-    return _log_h_quad(lambda w, u: w, weval, u_lo, 0.0 if h_lo else math.exp(u_lo), h_max,
-                       tail, majorant, tol, breakpoints)
+    return _log_h_quad(lambda v, u: v, w, u_lo, 0.0 if h_lo else math.exp(u_lo), majorant, tol)
 
 
-def width_log_h_integral(
-    weval: Callable[[np.ndarray], np.ndarray],
-    h_max: float,
-    tol: float,
-    breakpoints: Sequence[float] = (),
-    tail: PowerTail | None = None,
-) -> QuadResult:
+def width_log_h_integral(w: WidthFunction, tol: float) -> QuadResult:
     """integral of w(h) ln(h) dh over (0, h_max], in nats.
 
     The integrand is signed (negative below h = 1), so h = 1 is always a
@@ -440,5 +422,5 @@ def width_log_h_integral(
         return (lambda u: lnc + (1.0 - p) * u + math.log(u / (p - 1.0) + inv_sq),
                 max(math.log(t.h_from), 1.0))
 
-    return _log_h_quad(lambda w, u: w * u, weval, u_lo, d * (1.0 + abs(math.log(d))), h_max,
-                       tail, majorant, tol, (*breakpoints, 1.0))
+    return _log_h_quad(lambda v, u: v * u, w, u_lo, d * (1.0 + abs(math.log(d))), majorant,
+                       tol, cuts=(1.0,))

@@ -31,7 +31,3 @@ class RngStream:
         """Fresh generator positioned at the start of this substream."""
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def child(self, offset: int) -> "RngStream":
-        """Derived stream with a shifted stream id (disjoint from the parent)."""
-        return RngStream(self.seed, (self.stream + offset) % _U64)

@@ -1,4 +1,4 @@
-"""Width functions w(h) = P(dQ/dP >= h) and derived superlevel quantities.
+"""Width functions w(h) = P(dQ/dP >= h) and their tail integrals.
 
 A width function is non-increasing with w(0) = 1 and unit integral; it is the
 only object the divergences and the sampling recursion ever consult. Values
@@ -57,10 +57,9 @@ from .quadrature import (
     adaptive,
     width_mass_integral,
 )
-from .streams import RngStream
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .measures import DistributionPair, PairSpec
+    from .measures import PairSpec
 
 LN2 = math.log(2.0)
 
@@ -138,8 +137,7 @@ class WidthFunction:
     @functools.cached_property
     def total_mass(self) -> float:
         """integral of w over (0, h_max], by quadrature on first read."""
-        res = width_mass_integral(self.__call__, 0.0, self.h_max, _MASS_TOL,
-                                  self.breakpoints, self.tail)
+        res = width_mass_integral(self, 0.0, _MASS_TOL)
         if not res.converged:
             raise QuadratureError("width mass integral did not converge")
         return res.value
@@ -160,8 +158,7 @@ class WidthFunction:
 
     def _tail(self, h: float, tol: float) -> QuadResult:
         """T(h) by adaptive quadrature; families with a closed form override."""
-        return width_mass_integral(self.__call__, h, self.h_max, tol,
-                                   self.breakpoints, self.tail)
+        return width_mass_integral(self, h, tol)
 
     def ratio_inverse(self, u) -> np.ndarray:
         """Decreasing generalized inverse r(u) = sup{h : w(h) > u}, u in (0, 1).
@@ -369,9 +366,7 @@ class GaussianWidth(WidthFunction):
         if not (d >= 1 and d % 1 == 0):  # NaN and inf fail too
             raise InvalidParameterError("need integer dimension d >= 1")
         if d > 256:
-            raise InvalidParameterError(
-                "d > 256 is outside the supported dimensions; "
-                "use Monte Carlo width estimates instead")
+            raise InvalidParameterError("d > 256 is outside the supported dimensions")
         self.mu, self.sigma, self.d = float(mu), float(sigma), int(d)
         self.a, self.c, self.t0 = gaussian_log_ratio_constants(mu, sigma)
         # noncentralities of sum_i (x_i - c)^2 under P, and of the same sum
@@ -542,57 +537,9 @@ def width_eval(spec: "PairSpec") -> WidthFunction:
     return spec.width()
 
 
-def width_mc_estimate(pair: "DistributionPair", h: float, n: int,
-                      rng_stream: RngStream) -> tuple[float, float]:
-    """Monte Carlo estimate of w(h) with its binomial standard error.
-
-    Verification oracle for the analytic widths: the fraction of n proposal
-    draws whose density ratio is >= h.
-    """
-    if n < 100:
-        raise InvalidParameterError("need n >= 100")
-    if not h >= 0.0:
-        raise InvalidParameterError("h must be >= 0")
-    x = pair.sample_proposal(rng_stream, n)
-    log_r = pair.log_ratio(x)
-    thresh = -math.inf if h == 0.0 else math.log(h)
-    est = float(np.mean(log_r >= thresh))
-    stderr = math.sqrt(est * (1.0 - est) / n)
-    return est, stderr
-
-
-def superlevel_measures(w: WidthFunction, h: float, tol: float = 1e-10) -> tuple[float, float]:
-    """(P-mass, Q-mass) of the superlevel set {dQ/dP >= h}.
-
-    P-mass is w(h) itself; Q-mass follows from the layer-cake identity
-    Q(dQ/dP >= h) = h w(h) + integral of w over (h, h_max].
-    """
-    p_mass = float(w(h)[0])  # w rejects NaN and negative h
-    res = w.tail_integral(h, tol)
-    if not res.converged:
-        raise QuadratureError("tail integral for q_mass did not converge")
-    q_mass = h * p_mass + res.value
-    return p_mass, min(q_mass, 1.0)
-
-
 def d_infinity(w: WidthFunction) -> float:
     """Renyi infinity divergence in bits: log2 of the largest ratio level."""
     return math.log2(w.h_max) if math.isfinite(w.h_max) else math.inf
-
-
-def width_table(w: WidthFunction, n: int = 1024) -> list[tuple[float, float]]:
-    """(h, w(h)) plotting table: n points log-spaced over (0, h_max]."""
-    if not math.isfinite(w.h_max):
-        raise InvalidParameterError("table export needs finite h_max")
-    h = np.geomspace(w.h_max * 1e-9, w.h_max, n)
-    vals = w(h)
-    return list(zip(h.tolist(), vals.tolist()))
-
-
-def width_table_csv(w: WidthFunction, n: int = 1024) -> str:
-    lines = ["h,w"]
-    lines += [f"{h:.9g},{v:.9g}" for h, v in width_table(w, n)]
-    return "\n".join(lines) + "\n"
 
 
 def read_width_table(path: str) -> list[tuple[float, float]]:

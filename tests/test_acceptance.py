@@ -134,15 +134,13 @@ def test_criterion_07_optimal_family_fixtures():
     dcs_cs = (1.0 - 0.5) / 0.5 / LN2
     w_cs = OptimalCsWidth(0.5)
     quad_cs = quad_phi_integral(w_cs, PHI_XLOGX, tol=1e-8).value_bits
-    kl_route_cs = (1.0 + width_log_h_integral(w_cs, w_cs.h_max, 1e-8,
-                                              w_cs.breakpoints, w_cs.tail).value) / LN2
+    kl_route_cs = (1.0 + width_log_h_integral(w_cs, 1e-8).value) / LN2
     beta = math.pi / 2.0
     kl_acs = -(math.log(beta) - 1.0 + beta * math.cos(math.pi / 2.0)) / LN2
     dacs_acs = (2.0 - math.pi / math.tan(math.pi / 2.0)) / LN2
     w_acs = OptimalAcsWidth(2.0)
     quad_acs = quad_phi_integral(w_acs, PHI_BINARY_ENTROPY, tol=1e-8).value_bits
-    kl_route_acs = (1.0 + width_log_h_integral(w_acs, w_acs.h_max, 1e-8,
-                                               w_acs.breakpoints, w_acs.tail).value) / LN2
+    kl_route_acs = (1.0 + width_log_h_integral(w_acs, 1e-8).value) / LN2
     ok = (abs(kl_cs - 0.4426950408889634) <= 1e-12
           and abs(dcs_cs - 1.4426950408889634) <= 1e-12
           and abs(quad_cs - dcs_cs) <= 1e-6

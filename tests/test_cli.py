@@ -3,6 +3,7 @@ import json
 import pytest
 
 from crs_toolkit import cli
+from crs_toolkit.width import GaussianWidth
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +90,33 @@ def test_grs_mean_and_json(capsys):
     blob = json.loads(out)
     assert set(blob) == {"p", "tail_mass", "entropy_bits", "entropy_tail_bound_bits",
                          "mean_index", "mean_tail_bound"}
+
+
+def test_grs_mean_prints_expected_index(capsys):
+    # E[K] = h_max; the head sum alone read 1.999380761 and 3.895419765
+    code, out, _ = run_cli(capsys, "grs", "mean", "--family", "laplace", "--b", "0.5")
+    assert (code, out) == (0, "2.000000000\n")
+    code, out, _ = run_cli(capsys, "grs", "mean", "--family", "gaussian", "--mu", "1",
+                           "--sigma", "0.5", "--d", "1")
+    assert (code, out) == (0, f"{GaussianWidth(1.0, 0.5, 1).h_max:.9f}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("grs", "entropy", "--family", "laplace", "--b", "0.5", "--seed", "3"),
+    ("grs", "entropy", "--family", "laplace", "--b", "0.5", "--runs", "10"),
+    ("grs", "mean", "--family", "laplace", "--b", "0.5", "--seed", "3"),
+    ("grs", "mean", "--family", "laplace", "--b", "0.5", "--runs", "10"),
+    ("grs", "sample", "--family", "laplace", "--b", "0.5", "--eps-stop", "1e-6"),
+    ("grs", "sample", "--family", "laplace", "--b", "0.5", "--runs", "10"),
+    ("grs", "empirical", "--family", "laplace", "--b", "0.5", "--eps-stop", "1e-6"),
+    ("experiment", "epsilon", "--seed", "3"),
+], ids=["entropy_seed", "entropy_runs", "mean_seed", "mean_runs", "sample_eps_stop",
+        "sample_runs", "empirical_eps_stop", "experiment_seed"])
+def test_unread_flags_exit_2(argv):
+    # each subcommand takes only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
 
 
 def test_grs_sample_deterministic(capsys):

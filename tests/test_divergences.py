@@ -170,7 +170,7 @@ def test_optimal_family_kl_consistent_with_width_identity():
     for w in (OptimalCsWidth(0.4), OptimalCsWidth(0.8), OptimalAcsWidth(1.5),
               OptimalAcsWidth(3.0)):
         kl = w.kl_bits()
-        res = width_log_h_integral(w, w.h_max, 1e-9, w.breakpoints, w.tail)
+        res = width_log_h_integral(w, 1e-9)
         assert (1.0 + res.value) / LN2 == pytest.approx(kl, abs=1e-7)
 
 
@@ -188,7 +188,7 @@ def test_extremal_families_dominate():
     # any pair with smaller KL has smaller D_CS than the extremal family
     pair_stats = []
     for w in SUITE_WIDTHS:
-        res = width_log_h_integral(w, w.h_max, 1e-9, w.breakpoints, w.tail)
+        res = width_log_h_integral(w, 1e-9)
         kl = (1.0 + res.value) / LN2
         dcs = channel_simulation_divergence(w).value_bits
         dacs = alternative_divergence(w).value_bits
@@ -205,7 +205,7 @@ def test_extremal_families_dominate():
 
 def test_ordering_kl_cs_acs():
     for w in SUITE_WIDTHS:
-        res = width_log_h_integral(w, w.h_max, 1e-9, w.breakpoints, w.tail)
+        res = width_log_h_integral(w, 1e-9)
         kl = (1.0 + res.value) / LN2
         dcs = channel_simulation_divergence(w).value_bits
         dacs = alternative_divergence(w).value_bits

