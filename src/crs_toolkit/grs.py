@@ -112,6 +112,10 @@ _CUT_SHARE = 0.25
 _ROUNDING_PAD = 1e-12
 _EPS = sys.float_info.epsilon
 _INV_E = 1.0 / math.e
+# a sampler round draws about this many points once fewer replicas are active
+_ROUND_POINTS = 256
+# a lone replica's first block of steps; each round doubles it
+_FIRST_BLOCK = 8
 
 
 class GrsRecursion:
@@ -461,6 +465,75 @@ def _step_width_law(w: StepWidth, eps_stop: float, step_cap: int) -> IndexDistri
     )
 
 
+def _run_replicas(pair: DistributionPair, rec: GrsRecursion, rng_stream: RngStream, n: int,
+                  step_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The acceptance kernel: n sampler replicas over the shared proposal
+    steps, as (index k, accepted point) arrays in replica order.
+
+    The replicas still active all stand at the same step k. A round draws a
+    block of B proposals and B uniforms for each of the m active replicas,
+    step by step in replica order, so a result is a function of the stream
+    key alone. B is 1 while m > _ROUND_POINTS / 2: one step for many
+    replicas, in whole-array passes. Below that B is _ROUND_POINTS // m,
+    capped by a growth from _FIRST_BLOCK that doubles each round, so that a
+    lone replica, whose index is often 1 or 2, draws few points it never
+    reads; such a block holds at most _ROUND_POINTS points and is scanned
+    point by point.
+
+    A replica accepts at step k with u S_k + L_k <= r, that is u <= beta,
+    where r is dQ/dP at the proposal; a step with no survival mass left
+    accepts, as its beta is 1. The orbit is read step by step, so no deeper
+    than the deepest step a replica reaches.
+    """
+    gen = rng_stream.generator()
+    indices = np.zeros(n, dtype=np.int64)
+    accepted = None
+    active, k, grow = np.arange(n), 1, _FIRST_BLOCK
+    while active.size:
+        if k > step_cap:
+            raise StepBudgetError(
+                f"{active.size} of {n} replicas still active after {step_cap} steps")
+        m = active.size
+        B = max(1, min(_ROUND_POINTS // m, grow, step_cap + 1 - k))
+        grow = min(2 * grow, _ROUND_POINTS)
+        x = pair.draw(gen, m * B)
+        u = gen.random(m * B)
+        r = np.exp(pair.log_ratio(x))
+        if accepted is None:
+            accepted = np.zeros((n, *x.shape[1:]), dtype=x.dtype)
+        if B == 1:
+            L, S = _acceptance_state(rec, k)
+            acc = u * S + L <= r
+            pos = np.flatnonzero(acc)  # take and compress beat indexing by a mask
+            hit = active.take(pos)
+            indices[hit] = k
+            accepted[hit] = x.take(pos, axis=0)
+            active = active.compress(~acc)
+        else:  # at most _ROUND_POINTS points, scanned one by one
+            u, r, ids, live = u.tolist(), r.tolist(), active.tolist(), range(m)
+            for j in range(B):
+                L, S = _acceptance_state(rec, k + j)
+                still = []
+                for i in live:
+                    if u[j * m + i] * S + L <= r[j * m + i]:
+                        indices[ids[i]] = k + j
+                        accepted[ids[i]] = x[j * m + i]
+                    else:
+                        still.append(i)
+                live = still
+                if not live:
+                    break
+            active = active[live] if live else active[:0]
+        k += B
+    return indices, accepted
+
+
+def _acceptance_state(rec: GrsRecursion, k: int) -> tuple[float, float]:
+    """(L_k, S_k), with L_k = -inf where S_k = 0 so that u S_k + L_k <= r holds."""
+    L, S = rec.state(k)
+    return (L, S) if S > 0.0 else (-math.inf, S)
+
+
 def grs_sample(
     pair: DistributionPair,
     w: WidthFunction,
@@ -472,22 +545,18 @@ def grs_sample(
 
     pair and w must describe the same (Q, P); the acceptance state is read
     from the exact recursion, so a run's (L_k, S_k) trace coincides with the
-    deterministic path. Finite Renyi-infinity divergence keeps the expected
-    index finite; the step cap turns a mismatched pair/width (or an infinite
-    mean) into an error instead of an endless loop.
+    deterministic path, read up to step k and no further on a smooth width.
+    The run is the one-replica case of the kernel behind grs_empirical: it
+    draws its proposals and uniforms in blocks that grow from 8 by doubling,
+    so it is a function of the stream key alone, but not the first run of
+    grs_empirical on the same key. Finite Renyi-infinity divergence keeps
+    the expected index finite; the step cap turns a mismatched pair/width
+    (or an infinite mean) into an error instead of an endless loop.
     """
     rec = recursion if recursion is not None else GrsRecursion(w, step_cap=step_cap)
-    gen = rng_stream.generator()
-    for k in range(1, step_cap + 1):
-        L, S = rec.state(k)
-        x = pair.draw(gen, 1)
-        u = gen.random()
-        r = math.exp(float(pair.log_ratio(x)[0]))
-        beta = 1.0 if S <= 0.0 else min(max((r - L) / S, 0.0), 1.0)
-        if u <= beta:
-            point = x[0]
-            return (point if np.ndim(point) else point.item()), k
-    raise StepBudgetError(f"no acceptance within {step_cap} proposals")
+    indices, accepted = _run_replicas(pair, rec, rng_stream, 1, step_cap)
+    point = accepted[0]
+    return (point if point.ndim else point.item()), int(indices[0])
 
 
 @dataclass(frozen=True)
@@ -514,34 +583,18 @@ def grs_empirical(
     step_cap: int = DEFAULT_STEP_CAP,
     recursion: GrsRecursion | None = None,
 ) -> GrsEmpirical:
-    """n sampler replicas, run in lockstep over the shared proposal steps.
+    """n sampler replicas, run together over the shared proposal steps.
 
-    At step k only still-active replicas draw a proposal and a uniform, in
-    replica order, so the output is a deterministic function of the stream
-    key alone; accepted points are stored by replica index, which makes the
-    result independent of acceptance timing.
+    While many replicas are active they advance in lockstep, one step a
+    round; the last few draw blocks of steps at once (see _run_replicas).
+    Draws are made in replica order within each step, so the output is a
+    deterministic function of the stream key alone; accepted points are
+    stored by replica index, which makes the result independent of
+    acceptance timing. The orbit is read up to the largest index and no
+    further on a smooth width.
     """
     if n < 1000:
         raise InvalidParameterError("empirical runs need n >= 1000")
     rec = recursion if recursion is not None else GrsRecursion(w, step_cap=step_cap)
-    gen = rng_stream.generator()
-    active = np.arange(n)
-    indices = np.zeros(n, dtype=np.int64)
-    accepted = np.zeros((n, *pair.point_shape), dtype=float)
-    for k in range(1, step_cap + 1):
-        if active.size == 0:
-            return GrsEmpirical(indices=indices, accepted=accepted)
-        L, S = rec.state(k)
-        x = pair.draw(gen, active.size)
-        u = gen.random(active.size)
-        r = np.exp(pair.log_ratio(x))
-        if S <= 0.0:
-            beta = np.ones(active.size)
-        else:
-            beta = np.clip((r - L) / S, 0.0, 1.0)
-        acc = u <= beta
-        hit = active[acc]
-        indices[hit] = k
-        accepted[hit] = x[acc]
-        active = active[~acc]
-    raise StepBudgetError(f"{active.size} replicas still active after {step_cap} steps")
+    indices, accepted = _run_replicas(pair, rec, rng_stream, n, step_cap)
+    return GrsEmpirical(indices=indices, accepted=accepted.astype(float, copy=False))

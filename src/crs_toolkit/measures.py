@@ -13,6 +13,7 @@ randomness flows through keyed RngStream substreams.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar, Sequence
@@ -37,6 +38,11 @@ from .width import (
 LN2 = math.log(2.0)
 
 _SUM_TOL = 1e-12
+# DiscreteSpec.draw reads atoms from a table of this many equal cells of
+# [0, 1) and searches only in the few cells that hold a cumulative sum of p;
+# below _DRAW_TABLE_MIN draws the table's fixed cost exceeds a plain search
+_DRAW_CELLS = 4096
+_DRAW_TABLE_MIN = 256
 
 
 def json_number(obj: dict, key: str) -> float:
@@ -89,11 +95,6 @@ class DistributionPair:
         if n < 1:
             raise InvalidParameterError("need n >= 1")
         return self.draw(rng_stream.generator(), n)
-
-    @property
-    def point_shape(self) -> tuple[int, ...]:
-        """Trailing shape of one sample point (() for scalars and indices)."""
-        return ()
 
 
 @dataclass(frozen=True)
@@ -163,10 +164,6 @@ class GaussianSpec(DistributionPair):
         draws = gen.standard_normal((n, self.d))
         return draws[:, 0] if self.d == 1 else draws
 
-    @property
-    def point_shape(self) -> tuple[int, ...]:
-        return () if self.d == 1 else (self.d,)
-
 
 @dataclass(frozen=True)
 class DiscreteSpec(DistributionPair):
@@ -187,11 +184,13 @@ class DiscreteSpec(DistributionPair):
             raise InvalidParameterError("q and p must each sum to 1 within 1e-12")
         if np.any((q > 0.0) & (p == 0.0)):
             raise InvalidParameterError("Q is not absolutely continuous w.r.t. P")
-        ratios = np.zeros_like(q)
-        np.divide(q, p, out=ratios, where=p > 0.0)
+        log_ratios = np.full_like(q, np.nan)  # NaN marks the points outside P's support
+        np.divide(q, p, out=log_ratios, where=p > 0.0)
+        with np.errstate(divide="ignore"):  # an atom with q = 0 has log ratio -inf
+            np.log(log_ratios, out=log_ratios, where=p > 0.0)
         vars(self).update(
             q=tuple(float(v) for v in q), p=tuple(float(v) for v in p),
-            _q=q, _p=p, _cum_p=np.cumsum(p), ratios=ratios)
+            _q=q, _p=p, _cum_p=np.cumsum(p), _log_ratios=log_ratios)
 
     @classmethod
     def from_json(cls, obj: dict) -> DiscreteSpec:
@@ -213,16 +212,33 @@ class DiscreteSpec(DistributionPair):
             if np.any(idx != np.floor(idx)):
                 raise InvalidParameterError("discrete points are integer indices")
             idx = idx.astype(np.int64)
-        if np.any((idx < 0) | (idx >= len(self.q))):
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self.q)):
             raise InvalidParameterError("index outside the alphabet")
-        if np.any(self._p[idx] == 0.0):
+        out = self._log_ratios[idx]
+        if math.isnan(out.sum()):  # NaN iff some term is: the table holds no +inf
             raise InvalidParameterError("point outside the support of P")
-        with np.errstate(divide="ignore"):
-            return np.log(self.ratios[idx])
+        return out
+
+    @functools.cached_property
+    def _cell_atoms(self) -> np.ndarray:
+        """The atom drawn for every u in cell [i, i + 1) / _DRAW_CELLS, or -1
+        where a cumulative sum of p splits the cell."""
+        edges = np.arange(_DRAW_CELLS + 1) / _DRAW_CELLS
+        lo = np.searchsorted(self._cum_p, edges[:-1], side="right")
+        hi = np.searchsorted(self._cum_p, edges[1:], side="left")
+        return np.where(lo == hi, lo, -1)
 
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """The atom i with cum_p[i - 1] <= u < cum_p[i], for u = gen.random(n)."""
         u = gen.random(n)
-        return np.searchsorted(self._cum_p, u, side="right").astype(np.int64)
+        if n < _DRAW_TABLE_MIN:
+            return np.searchsorted(self._cum_p, u, side="right")
+        # u = k 2^-53, so u * _DRAW_CELLS is exact and its integer part is u's cell
+        atoms = self._cell_atoms[(u * _DRAW_CELLS).astype(np.int64)]
+        split = np.flatnonzero(atoms < 0)
+        if split.size:
+            atoms[split] = np.searchsorted(self._cum_p, u[split], side="right")
+        return atoms
 
 
 @dataclass(frozen=True)
@@ -266,7 +282,9 @@ class SyntheticSpec(DistributionPair):
             return np.log(self.w.ratio_inverse(x))
 
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return gen.random(n)
+        # gen.random gives k 2^-53, k < 2^53; ratio_inverse needs u > 0, so
+        # the cell [0, 2^-53) is read at its midpoint
+        return np.maximum(gen.random(n), 2.0**-54)
 
 
 PairSpec = DistributionPair

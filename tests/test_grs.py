@@ -500,6 +500,65 @@ def test_sampler_deterministic_given_stream():
     assert np.array_equal(res1.accepted, res2.accepted)
 
 
+def _index_chi2_pvalue(indices: np.ndarray, w) -> float:
+    """Chi-square p-value of observed indices against the exact index law;
+    steps expected fewer than 5 times are pooled into one tail cell."""
+    law = grs_index_distribution(w, eps_stop=1e-9)
+    n = indices.size
+    head = int(np.argmax(n * law.p < 5.0)) or law.p.size
+    expected = n * np.append(law.p[:head], 1.0 - law.p[:head].sum())
+    observed = np.bincount(np.minimum(indices, head + 1), minlength=head + 2)[1:]
+    return float(stats.chisquare(observed, expected).pvalue)
+
+
+@pytest.mark.parametrize("spec", [DISCRETE_EXAMPLE, SyntheticSpec(two_level_width(0.25))],
+                         ids=["discrete_example", "two_level"])
+def test_sample_index_law_matches_recursion(spec):
+    pair, w = make_pair(spec), width_eval(spec)
+    ks = np.array([grs_sample(pair, w, RngStream(31, j))[1] for j in range(4000)])
+    assert _index_chi2_pvalue(ks, w) > 1e-3
+
+
+def test_sample_points_follow_target():
+    spec = LaplaceSpec(0.5)
+    pair, w = make_pair(spec), width_eval(spec)
+    n = 4000
+    xs = np.sort([grs_sample(pair, w, RngStream(32, j))[0] for j in range(n)])
+    F = stats.laplace(scale=0.5).cdf(xs)
+    i = np.arange(1, n + 1)
+    ks = max(float(np.max(i / n - F)), float(np.max(F - (i - 1) / n)))
+    assert ks < special.kolmogi(1e-3) / math.sqrt(n)
+
+
+def test_sample_step_cap_reads_the_orbit_no_further():
+    # about 5% of runs pass step 50 here (S_51 = 0.049)
+    w = OptimalCsWidth(0.5)
+    pair = make_pair(SyntheticSpec(w))
+    rec = GrsRecursion(w)
+    raised = 0
+    for j in range(200):
+        try:
+            grs_sample(pair, w, RngStream(33, j), step_cap=50, recursion=rec)
+        except StepBudgetError:
+            raised += 1
+    assert raised > 0
+    assert len(rec.S) <= 51
+
+
+@pytest.mark.parametrize("spec", [LaplaceSpec(0.5), GaussianSpec(1.0, 0.5, 2)],
+                         ids=["laplace", "gaussian_d2"])
+def test_samplers_read_the_orbit_to_the_deepest_index(spec):
+    # on a smooth width each step past the orbit read costs a tail integral
+    pair, w = make_pair(spec), width_eval(spec)
+    for j in range(20):
+        rec = GrsRecursion(w)
+        _, k = grs_sample(pair, w, RngStream(34, j), recursion=rec)
+        assert len(rec.S) == k
+    rec = GrsRecursion(w)
+    res = grs_empirical(pair, w, RngStream(35, 0), 1000, recursion=rec)
+    assert len(rec.S) == res.indices.max()
+
+
 def test_synthetic_first_step_acceptance():
     # extremal width, alpha = 1/2: P[K = 1] = 1/2 + int_(1/2)^1 (2h)^-2 dh = 3/4
     w = OptimalCsWidth(0.5)

@@ -103,6 +103,53 @@ def test_discrete_point_outside_support():
         pair2.log_ratio(np.array([1]))
 
 
+@pytest.mark.parametrize("point,message", [
+    (-1, "index outside the alphabet"),
+    (3, "index outside the alphabet"),
+    (1.5, "integer indices"),
+    (2, "support of P"),
+])
+def test_discrete_log_ratio_rejects_points(point, message):
+    pair = make_pair(discrete_spec((0.5, 0.5, 0.0), (0.5, 0.5, 0.0)))
+    with pytest.raises(InvalidParameterError, match=message):
+        pair.log_ratio(np.array([0, point]))
+    assert np.array_equal(pair.log_ratio(np.array([1.0, 0.0])), [0.0, 0.0])
+
+
+class _StubGenerator:
+    """A generator whose uniforms are the given values, in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return self.u[:size].copy()
+
+
+def test_synthetic_draw_of_zero_is_a_valid_point():
+    # np.random.Generator.random can return 0.0
+    pair = make_pair(SyntheticSpec(equality_case_width(4.0)))
+    x = pair.draw(_StubGenerator(np.zeros(3)), 3)
+    assert np.all((x > 0.0) & (x < 1.0))
+    assert np.array_equal(pair.log_ratio(x), np.full(3, math.log(4.0)))
+
+
+@pytest.mark.parametrize("p", [(0.25,) * 4, (0.1, 0.0, 0.9), (1 / 3, 2 / 3),
+                               tuple(np.random.default_rng(5).dirichlet(np.ones(10)))])
+def test_discrete_draw_is_the_inverse_cdf(p):
+    # the cell table of a large draw gives the atoms of a plain search,
+    # also at and just below each cumulative sum and each cell edge
+    pair = make_pair(discrete_spec(p, p))
+    cum = np.cumsum(p)
+    u = np.concatenate([cum, np.nextafter(cum, 0.0), np.arange(4097) / 4096,
+                        RngStream(5, 0).generator().random(5000)])
+    u = u[u < 1.0]
+    assert np.array_equal(pair.draw(_StubGenerator(u), u.size),
+                          np.searchsorted(cum, u, side="right"))
+    assert np.array_equal(pair.draw(_StubGenerator(u[-100:]), 100),
+                          np.searchsorted(cum, u[-100:], side="right"))
+
+
 def test_sampling_is_keyed_and_deterministic():
     pair = make_pair(LaplaceSpec(0.5))
     a = pair.sample_proposal(RngStream(11, 3), 64)
