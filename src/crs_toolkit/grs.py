@@ -473,12 +473,13 @@ def _run_replicas(pair: DistributionPair, rec: GrsRecursion, rng_stream: RngStre
     The replicas still active all stand at the same step k. A round draws a
     block of B proposals and B uniforms for each of the m active replicas,
     step by step in replica order, so a result is a function of the stream
-    key alone. B is 1 while m > _ROUND_POINTS / 2: one step for many
-    replicas, in whole-array passes. Below that B is _ROUND_POINTS // m,
-    capped by a growth from _FIRST_BLOCK that doubles each round, so that a
-    lone replica, whose index is often 1 or 2, draws few points it never
-    reads; such a block holds at most _ROUND_POINTS points and is scanned
-    point by point.
+    key alone: B does not depend on the step cap, which only stops the scan.
+    B is 1 while m > _ROUND_POINTS / 2: one step for many replicas, in
+    whole-array passes. Below that B is _ROUND_POINTS // m, capped by a
+    growth from _FIRST_BLOCK that doubles each round, so that a lone
+    replica, whose index is often 1 or 2, draws few points it never reads;
+    such a block holds at most _ROUND_POINTS points and is scanned point by
+    point.
 
     A replica accepts at step k with u S_k + L_k <= r, that is u <= beta,
     where r is dQ/dP at the proposal; a step with no survival mass left
@@ -494,7 +495,7 @@ def _run_replicas(pair: DistributionPair, rec: GrsRecursion, rng_stream: RngStre
             raise StepBudgetError(
                 f"{active.size} of {n} replicas still active after {step_cap} steps")
         m = active.size
-        B = max(1, min(_ROUND_POINTS // m, grow, step_cap + 1 - k))
+        B = max(1, min(_ROUND_POINTS // m, grow))
         grow = min(2 * grow, _ROUND_POINTS)
         x = pair.draw(gen, m * B)
         u = gen.random(m * B)
@@ -512,6 +513,9 @@ def _run_replicas(pair: DistributionPair, rec: GrsRecursion, rng_stream: RngStre
         else:  # at most _ROUND_POINTS points, scanned one by one
             u, r, ids, live = u.tolist(), r.tolist(), active.tolist(), range(m)
             for j in range(B):
+                if k + j > step_cap:
+                    raise StepBudgetError(
+                        f"{len(live)} of {n} replicas still active after {step_cap} steps")
                 L, S = _acceptance_state(rec, k + j)
                 still = []
                 for i in live:
@@ -551,7 +555,8 @@ def grs_sample(
     so it is a function of the stream key alone, but not the first run of
     grs_empirical on the same key. Finite Renyi-infinity divergence keeps
     the expected index finite; the step cap turns a mismatched pair/width
-    (or an infinite mean) into an error instead of an endless loop.
+    (or an infinite mean) into an error instead of an endless loop, and a
+    run that accepts within the cap is the same under any cap.
     """
     rec = recursion if recursion is not None else GrsRecursion(w, step_cap=step_cap)
     indices, accepted = _run_replicas(pair, rec, rng_stream, 1, step_cap)

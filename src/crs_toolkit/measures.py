@@ -13,7 +13,6 @@ randomness flows through keyed RngStream substreams.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar, Sequence
@@ -38,11 +37,6 @@ from .width import (
 LN2 = math.log(2.0)
 
 _SUM_TOL = 1e-12
-# DiscreteSpec.draw reads atoms from a table of this many equal cells of
-# [0, 1) and searches only in the few cells that hold a cumulative sum of p;
-# below _DRAW_TABLE_MIN draws the table's fixed cost exceeds a plain search
-_DRAW_CELLS = 4096
-_DRAW_TABLE_MIN = 256
 
 
 def json_number(obj: dict, key: str) -> float:
@@ -219,26 +213,9 @@ class DiscreteSpec(DistributionPair):
             raise InvalidParameterError("point outside the support of P")
         return out
 
-    @functools.cached_property
-    def _cell_atoms(self) -> np.ndarray:
-        """The atom drawn for every u in cell [i, i + 1) / _DRAW_CELLS, or -1
-        where a cumulative sum of p splits the cell."""
-        edges = np.arange(_DRAW_CELLS + 1) / _DRAW_CELLS
-        lo = np.searchsorted(self._cum_p, edges[:-1], side="right")
-        hi = np.searchsorted(self._cum_p, edges[1:], side="left")
-        return np.where(lo == hi, lo, -1)
-
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """The atom i with cum_p[i - 1] <= u < cum_p[i], for u = gen.random(n)."""
-        u = gen.random(n)
-        if n < _DRAW_TABLE_MIN:
-            return np.searchsorted(self._cum_p, u, side="right")
-        # u = k 2^-53, so u * _DRAW_CELLS is exact and its integer part is u's cell
-        atoms = self._cell_atoms[(u * _DRAW_CELLS).astype(np.int64)]
-        split = np.flatnonzero(atoms < 0)
-        if split.size:
-            atoms[split] = np.searchsorted(self._cum_p, u[split], side="right")
-        return atoms
+        return np.searchsorted(self._cum_p, gen.random(n), side="right")
 
 
 @dataclass(frozen=True)

@@ -545,6 +545,43 @@ def test_sample_step_cap_reads_the_orbit_no_further():
     assert len(rec.S) <= 51
 
 
+class _DrawLog:
+    """A pair that logs the size of each of its draws."""
+
+    def __init__(self, pair):
+        self.pair, self.sizes = pair, []
+
+    def draw(self, gen, n):
+        self.sizes.append(n)
+        return self.pair.draw(gen, n)
+
+    def log_ratio(self, x):
+        return self.pair.log_ratio(x)
+
+
+def test_step_cap_does_not_change_runs_within_it():
+    # the cap stops a run; one that accepts within it makes the draws it
+    # makes under the default cap, also in a block that reaches past the cap
+    spec = LaplaceSpec(0.05)
+    pair, w = make_pair(spec), width_eval(spec)
+    rec = GrsRecursion(w)
+    deep = 0
+    for j in range(100):
+        free, capped = _DrawLog(pair), _DrawLog(pair)
+        x, k = grs_sample(free, w, RngStream(33, j), recursion=rec)
+        if k <= 50:
+            deep += k > 24  # the third block, 32 steps from 25, passes 50
+            assert grs_sample(capped, w, RngStream(33, j), step_cap=50, recursion=rec) == (x, k)
+            assert capped.sizes == free.sizes
+    assert deep > 5
+    w = OptimalCsWidth(0.5)
+    pair = make_pair(SyntheticSpec(w))
+    res = grs_empirical(pair, w, RngStream(36, 0), 1000)
+    capped = grs_empirical(pair, w, RngStream(36, 0), 1000, step_cap=int(res.indices.max()))
+    assert np.array_equal(capped.indices, res.indices)
+    assert np.array_equal(capped.accepted, res.accepted)
+
+
 @pytest.mark.parametrize("spec", [LaplaceSpec(0.5), GaussianSpec(1.0, 0.5, 2)],
                          ids=["laplace", "gaussian_d2"])
 def test_samplers_read_the_orbit_to_the_deepest_index(spec):

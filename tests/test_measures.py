@@ -134,22 +134,6 @@ def test_synthetic_draw_of_zero_is_a_valid_point():
     assert np.array_equal(pair.log_ratio(x), np.full(3, math.log(4.0)))
 
 
-@pytest.mark.parametrize("p", [(0.25,) * 4, (0.1, 0.0, 0.9), (1 / 3, 2 / 3),
-                               tuple(np.random.default_rng(5).dirichlet(np.ones(10)))])
-def test_discrete_draw_is_the_inverse_cdf(p):
-    # the cell table of a large draw gives the atoms of a plain search,
-    # also at and just below each cumulative sum and each cell edge
-    pair = make_pair(discrete_spec(p, p))
-    cum = np.cumsum(p)
-    u = np.concatenate([cum, np.nextafter(cum, 0.0), np.arange(4097) / 4096,
-                        RngStream(5, 0).generator().random(5000)])
-    u = u[u < 1.0]
-    assert np.array_equal(pair.draw(_StubGenerator(u), u.size),
-                          np.searchsorted(cum, u, side="right"))
-    assert np.array_equal(pair.draw(_StubGenerator(u[-100:]), 100),
-                          np.searchsorted(cum, u[-100:], side="right"))
-
-
 def test_sampling_is_keyed_and_deterministic():
     pair = make_pair(LaplaceSpec(0.5))
     a = pair.sample_proposal(RngStream(11, 3), 64)
