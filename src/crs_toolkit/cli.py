@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .divergences import (
-    GAUSSIAN_TOL_BITS,
+    DEFAULT_TOL_BITS,
     alternative_divergence,
     channel_simulation_divergence,
     kl_divergence,
@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     div = sub.add_parser("divergence", help="compute KL, CS or ACS divergence of a pair")
     _add_pair_flags(div)
     div.add_argument("--kind", required=True, choices=["kl", "cs", "acs"])
-    div.add_argument("--tol", type=float, default=None, help="quadrature tolerance in bits")
+    div.add_argument("--tol", type=float, default=DEFAULT_TOL_BITS,
+                     help="quadrature tolerance in bits (default 1e-9)")
     div.add_argument("--format", choices=["plain", "json"], default="plain")
 
     grs = sub.add_parser("grs", help="greedy rejection sampling runs and index law")
@@ -195,7 +196,7 @@ def _run_experiment(args) -> int:
         rows = gaussian_sweep(grid, mu=args.mu, sigma=args.sigma)
         header = GAUSSIAN_HEADER
         meta = sweep_metadata("gaussian", [r.d for r in rows],
-                              {"dcs_tol_bits": GAUSSIAN_TOL_BITS, "mu": args.mu,
+                              {"dcs_tol_bits": DEFAULT_TOL_BITS, "mu": args.mu,
                                "sigma": args.sigma})
     else:
         rows = epsilon_family_study(grid)

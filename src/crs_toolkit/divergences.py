@@ -8,7 +8,9 @@ Everything reduces to one-dimensional integrals of the width:
   D_KL  =  log2 e + int w(h) log2 h dh    (integration-by-parts identity)
 
 Step widths are integrated exactly; smooth widths go through the adaptive
-engine. Internal arithmetic is in nats; bits appear only in reports.
+engine. Internal arithmetic is in nats; bits appear only in reports. Every
+divergence takes its tolerance in bits, DEFAULT_TOL_BITS = 1e-9 for every
+width unless the caller sets it, and refuses a tol that is not positive.
 """
 from __future__ import annotations
 
@@ -23,32 +25,17 @@ from .quadrature import (
     PHI_BINARY_ENTROPY,
     PHI_XLOGX,
     PhiSpec,
+    _check_tol,
     integrate_interval,
     phi_of_width_integral,
     width_log_h_integral,
 )
-from .width import (
-    GaussianWidth,
-    StepWidth,
-    WidthFunction,
-    width_eval,
-)
+from .width import StepWidth, WidthFunction, width_eval
 
 LN2 = math.log(2.0)
 LOG2_E_PLUS_1 = math.log2(math.e + 1.0)
 
 DEFAULT_TOL_BITS = 1e-9
-GAUSSIAN_TOL_BITS = 1e-6
-
-
-def default_tolerance(w: WidthFunction) -> float:
-    """1e-9 bits, relaxed to 1e-6 for multi-dimensional gaussian widths.
-
-    The relaxed value keeps the published Gaussian outputs as they are; the
-    quadrature meets 1e-9 on these widths too."""
-    if isinstance(w, GaussianWidth) and w.d > 1:
-        return GAUSSIAN_TOL_BITS
-    return DEFAULT_TOL_BITS
 
 
 @dataclass(frozen=True)
@@ -102,8 +89,7 @@ def quad_phi_integral(
     majorant. A run that exhausts its panel budget reports its best value
     with converged = False.
     """
-    if not tol > 0.0:  # NaN fails too
-        raise InvalidParameterError("tol must be positive")
+    _check_tol(tol)
     if not isinstance(phi, PhiSpec):
         raise InvalidParameterError("phi must be a PhiSpec with a proven sup_value")
     if isinstance(w, StepWidth):
@@ -112,15 +98,14 @@ def quad_phi_integral(
     return _report(kind, res.value / LN2, res.error / LN2, "quadrature", res.converged)
 
 
-def channel_simulation_divergence(w: WidthFunction, tol: float | None = None) -> DivergenceReport:
+def channel_simulation_divergence(w: WidthFunction, tol: float = DEFAULT_TOL_BITS) -> DivergenceReport:
     """D_CS in bits."""
-    return quad_phi_integral(w, PHI_XLOGX, tol if tol is not None else default_tolerance(w), "CS")
+    return quad_phi_integral(w, PHI_XLOGX, tol, "CS")
 
 
-def alternative_divergence(w: WidthFunction, tol: float | None = None) -> DivergenceReport:
+def alternative_divergence(w: WidthFunction, tol: float = DEFAULT_TOL_BITS) -> DivergenceReport:
     """D_ACS in bits."""
-    return quad_phi_integral(w, PHI_BINARY_ENTROPY,
-                             tol if tol is not None else default_tolerance(w), "ACS")
+    return quad_phi_integral(w, PHI_BINARY_ENTROPY, tol, "ACS")
 
 
 def _kl_width_identity_bits(w: WidthFunction, tol_bits: float) -> tuple[float, float, bool, str]:
@@ -140,20 +125,20 @@ def _kl_width_identity_bits(w: WidthFunction, tol_bits: float) -> tuple[float, f
 def kl_divergence(
     spec: measures.PairSpec,
     route: str = "closed_form",
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL_BITS,
 ) -> DivergenceReport:
     """D_KL in bits via the family closed form or the width identity.
 
     The two routes agree within combined tolerance; spec.kl_route names the
-    route a family supports (synthetic specs only the width identity).
+    route a family supports (synthetic specs only the width identity). tol
+    is checked on both routes, although the closed form and a step width's
+    exact sum do not read it.
     """
+    _check_tol(tol)
     if route == "closed_form":
         return _report("KL", spec.kl_bits(), 0.0, "closed_form")
     if route == "width_identity":
-        w = width_eval(spec)
-        if tol is None:
-            tol = default_tolerance(w)
-        value, err, converged, method = _kl_width_identity_bits(w, tol)
+        value, err, converged, method = _kl_width_identity_bits(width_eval(spec), tol)
         return _report("KL", value, err, method, converged)
     raise InvalidParameterError(f"unknown KL route {route!r}")
 

@@ -124,13 +124,12 @@ class GrsRecursion:
     L and S are float64 arrays with L_k and S_k at index k - 1, so that
     p_k = S_k - S_{k+1}; S is clamped to be non-increasing. A geometric block
     is filled only up to the step read, step i of it from its first step as
-    S r^i with r^i = exp(i ln r), the call that ends the block in _next_piece.
-    Reads past step step_cap + 1 raise.
+    S r^i with r^i = exp(i ln r), the call with which the index law ends a
+    block. The orbit has no step cap: the code that reads it counts steps.
     """
 
-    def __init__(self, w: WidthFunction, step_cap: int = DEFAULT_STEP_CAP):
+    def __init__(self, w: WidthFunction):
         self.w = w
-        self.step_cap = step_cap
         self._blocks = isinstance(w, StepWidth)
         self.L, self.S = array("d", [0.0]), array("d", [1.0])
         self._block = None  # the block being filled, as _next_piece gives it
@@ -147,21 +146,19 @@ class GrsRecursion:
         """Extend the orbit toward step k: one step, or a block up to step k."""
         steps, L, S = len(self.S) - 1, self.L[-1], self.S[-1]
         if not self._blocks:  # one tail integral
-            if steps >= self.step_cap:
-                raise _budget_error(S, self.step_cap)
             tol = max(S * _TAIL_TOL_FACTOR, 1e-300)
             S_next = min(S, self.w.tail_integral(L + S, tol=tol).value) if S > 0.0 else S
             self.L.append(L + S)
             self.S.append(S_next)
             return
         if self._block is None:
-            piece = _next_piece(self.w, steps, L, S, self.step_cap, 0.0)
+            piece = _next_piece(self.w, steps, L, S)
             if len(piece) == 3:
                 self.L.append(piece[0])
                 self.S.append(piece[1])
                 return
             self._block = piece
-        start, m, L0, S0, v, ln_r, _ = self._block
+        start, m, L0, S0, v, ln_r = self._block
         end, span = min(m, k - 1 - start), S0 / v  # span: the block's limit of L - L0
         for i in range(steps - start + 1, end + 1):
             r_i = math.exp(i * ln_r)
@@ -176,41 +173,33 @@ def _budget_error(S: float, step_cap: int) -> StepBudgetError:
                            "raise eps_stop or the step cap")
 
 
-def _next_piece(w: StepWidth, steps: int, L: float, S: float, step_cap: int, eps_stop: float):
+def _next_piece(w: StepWidth, steps: int, L: float, S: float):
     """The piece of a step width's orbit after `steps` steps, at (L, S).
 
     One exact band step (L_next, S_next, p) where the band straddles a
     breakpoint or v = 1; else a geometric block (first step, length m, L, S, v,
-    log(1 - v), (1 - v)^m) that ends at the segment's end, at the step cap
-    and, with eps_stop > 0 (the index law), where S first falls to eps_stop.
-    Such a block that the cap cuts above eps_stop raises at once.
+    log(1 - v)) that ends at the segment's end. A block whose limit does not
+    pass the segment's end, as on the last segment, has no end: m is inf.
     """
-    if steps >= step_cap:
-        raise _budget_error(S, step_cap)
     j = w._segment(L)
     right, v = w.breakpoints[j], float(w.values[j])
     if L + S > right or v >= 1.0:  # exact band step; S = 0 only past the width's end
         q = min(max(w.band_integral(L, L + S) / S, 0.0), 1.0) if S > 0.0 else 1.0
         return L + S, S * (1.0 - q), S * q
     ln_r = math.log1p(-v)
-    m = step_cap - steps
-    if S > eps_stop > 0.0:
-        m = min(m, max(1, math.ceil(math.log(eps_stop / S) / ln_r)))
+    m = math.inf
     overshoot = L + S / v - right  # block limit of L minus segment end
     if overshoot > 0.0:
         rhs = overshoot / (S * (1.0 / v - 1.0))
-        m = min(m, 1 + max(0, math.floor(math.log(rhs) / ln_r)) if rhs < 1.0 else 1)
-    r_m = math.exp(m * ln_r)
-    if steps + m >= step_cap and S * r_m > eps_stop > 0.0:
-        raise _budget_error(S * r_m, step_cap)  # the survival after step_cap steps
-    return steps, m, L, S, v, ln_r, r_m
+        m = 1 + max(0, math.floor(math.log(rhs) / ln_r)) if rhs < 1.0 else 1
+    return steps, m, L, S, v, ln_r
 
 
 def _pieces_p(pieces: tuple) -> np.ndarray:
     """p_1..p_n of a step width's law, built from its pieces."""
-    # a block (first step, m, L, S, v, ln r, r^m) holds p_i = S v r^i, i < m
+    # a block (first step, m, L, S, v, ln r) holds p_i = S v r^i, i < m
     return np.concatenate([np.exp(np.arange(piece[1]) * piece[5]) * (piece[3] * piece[4])
-                           if len(piece) == 7 else [piece[2]] for piece in pieces])
+                           if len(piece) == 6 else [piece[2]] for piece in pieces])
 
 
 @dataclass(frozen=True)
@@ -281,9 +270,11 @@ def grs_index_distribution(
 def _smooth_width_law(w: WidthFunction, eps_stop: float, step_cap: int) -> IndexDistribution:
     """The law from the orbit, one tail integral a step, up to the first step
     N whose entropy enclosure is narrow enough, or else to S <= eps_stop."""
-    rec, h_max = GrsRecursion(w, step_cap=step_cap), w.h_max
+    rec, h_max = GrsRecursion(w), w.h_max
     n, (L, S), retry_below, tail = 1, rec.state(1), 1.0, None
     while S > eps_stop:
+        if n > step_cap:  # S = S_n is the survival after step_cap steps
+            raise _budget_error(S, step_cap)
         L_next, S_next = rec.state(n + 1)
         if 1 < n and S <= retry_below:  # the O(1) stopping test at N = n
             p, L_prev = S - S_next, rec.L[n - 2]
@@ -431,20 +422,31 @@ def _entropy_enclosure(w: WidthFunction, L_prev: float, S_prev: float, L: float,
 
 
 def _step_width_law(w: StepWidth, eps_stop: float, step_cap: int) -> IndexDistribution:
-    """The law from the orbit's pieces, each block summed in closed form."""
+    """The law from the orbit's pieces, each block summed in closed form.
+
+    The last block ends where S first falls to eps_stop; a block that the
+    step cap cuts above eps_stop raises before it is summed.
+    """
     pieces, steps, L, S = [], 0, 0.0, 1.0
     mean_terms, entropy_terms = [], []  # E[K] shares; entropy in bits
     while S > eps_stop:
-        piece = _next_piece(w, steps, L, S, step_cap, eps_stop)
-        pieces.append(piece)
+        if steps >= step_cap:
+            raise _budget_error(S, step_cap)
+        piece = _next_piece(w, steps, L, S)
         if len(piece) == 3:
+            pieces.append(piece)
             mean_terms.append(S)
             L, S, p = piece
             if p > 0.0:
                 entropy_terms.append(-p * math.log2(p))
             steps += 1
             continue
-        _, m, L0, S0, v, ln_r, r_m = piece
+        _, m, L0, S0, v, ln_r = piece
+        m = min(m, step_cap - steps, max(1, math.ceil(math.log(eps_stop / S) / ln_r)))
+        r_m = math.exp(m * ln_r)
+        if steps + m >= step_cap and S * r_m > eps_stop:
+            raise _budget_error(S * r_m, step_cap)  # the survival after step_cap steps
+        pieces.append((steps, m, L0, S0, v, ln_r))
         one_minus_r_m = -math.expm1(m * ln_r)
         mass = S0 * one_minus_r_m
         sum_i_r_i = (one_minus_r_m * (1.0 - v) / v - m * r_m) / v
@@ -554,11 +556,12 @@ def grs_sample(
     draws its proposals and uniforms in blocks that grow from 8 by doubling,
     so it is a function of the stream key alone, but not the first run of
     grs_empirical on the same key. Finite Renyi-infinity divergence keeps
-    the expected index finite; the step cap turns a mismatched pair/width
-    (or an infinite mean) into an error instead of an endless loop, and a
-    run that accepts within the cap is the same under any cap.
+    the expected index finite; step_cap turns a mismatched pair/width (or
+    an infinite mean) into an error instead of an endless loop, and a run
+    that accepts within it is the same under any cap. It is the only cap:
+    a recursion passed in, shared between calls, has none of its own.
     """
-    rec = recursion if recursion is not None else GrsRecursion(w, step_cap=step_cap)
+    rec = recursion if recursion is not None else GrsRecursion(w)
     indices, accepted = _run_replicas(pair, rec, rng_stream, 1, step_cap)
     point = accepted[0]
     return (point if point.ndim else point.item()), int(indices[0])
@@ -596,10 +599,10 @@ def grs_empirical(
     deterministic function of the stream key alone; accepted points are
     stored by replica index, which makes the result independent of
     acceptance timing. The orbit is read up to the largest index and no
-    further on a smooth width.
+    further on a smooth width. step_cap, as in grs_sample, is the only cap.
     """
     if n < 1000:
         raise InvalidParameterError("empirical runs need n >= 1000")
-    rec = recursion if recursion is not None else GrsRecursion(w, step_cap=step_cap)
+    rec = recursion if recursion is not None else GrsRecursion(w)
     indices, accepted = _run_replicas(pair, rec, rng_stream, n, step_cap)
     return GrsEmpirical(indices=indices, accepted=accepted.astype(float, copy=False))

@@ -182,9 +182,12 @@ class DiscreteSpec(DistributionPair):
         np.divide(q, p, out=log_ratios, where=p > 0.0)
         with np.errstate(divide="ignore"):  # an atom with q = 0 has log ratio -inf
             np.log(log_ratios, out=log_ratios, where=p > 0.0)
+        # pinned at 1 from the last atom with p > 0, so that no u < 1 maps past it
+        cum_p = np.cumsum(p)
+        cum_p[np.flatnonzero(p)[-1]:] = 1.0
         vars(self).update(
             q=tuple(float(v) for v in q), p=tuple(float(v) for v in p),
-            _q=q, _p=p, _cum_p=np.cumsum(p), _log_ratios=log_ratios)
+            _q=q, _p=p, _cum_p=cum_p, _log_ratios=log_ratios)
 
     @classmethod
     def from_json(cls, obj: dict) -> DiscreteSpec:

@@ -161,6 +161,16 @@ def test_experiment_gaussian_file_and_sidecar(tmp_path, capsys):
     assert len(lines) == 3
     meta = json.loads((tmp_path / "gauss.csv.meta.json").read_text())
     assert meta["sweep"] == "gaussian" and meta["grid"] == [1, 2]
+    assert meta["tolerances"]["dcs_tol_bits"] == 1e-9
+
+
+@pytest.mark.parametrize("kind", ["kl", "cs", "acs"])
+def test_bad_tol_exits_2_for_every_kind(capsys, kind):
+    # the closed-form KL reads no tol, but refuses a bad one like the others
+    code, out, err = run_cli(capsys, "divergence", "--family", "laplace", "--b", "0.5",
+                             "--kind", kind, "--tol", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: tol must be positive, got -1.0\n"
 
 
 def test_experiment_laplace_small_grid(capsys):

@@ -74,6 +74,27 @@ def test_quad_phi_rejects_bad_tol():
         quad_phi_integral(indicator_width(), PHI_XLOGX, tol=0.0)
 
 
+# every route a divergence takes: closed-form KL, exact step-width sums and
+# quadrature on a smooth width
+DIVERGENCE_ROUTES = {
+    "kl_closed_form": lambda tol: kl_divergence(LaplaceSpec(0.5), tol=tol),
+    "kl_step_width": lambda tol: kl_divergence(DISCRETE_EXAMPLE, route="width_identity", tol=tol),
+    "kl_smooth_width": lambda tol: kl_divergence(LaplaceSpec(0.5), route="width_identity", tol=tol),
+    "cs_step_width": lambda tol: channel_simulation_divergence(width_eval(DISCRETE_EXAMPLE), tol),
+    "cs_smooth_width": lambda tol: channel_simulation_divergence(LaplaceWidth(0.5), tol),
+    "acs_step_width": lambda tol: alternative_divergence(width_eval(DISCRETE_EXAMPLE), tol),
+    "acs_smooth_width": lambda tol: alternative_divergence(LaplaceWidth(0.5), tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("route", sorted(DIVERGENCE_ROUTES))
+def test_every_route_rejects_bad_tol_in_bits(route, tol):
+    # the message names the value the caller gave, in bits, not in nats
+    with pytest.raises(InvalidParameterError, match=rf"^tol must be positive, got {tol!r}$"):
+        DIVERGENCE_ROUTES[route](tol)
+
+
 def test_custom_phi_on_step_width_closed_form():
     # phi(x) = x(1-x): integral over (0, c] of (1/c)(1 - 1/c) dh = 1 - 1/c
     for c in (2.0, 5.0):

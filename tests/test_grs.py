@@ -363,6 +363,30 @@ def test_step_cap_inside_geometric_block_fails_before_building_it():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("w, survival", [
+    (LaplaceWidth(0.01), "1.162e-02"),
+    (GaussianWidth(1.0, 0.5, 2), "4.572e-04"),
+], ids=["laplace_b001", "gaussian_d2"])
+def test_smooth_law_step_cap_reports_survival(w, survival):
+    # S_1001, the survival after the cap's 1000 steps
+    msg = f"survival mass still {survival} after 1000 steps; raise eps_stop or the step cap"
+    with pytest.raises(StepBudgetError, match=f"^{msg}$"):
+        grs_index_distribution(w, eps_stop=1e-9, step_cap=1000)
+
+
+def test_sampler_step_cap_is_the_calls_own():
+    # a shared orbit carries no cap: a capped call stops, and a later call
+    # under the default cap reads on past it, as it would on a fresh orbit
+    w = OptimalCsWidth(0.5)
+    pair = make_pair(SyntheticSpec(w))
+    fresh = [grs_sample(pair, w, RngStream(33, j)) for j in range(100)]
+    j = next(j for j, (_, k) in enumerate(fresh) if k > 50)
+    rec = GrsRecursion(w)
+    with pytest.raises(StepBudgetError, match="still active after 50 steps"):
+        grs_sample(pair, w, RngStream(33, j), step_cap=50, recursion=rec)
+    assert grs_sample(pair, w, RngStream(33, j), recursion=rec) == fresh[j]
+
+
 def two_level_at_bits(bits):
     """The two-level width whose h_max is 2**bits."""
     return two_level_width(math.e / ((1.0 + math.e) * (2.0**bits - 1.0 / (1.0 + math.e))))
@@ -439,7 +463,8 @@ def test_step_width_law_stores_no_per_step_arrays():
 
 
 def test_lazy_orbit_builds_blocks_in_pieces(monkeypatch):
-    # one block would reach the 1e6 step cap; a read builds only what it asks
+    # the block runs on past 1e6 steps, to its segment's end; a read builds
+    # only what it asks
     rec = GrsRecursion(equality_case_width(2.0**20))
     L, S = rec.state(100)
     assert S == pytest.approx((1.0 - 2.0**-20) ** 99, rel=1e-14)

@@ -134,6 +134,27 @@ def test_synthetic_draw_of_zero_is_a_valid_point():
     assert np.array_equal(pair.log_ratio(x), np.full(3, math.log(4.0)))
 
 
+@pytest.mark.parametrize("q, p", [
+    ((0.5, 0.4999999999995), (0.5, 0.4999999999995)),
+    ((0.5, 0.4999999999995, 0.0), (0.5, 0.4999999999995, 0.0)),
+], ids=["short_sum", "short_sum_last_p_zero"])
+def test_discrete_draw_stays_in_the_support(q, p):
+    # p sums to 1 - 5e-13, within the validation tolerance; a uniform above
+    # the last cumulative sum mapped to atom len(q), outside the alphabet
+    pair = discrete_spec(q, p)
+    u = [0.0, 0.4999999999999999, 0.5, 0.9999999999999, 1.0 - 2.0**-53]
+    assert pair.draw(_StubGenerator(u), len(u)).tolist() == [0, 0, 1, 1, 1]
+    assert np.all(np.isfinite(pair.log_ratio(np.array([0, 1]))))
+
+
+def test_discrete_draw_boundaries_below_the_last_atom_are_the_cumulative_sums():
+    p = (0.1, 0.2, 0.3, 0.4 - 1e-13, 0.0)
+    pair = discrete_spec((0.25,) * 4 + (0.0,), p)
+    cum = np.cumsum(p)
+    u = np.concatenate([cum[:3], np.nextafter(cum[:3], 0.0)])
+    assert pair.draw(_StubGenerator(u), u.size).tolist() == [1, 2, 3, 0, 1, 2]
+
+
 def test_sampling_is_keyed_and_deterministic():
     pair = make_pair(LaplaceSpec(0.5))
     a = pair.sample_proposal(RngStream(11, 3), 64)
