@@ -579,9 +579,6 @@ class GrsEmpirical:
         ks, counts = np.unique(self.indices, return_counts=True)
         return {int(k): int(c) for k, c in zip(ks, counts)}
 
-    def survival_estimate(self, k: int) -> float:
-        return float(np.mean(self.indices >= k))
-
 
 def grs_empirical(
     pair: DistributionPair,

@@ -20,7 +20,6 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .streams import RngStream
 from .width import (
     GaussianWidth,
     LaplaceWidth,
@@ -83,12 +82,6 @@ class DistributionPair:
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """n proposal draws from an already-positioned generator."""
         raise NotImplementedError
-
-    def sample_proposal(self, rng_stream: RngStream, n: int) -> np.ndarray:
-        """n i.i.d. draws from P, deterministic given the stream key."""
-        if n < 1:
-            raise InvalidParameterError("need n >= 1")
-        return self.draw(rng_stream.generator(), n)
 
 
 @dataclass(frozen=True)
@@ -233,12 +226,12 @@ class SyntheticSpec(DistributionPair):
     kl_route = "width_identity"
 
     def __post_init__(self):
-        w = self.w
-        if not (hasattr(w, "h_max") and callable(w)):
+        if not isinstance(self.w, WidthFunction):
             raise InvalidParameterError("synthetic spec needs a WidthFunction")
-        if abs(w.total_mass - 1.0) > 1e-9:
+        mass = self.w.tail_integral(0.0).value
+        if abs(mass - 1.0) > 1e-9:
             raise InvalidParameterError(
-                f"synthetic width mass {w.total_mass!r} differs from 1 by more than 1e-9")
+                f"synthetic width mass {mass!r} differs from 1 by more than 1e-9")
 
     @classmethod
     def from_json(cls, obj: dict) -> SyntheticSpec:

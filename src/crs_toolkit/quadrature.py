@@ -10,7 +10,6 @@ majorant bounds the discarded part. Each public integral supplies only its
 integrand g, its stub end and bound, and its tail majorant:
 
   phi_of_width_integral  g = phi(w)     stub e^u_lo * sup(phi)   _phi_majorant
-  width_mass_integral    g = w          stub e^u_lo (or h_lo, 0) C H^(1-p)/(p-1)
   width_log_h_integral   g = w ln h     stub d (1 + |ln d|)      the w ln h tail;
                                         h = 1 is a breakpoint (sign change)
 
@@ -386,24 +385,6 @@ def phi_of_width_integral(w: WidthFunction, phi: PhiSpec, tol: float) -> QuadRes
     u_lo = math.log(tol / (8.0 * phi.sup_value))
     return _log_h_quad(lambda v, u: phi(v), w, u_lo, math.exp(u_lo) * phi.sup_value,
                        lambda t: _phi_majorant(t, phi), tol)
-
-
-def width_mass_integral(w: WidthFunction, h_lo: float, tol: float) -> QuadResult:
-    """integral of w(h) dh over (h_lo, h_max], log-substituted.
-
-    h_lo = 0 is allowed: the stub below e^u_lo is bounded by its length since
-    w <= 1.
-    """
-    if not h_lo >= 0.0:  # NaN fails too
-        raise InvalidParameterError("h_lo must be >= 0")
-    _check_tol(tol)
-    u_lo = math.log(h_lo or tol / 8.0)
-
-    def majorant(t: PowerTail) -> tuple[Callable[[float], float], float]:
-        lnc, p, ln_p1 = math.log(t.coef), t.exponent, math.log(t.exponent - 1.0)
-        return lambda u: lnc + (1.0 - p) * u - ln_p1, max(math.log(t.h_from), u_lo)
-
-    return _log_h_quad(lambda v, u: v, w, u_lo, 0.0 if h_lo else math.exp(u_lo), majorant, tol)
 
 
 def width_log_h_integral(w: WidthFunction, tol: float) -> QuadResult:

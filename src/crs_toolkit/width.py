@@ -6,13 +6,13 @@ at jump points follow P(dQ/dP >= h) exactly, which is the left-continuous
 choice at atoms of the density ratio (the discrete pair with ratios {2, 0}
 has w(2) = 0.5); every integral here is insensitive to that choice.
 
-Each class states its formula, _formula(h), valid on h >= 0, and optionally
-closed forms; the WidthFunction docstring gives the full subclass contract.
+Each class states its formula, _formula(h), valid on h >= 0, and its tail
+T, _tail(h, tol); the WidthFunction docstring gives the subclass contract.
 The domains live in the base class, once each. WidthFunction.__call__ rejects
 negative and NaN h, clips the formula to [0, 1], then pins w(0) = 1 and w = 0
 for h > h_max, each pin only when the argument's min or max reaches it.
-WidthFunction.tail_integral rejects the same h and returns T = 0 from h_max
-on, so _tail sees only 0 <= h < h_max; ratio_inverse admits u in (0, 1) only.
+tail_integral rejects the same h and tol <= 0 and is 0 from h_max on, so _tail
+sees only 0 <= h < h_max; ratio_inverse admits u in (0, 1) only.
 
 Analytic widths per family:
 
@@ -32,13 +32,13 @@ Analytic widths per family:
                 r(u) = sup{h : w(h) > u}.
 
 Tail integrals T(h) = integral of w over (h, h_max], which the GRS recursion
-reads once per step, are closed form (_tail) for laplace (with a series near
-h_max), gaussian (the layer cake T(h) = Q(dQ/dP >= h) - h w(h)) and step
-widths (suffix sums); any other width integrates numerically.
+reads once per step, are closed forms: laplace (with a series near h_max),
+gaussian (the layer cake T(h) = Q(dQ/dP >= h) - h w(h)), step widths (suffix
+sums) and the two optimal widths. A width's mass, 1, is T(0).
 
 scipy.special is imported on first use, not with this module: a GaussianWidth
-binds chndtr, and with it loads scipy.special, when it is first evaluated.
-No other width here touches scipy.
+binds chndtr when it is first evaluated, and an OptimalAcsWidth binds betainc
+at its first T(h) with h > 0. No other width here touches scipy.
 """
 from __future__ import annotations
 
@@ -50,22 +50,18 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, QuadratureError
-from .quadrature import (
-    PowerTail,
-    QuadResult,
-    adaptive,
-    width_mass_integral,
-)
+from .errors import InvalidParameterError
+from .quadrature import PowerTail, QuadResult, adaptive
 
 if TYPE_CHECKING:  # pragma: no cover
     from .measures import PairSpec
 
 LN2 = math.log(2.0)
 
-_MASS_TOL = 1e-10
 _EPS = sys.float_info.epsilon
 _TINY = math.ulp(0.0)
+# below the normal range rounding is absolute, up to this much
+_MIN_NORMAL = sys.float_info.min
 # Laplace tail: series below this delta * max(e, 1), where its terms shrink
 # by a factor 20 or more each, so the term cap is never reached
 _LAPLACE_SERIES_BAND = 0.05
@@ -88,14 +84,12 @@ def gaussian_log_ratio_constants(mu: float, sigma: float) -> tuple[float, float,
 class WidthFunction:
     """Base width function: vectorized evaluation plus integral helpers.
 
-    A subclass sets h_max and breakpoints and implements _formula: w on an
-    array of h >= 0, as a new array, finite and free of floating-point
-    warnings there.
-    __call__ overrides its values at h = 0 and beyond h_max, the only places
-    where it may be wrong. Optionally it sets a PowerTail certificate `tail`
-    (needed when h_max is infinite), a known `total_mass`, and closed forms
-    _tail(h, tol) of T on [0, h_max) and _inverse(u) of r on (0, 1). There
-    is no base-class __init__ to call.
+    A subclass sets h_max and breakpoints, and implements _formula, w on an
+    array of h >= 0 as a new array, finite and warning-free there (__call__
+    overrides it at h = 0 and beyond h_max), and _tail, T on [0, h_max) with
+    an error bar; T(0) is the mass, 1. It may set a PowerTail certificate
+    `tail` (needed when h_max is infinite) and a closed-form _inverse(u) of
+    r on (0, 1). There is no base-class __init__ to call.
     """
 
     h_max: float
@@ -134,31 +128,24 @@ class WidthFunction:
         out = self._formula(h)
         return out if 0.0 <= out.item() <= 1.0 else out.clip(0.0, 1.0)
 
-    @functools.cached_property
-    def total_mass(self) -> float:
-        """integral of w over (0, h_max], by quadrature on first read."""
-        res = width_mass_integral(self, 0.0, _MASS_TOL)
-        if not res.converged:
-            raise QuadratureError("width mass integral did not converge")
-        return res.value
-
     def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
         """T(h) = integral of w over (h, h_max], which the GRS recursion reads
         as its survival masses S_k = T(L_k).
 
-        The domain lives here, as w's lives in __call__: NaN and negative h
-        are rejected and T is exactly 0 from h_max on, so a subclass's _tail
-        only sees 0 <= h < h_max.
+        The domain lives here, as w's lives in __call__: NaN or negative h and
+        tol <= 0 are rejected, and T is exactly 0 from h_max on, so a
+        subclass's _tail only sees 0 <= h < h_max.
         """
         if not h >= 0.0:  # NaN fails too
             raise InvalidParameterError("h must be >= 0")
+        if not tol > 0.0:
+            raise InvalidParameterError(f"tol must be positive, got {tol!r}")
         if h >= self.h_max:
             return QuadResult(0.0, 0.0, True, 0)
         return self._tail(h, tol)
 
     def _tail(self, h: float, tol: float) -> QuadResult:
-        """T(h) by adaptive quadrature; families with a closed form override."""
-        return width_mass_integral(self, h, tol)
+        raise NotImplementedError
 
     def ratio_inverse(self, u) -> np.ndarray:
         """Decreasing generalized inverse r(u) = sup{h : w(h) > u}, u in (0, 1).
@@ -230,7 +217,6 @@ class StepWidth(WidthFunction):
         self.h_max = float(edges_a[-1])
         self.breakpoints = tuple(float(e) for e in edges_a[1:])
         seg_mass = np.diff(edges_a) * values_a
-        self.total_mass = float(np.dot(np.diff(edges_a), values_a))
         # mass below edges[j], and mass above edges[j] summed from the right,
         # so a small tail is never the difference of two large masses
         self._cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
@@ -439,13 +425,13 @@ class OptimalCsWidth(WidthFunction):
     D_KL = 1/alpha - 1 + ln(alpha), D_CS = (1 - alpha)/alpha.
     """
 
-    total_mass = 1.0
-
     def __init__(self, alpha: float):
         if not (0.0 < alpha < 1.0):
             raise InvalidParameterError("need 0 < alpha < 1")
         self.alpha = float(alpha)
         self.p = 1.0 / (1.0 - alpha)
+        # p - 1, not rounded through p: T's power carries its error times ln h
+        self.expo = alpha / (1.0 - alpha)
         self.h_max = math.inf
         self.breakpoints = (self.alpha,)
         # beyond alpha the width IS coef * h^-p; the 1e-12 pad keeps the
@@ -463,6 +449,16 @@ class OptimalCsWidth(WidthFunction):
     def dcs_bits(self) -> float:
         return (1.0 - self.alpha) / self.alpha / LN2
 
+    def _tail(self, h: float, tol: float) -> QuadResult:
+        """T(h) = 1 - h up to alpha, and (1 - alpha) (h/alpha)^(1 - p) beyond."""
+        if h <= self.alpha:
+            return QuadResult(1.0 - h, _EPS * (1.0 - h), True, 0)
+        # two powers, since h/alpha overflows for h near the float maximum;
+        # an ulp of expo moves each by expo |ln| ulp
+        value = (1.0 - self.alpha) * h**-self.expo * self.alpha**self.expo
+        ulps = 5.0 + self.expo * (abs(math.log(h)) - math.log(self.alpha))
+        return QuadResult(value, _EPS * ulps * value + _MIN_NORMAL, True, 0)
+
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         return self.alpha * np.power(u, -(1.0 - self.alpha))
 
@@ -473,8 +469,6 @@ class OptimalAcsWidth(WidthFunction):
     alpha > 1, beta = (pi/alpha)/sin(pi/alpha). Closed forms (nats):
     D_KL = -(ln(beta) - 1 + beta cos(pi/alpha)), D_ACS = alpha - pi cot(pi/alpha).
     """
-
-    total_mass = 1.0
 
     def __init__(self, alpha: float):
         if not alpha > 1.0:
@@ -498,6 +492,38 @@ class OptimalAcsWidth(WidthFunction):
     def dacs_bits(self) -> float:
         a = self.alpha
         return (a - math.pi / math.tan(math.pi / a)) / LN2
+
+    # the regularized incomplete beta, bound at the first T(h) with h > 0,
+    # so that T(0), the mass a SyntheticSpec checks, never loads scipy
+    @functools.cached_property
+    def _betainc(self):
+        from scipy.special import betainc
+        return betainc
+
+    def _tail(self, h: float, tol: float) -> QuadResult:
+        """T(h) = I_y(1 - a, a), y = 1/(1 + (beta h)^alpha), a = 1/alpha."""
+        # s = (beta t)^alpha maps T onto a beta tail over B(a, 1 - a) = alpha
+        # beta, and I is the regularized incomplete beta. Each branch keeps
+        # its argument <= 1/2: y = 1/(1 + z) would round to 1 for small h,
+        # and the complement 1 - I_{1-y}(a, 1 - a) would cancel for large h
+        if h == 0.0:
+            return QuadResult(1.0, 0.0, True, 0)
+        alpha, a, t = self.alpha, 1.0 / self.alpha, self.beta * h
+        if t < 1.0:
+            z = t**alpha
+            value, scale = 1.0 - float(self._betainc(a, 1.0 - a, z / (1.0 + z))), 1.0
+        else:
+            # once 1/z < eps, T is the first form's leading term
+            # t^(1 - alpha)/((alpha - 1) beta), relative O(1/z), taken as two
+            # powers since t overflows for h near the float maximum
+            zi = t**-alpha
+            value = scale = (h ** (1.0 - alpha) * self.beta**-alpha / (alpha - 1.0) if zi < _EPS
+                             else float(self._betainc(1.0 - a, a, zi / (1.0 + zi))))
+        # rounding of t, z and the betas moves T by up to about alpha + 4 ulp
+        # of scale; that of the parameter 1 - a moves y^(1 - a) by up to
+        # |ln y|/2 ulp, and |ln y| <= alpha ln t + ln 2
+        ulps = 9.0 + 2.0 * alpha + alpha * max(math.log(h) + math.log(self.beta), 0.0)
+        return QuadResult(value, _EPS * ulps * scale + _MIN_NORMAL, True, 0)
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         return np.power(1.0 / u - 1.0, 1.0 / self.alpha) / self.beta
@@ -577,7 +603,8 @@ def width_from_table(rows: Sequence[tuple[float, float]]) -> StepWidth:
     if not np.all(np.diff(v) <= 0.0) or v[-1] != 0.0:
         raise InvalidParameterError("width table w column must be non-increasing, ending at 0")
     w = StepWidth(h, v[:-1])
-    if abs(w.total_mass - 1.0) > 1e-9:
+    mass = w.tail_integral(0.0).value
+    if abs(mass - 1.0) > 1e-9:
         raise InvalidParameterError(
-            f"width table mass {w.total_mass!r} differs from 1 by more than 1e-9")
+            f"width table mass {mass!r} differs from 1 by more than 1e-9")
     return w

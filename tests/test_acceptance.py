@@ -212,7 +212,7 @@ def test_criterion_09_sampler_goodness_of_fit():
         for k in range(1, 11):
             s_k = rec.S[k - 1]
             sigma = math.sqrt(max(s_k * (1 - s_k), 1e-12) / n)
-            ok &= abs(res.survival_estimate(k) - s_k) <= 4 * sigma + 1e-12
+            ok &= abs(np.mean(res.indices >= k) - s_k) <= 4 * sigma + 1e-12
     elapsed = time.perf_counter() - start
     ok &= elapsed <= 30.0
     _line(9, ok, f"chi-square + KS at n=1e5 pass for 10 fixed seeds, S_k within 4 sigma "

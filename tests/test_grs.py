@@ -497,7 +497,7 @@ def test_sampler_discrete_support_and_first_step():
     res = grs_empirical(pair, w, RngStream(0, 4), 20_000)
     accepted = res.accepted.astype(int)
     assert set(np.unique(accepted)) <= {0, 1}
-    p1 = res.survival_estimate(1) - res.survival_estimate(2)
+    p1 = np.mean(res.indices >= 1) - np.mean(res.indices >= 2)
     assert abs(p1 - 0.5) <= 4 * math.sqrt(0.25 / 20_000)
 
 
@@ -629,7 +629,7 @@ def test_synthetic_first_step_acceptance():
     assert rec.S[0] - rec.S[1] == pytest.approx(0.75, abs=1e-12)
     pair = make_pair(SyntheticSpec(w))
     n = 5000
-    u = pair.sample_proposal(RngStream(3, 1), n)
+    u = pair.draw(RngStream(3, 1).generator(), n)
     beta1 = np.minimum(np.exp(pair.log_ratio(u)), 1.0)
     assert abs(float(beta1.mean()) - 0.75) <= 4 * float(beta1.std(ddof=1)) / math.sqrt(n)
 
@@ -668,7 +668,7 @@ def test_empirical_survival_matches_recursion():
     for k in range(1, 11):
         s_k = rec.S[k - 1]
         sigma = math.sqrt(max(s_k * (1.0 - s_k), 1e-12) / n)
-        assert abs(res.survival_estimate(k) - s_k) <= 4 * sigma + 1e-12
+        assert abs(np.mean(res.indices >= k) - s_k) <= 4 * sigma + 1e-12
 
 
 def test_empirical_histogram_and_validation():

@@ -59,7 +59,7 @@ def test_d_inf_bounds_log_ratio():
     for spec in (LaplaceSpec(0.3), GaussianSpec(1.0, 0.5, 2), DISCRETE_EXAMPLE,
                  SyntheticSpec(two_level_width(0.1))):
         pair = make_pair(spec)
-        draws = pair.sample_proposal(stream, 10_000)
+        draws = pair.draw(stream.generator(), 10_000)
         assert float(np.max(pair.log_ratio(draws))) <= d_infinity(pair.width()) * LN2 + 1e-9
 
 
@@ -157,10 +157,10 @@ def test_discrete_draw_boundaries_below_the_last_atom_are_the_cumulative_sums():
 
 def test_sampling_is_keyed_and_deterministic():
     pair = make_pair(LaplaceSpec(0.5))
-    a = pair.sample_proposal(RngStream(11, 3), 64)
-    b = pair.sample_proposal(RngStream(11, 3), 64)
-    c = pair.sample_proposal(RngStream(11, 4), 64)
-    d = pair.sample_proposal(RngStream(12, 3), 64)
+    a = pair.draw(RngStream(11, 3).generator(), 64)
+    b = pair.draw(RngStream(11, 3).generator(), 64)
+    c = pair.draw(RngStream(11, 4).generator(), 64)
+    d = pair.draw(RngStream(12, 3).generator(), 64)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -169,7 +169,7 @@ def test_sampling_is_keyed_and_deterministic():
 def test_discrete_uniform_frequencies():
     pair = make_pair(discrete_spec((0.5, 0.5, 0.0, 0.0), (0.25,) * 4))
     n = 10**5
-    draws = pair.sample_proposal(RngStream(0, 1), n)
+    draws = pair.draw(RngStream(0, 1).generator(), n)
     sigma = math.sqrt(0.25 * 0.75 / n)
     for sym in range(4):
         assert abs(float(np.mean(draws == sym)) - 0.25) <= 4 * sigma
@@ -178,7 +178,7 @@ def test_discrete_uniform_frequencies():
 def test_gaussian_sample_mean():
     n = 10**5
     pair = make_pair(GaussianSpec(1.0, 0.5, 2))
-    draws = pair.sample_proposal(RngStream(1, 2), n)
+    draws = pair.draw(RngStream(1, 2).generator(), n)
     assert draws.shape == (n, 2)
     for j in range(2):
         assert abs(float(draws[:, j].mean())) <= 4.0 / math.sqrt(n)
@@ -186,7 +186,7 @@ def test_gaussian_sample_mean():
 
 def test_synthetic_samples_in_unit_interval():
     pair = make_pair(SyntheticSpec(equality_case_width(4.0)))
-    x = pair.sample_proposal(RngStream(2, 0), 1000)
+    x = pair.draw(RngStream(2, 0).generator(), 1000)
     assert np.all((x > 0.0) & (x < 1.0))
 
 
@@ -202,7 +202,7 @@ def test_mc_superlevel_matches_analytic_width(spec, h):
     pair = make_pair(spec)
     w = width_eval(spec)
     n = 10**5
-    draws = pair.sample_proposal(RngStream(3, 5), n)
+    draws = pair.draw(RngStream(3, 5).generator(), n)
     est = float(np.mean(pair.log_ratio(draws) >= math.log(h)))
     target = float(w(h)[0])
     sigma = math.sqrt(max(target * (1 - target), 1e-12) / n)
@@ -220,7 +220,7 @@ def test_mc_superlevel_matches_analytic_width(spec, h):
 def test_ratio_normalization_monte_carlo(spec):
     pair = make_pair(spec)
     n = 10**5
-    draws = pair.sample_proposal(RngStream(4, 9), n)
+    draws = pair.draw(RngStream(4, 9).generator(), n)
     r = np.exp(pair.log_ratio(draws))
     est = float(r.mean())
     stderr = float(r.std(ddof=1)) / math.sqrt(n)
@@ -231,7 +231,7 @@ def test_synthetic_width_matches_mc_at_random_levels():
     for w in (equality_case_width(4.0), two_level_width(0.1)):
         pair = make_pair(SyntheticSpec(w))
         n = 10**5
-        draws = pair.sample_proposal(RngStream(5, 13), n)
+        draws = pair.draw(RngStream(5, 13).generator(), n)
         ratios = np.exp(pair.log_ratio(draws))
         rng = np.random.default_rng(17)
         for h in rng.uniform(0.0, w.h_max, 10):
@@ -245,6 +245,21 @@ def test_synthetic_rejects_non_unit_mass():
     from crs_toolkit.width import StepWidth
     with pytest.raises(InvalidParameterError):
         SyntheticSpec(StepWidth([0.0, 1.0], [0.5]))
+
+
+class _DuckWidth:
+    """Callable with an h_max, but no WidthFunction: it has no T."""
+
+    h_max = 1.0
+
+    def __call__(self, h):
+        return np.ones_like(np.atleast_1d(h))
+
+
+@pytest.mark.parametrize("w", [_DuckWidth(), lambda h: h], ids=["duck", "function"])
+def test_synthetic_rejects_a_non_width(w):
+    with pytest.raises(InvalidParameterError, match="needs a WidthFunction"):
+        SyntheticSpec(w)
 
 
 def test_stream_child_offsets():

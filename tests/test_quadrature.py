@@ -23,7 +23,6 @@ from crs_toolkit.quadrature import (
     phi_of_width_integral,
     seed_panels,
     width_log_h_integral,
-    width_mass_integral,
 )
 from crs_toolkit.width import (
     GaussianWidth,
@@ -31,6 +30,7 @@ from crs_toolkit.width import (
     OptimalAcsWidth,
     OptimalCsWidth,
     WidthFunction,
+    two_level_width,
 )
 
 LN2 = math.log(2.0)
@@ -137,14 +137,6 @@ def test_power_tail_validation():
         PowerTail(coef=-1.0, exponent=2.0, h_from=1.0)
 
 
-def test_width_mass_integral_triangle():
-    w = FormulaWidth(lambda h: np.clip(1.0 - h / 2.0, 0.0, 1.0), 2.0)
-    res = width_mass_integral(w, 0.0, 1e-11)
-    assert res.value == pytest.approx(1.0, abs=1e-10)
-    res_tail = width_mass_integral(w, 1.0, 1e-11)
-    assert res_tail.value == pytest.approx(0.25, abs=1e-10)
-
-
 def test_width_log_h_integral_matches_kl_identity():
     # laplace b = 1/2: 1 + int w ln h dh = ln 2 - 1/2 + 1... KL nats = b-1-ln b
     w = FormulaWidth(lambda h: np.clip(1.0 - h / 2.0, 0.0, 1.0), 2.0, (2.0,))
@@ -187,16 +179,6 @@ def test_log_h_driver_output_pinned():
     assert res.converged and res.panels == 15
 
 
-def test_mass_driver_outputs_pinned():
-    res = WidthFunction.tail_integral(OptimalCsWidth(0.5), 2.0, tol=1e-11)
-    _assert_pinned(res.value, res.error, 0.12499999999894666, 2.550242976433319e-12)
-    assert res.converged and res.panels == 7
-    w = GaussianWidth(1.0, 0.5, 2)
-    res = width_mass_integral(w, 0.0, 1e-10)
-    _assert_pinned(res.value, res.error, 0.9999999999876242, 1.4536451195632338e-11)
-    assert res.converged and res.panels == 8
-
-
 def test_too_heavy_tail_message_prefix():
     with pytest.raises(QuadratureError,
                        match=r"^power tail too heavy to truncate within float range"):
@@ -213,11 +195,14 @@ def test_empty_log_range_returns_stub_bound():
 BAD_TOL_CALLS = {
     "phi": lambda tol: phi_of_width_integral(LaplaceWidth(0.5), PHI_XLOGX, tol),
     "log_h": lambda tol: width_log_h_integral(LaplaceWidth(0.5), tol),
-    "mass_from_0": lambda tol: width_mass_integral(LaplaceWidth(0.5), 0.0, tol),
-    # with h_lo > 0 no log of tol is taken: tol 0 used to burn the whole
-    # panel budget and return converged=False
-    "mass_from_1": lambda tol: width_mass_integral(LaplaceWidth(0.5), 1.0, tol),
-    "base_tail": lambda tol: WidthFunction.tail_integral(OptimalCsWidth(0.5), 2.0, tol),
+    # the mass of w above h is T(h), and its unit mass T(0): closed forms
+    # that return their own rounding bar and read no tol, but still check it
+    "mass_from_0": lambda tol: LaplaceWidth(0.5).tail_integral(0.0, tol),
+    "mass_from_1": lambda tol: LaplaceWidth(0.5).tail_integral(1.0, tol),
+    "base_tail": lambda tol: WidthFunction.tail_integral(GaussianWidth(1.0, 0.5, 1), 0.3, tol),
+    "step_tail": lambda tol: two_level_width(0.1).tail_integral(0.3, tol),
+    "optimal_cs_tail": lambda tol: OptimalCsWidth(0.5).tail_integral(2.0, tol),
+    "optimal_acs_tail": lambda tol: OptimalAcsWidth(2.0).tail_integral(2.0, tol),
     # the v-quadrature fallback 1e-8 below h_max, which used to run all
     # 20 000 panels for tol 0
     "gaussian_fallback": lambda tol: GaussianWidth(1.0, 0.5, 1).tail_integral(
@@ -393,8 +378,3 @@ def test_gk15_arrays_match_scalar_calls_by_row(monkeypatch):
 def test_non_finite_panel_ends_rejected(call):
     with pytest.raises(InvalidParameterError, match="finite"):
         call()
-
-
-def test_width_mass_integral_rejects_nan_h_lo():
-    with pytest.raises(InvalidParameterError, match="h_lo must be >= 0"):
-        width_mass_integral(LaplaceWidth(0.5), math.nan, 1e-9)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 import crs_toolkit
 from crs_toolkit.errors import InvalidParameterError
@@ -18,7 +18,7 @@ from crs_toolkit.measures import (
     discrete_spec,
     make_pair,
 )
-from crs_toolkit.quadrature import QuadResult, width_mass_integral
+from crs_toolkit.quadrature import QuadResult
 from crs_toolkit.streams import RngStream
 from crs_toolkit.width import (
     GaussianWidth,
@@ -39,9 +39,30 @@ from reference_values import (
     GAUSSIAN_RATIO_INVERSE,
     GAUSSIAN_WIDTH,
     GAUSSIAN_WIDTH_NEAR_H_MAX,
+    OPTIMAL_ACS_TAIL,
+    OPTIMAL_CS_TAIL,
 )
 
 DISCRETE_EXAMPLE = discrete_spec((0.5, 0.5, 0.0, 0.0), (0.25,) * 4)
+
+
+def _quad_tail(w: WidthFunction, h: float = 0.0) -> tuple[float, float]:
+    """T(h) and its error estimate by scipy's QUADPACK in u = ln h: a reference
+    that shares no code with the package's closed forms or its quadrature.
+
+    Pieces end at the width's breakpoints. From h = 0 the stub below
+    e^-40 is left out; w <= 1 bounds it by 5e-18. An infinite h_max is cut
+    at e^700, where the power tails of the widths here leave below 1e-33.
+    """
+    def f(u: float) -> float:
+        return float(w(math.exp(u))[0]) * math.exp(u)
+
+    lo = math.log(h) if h > 0.0 else -40.0
+    hi = min(math.log(w.h_max), 700.0)
+    ends = [lo, *sorted(math.log(b) for b in w.breakpoints if lo < math.log(b) < hi), hi]
+    pieces = [integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)
+              for a, b in zip(ends[:-1], ends[1:])]
+    return math.fsum(v for v, _ in pieces), math.fsum(e for _, e in pieces)
 
 FAMILY_SPECS = [
     LaplaceSpec(0.5),
@@ -65,7 +86,7 @@ def test_laplace_width_is_linear_at_half():
 def test_laplace_width_monte_carlo_oracle():
     pair = make_pair(LaplaceSpec(0.5))
     n = 10**6
-    log_r = pair.log_ratio(pair.sample_proposal(RngStream(0, 2), n))
+    log_r = pair.log_ratio(pair.draw(RngStream(0, 2).generator(), n))
     est = float(np.mean(log_r >= 0.0))  # the fraction of draws with ratio >= 1
     se = math.sqrt(est * (1.0 - est) / n)
     assert se == pytest.approx(0.0005, abs=2e-5)
@@ -77,7 +98,7 @@ def test_discrete_example_width():
     assert float(w(0.0)[0]) == 1.0
     assert np.allclose(w(np.array([0.5, 1.0, 2.0])), 0.5)
     assert float(w(2.0 + 1e-12)[0]) == 0.0
-    assert w.total_mass == pytest.approx(1.0, abs=1e-15)
+    assert w.tail_integral(0.0).value == pytest.approx(1.0, abs=1e-15)
     assert w.h_max == 2.0
 
 
@@ -124,12 +145,16 @@ def test_width_monotone_on_random_pairs(spec):
 @pytest.mark.parametrize("spec", [LaplaceSpec(0.5), LaplaceSpec(0.02), DISCRETE_EXAMPLE,
                                   SyntheticSpec(two_level_width(0.3))])
 def test_width_normalization_tight(spec):
-    assert width_eval(spec).total_mass == pytest.approx(1.0, abs=1e-9)
+    w = width_eval(spec)
+    assert _quad_tail(w)[0] == pytest.approx(1.0, abs=1e-9)
+    assert w.tail_integral(0.0).value == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 8, 64])
 def test_gaussian_width_normalization_series_route(d):
-    assert GaussianWidth(1.0, 0.5, d).total_mass == pytest.approx(1.0, abs=1e-6)
+    # the Gaussian T(0) is the constant 1, so only an integral of w checks
+    # that the chi-square CDF is a width of unit mass
+    assert _quad_tail(GaussianWidth(1.0, 0.5, d))[0] == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS)
@@ -139,7 +164,7 @@ def test_width_analytic_vs_monte_carlo_grid(spec):
     n = 10**5
     hi = min(w.h_max, 50.0)
     grid = np.linspace(hi / 21.0, hi * 0.999, 20)
-    draws = pair.sample_proposal(RngStream(8, 3), n)
+    draws = pair.draw(RngStream(8, 3).generator(), n)
     log_r = pair.log_ratio(draws)
     for h in grid:
         target = float(w(h)[0])
@@ -150,7 +175,7 @@ def test_width_analytic_vs_monte_carlo_grid(spec):
 
 def test_equality_case_masses_exact():
     for c in (1.0, 2.0, 4.0, 10.0):
-        assert equality_case_width(c).total_mass == pytest.approx(1.0, abs=1e-15)
+        assert equality_case_width(c).tail_integral(0.0).value == pytest.approx(1.0, abs=1e-15)
 
 
 def test_d_infinity_examples():
@@ -196,6 +221,20 @@ def test_gaussian_width_and_tail_near_h_max_match_40_digit_references(mu, sigma,
     assert abs(res.value - t_ref) <= res.error
 
 
+EXTREMAL_TAILS = ([(OptimalCsWidth, *row) for row in OPTIMAL_CS_TAIL]
+                  + [(OptimalAcsWidth, *row) for row in OPTIMAL_ACS_TAIL])
+
+
+@pytest.mark.parametrize("cls, alpha, h, t_ref", EXTREMAL_TAILS,
+                         ids=[f"{cls.__name__}_a{alpha:g}_h{h:g}"
+                              for cls, alpha, h, _ in EXTREMAL_TAILS])
+def test_extremal_tails_match_40_digit_references(cls, alpha, h, t_ref):
+    res = cls(alpha).tail_integral(h)
+    assert res.converged and res.panels == 0
+    assert res.value == pytest.approx(t_ref, rel=1e-13, abs=0.0)
+    assert abs(res.value - t_ref) <= res.error
+
+
 def test_step_width_band_and_tail_integrals_exact():
     w = two_level_width(0.1)
     a = 1.0 / (1.0 + math.e)
@@ -210,24 +249,24 @@ CLOSED_TAIL_WIDTHS = {
     "gaussian_mu0_s06_d1": GaussianWidth(0.0, 0.6, 1),
     "gaussian_mu1_s05_d2": GaussianWidth(1.0, 0.5, 2),
     "two_level_eps01": two_level_width(0.1),
+    **{f"optimal_cs_a{a:g}": OptimalCsWidth(a) for a in (0.1, 0.5, 0.9)},
+    **{f"optimal_acs_a{a:g}": OptimalAcsWidth(a) for a in (1.5, 3.0)},
 }
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_TAIL_WIDTHS))
 def test_closed_form_tail_matches_quadrature(name):
     w = CLOSED_TAIL_WIDTHS[name]
-    for frac in (0.1, 0.5, 0.9, 0.99):
-        h = frac * w.h_max
+    # fractions of a finite h_max; points on both sides of the kink and far
+    # into the power tail of an infinite one
+    hs = ([frac * w.h_max for frac in (0.1, 0.5, 0.9, 0.99)] if math.isfinite(w.h_max)
+          else [0.05, 0.3, 0.7, 2.0, 1e3])
+    for h in hs:
         closed = w.tail_integral(h)
         assert closed.converged and closed.panels == 0
-        # 1e-12 relative is the tightest request the base quadrature meets at
-        # every point here; at 1e-13 it spends its whole panel budget on
-        # laplace b = 0.99 and returns unconverged
-        # the base class's quadrature, not tail_integral, which would
-        # dispatch back to the closed form under test
-        quad = WidthFunction._tail(w, h, tol=1e-12 * closed.value)
-        assert quad.converged and quad.panels > 0
-        assert closed.value == pytest.approx(quad.value, rel=1e-10)
+        value, error = _quad_tail(w, h)
+        assert error <= 1e-12 * value
+        assert closed.value == pytest.approx(value, rel=1e-10)
 
 
 def test_laplace_tail_at_tiny_h_is_closed_form():
@@ -264,6 +303,8 @@ specs = [LaplaceSpec(0.5), LaplaceSpec(1.0), GaussianSpec(1.0, 0.5, 2),
          SyntheticSpec(two_level_width(0.2))]
 assert {spec.family for spec in specs} == set(FAMILIES)
 widths = [spec.width() for spec in specs] + [OptimalCsWidth(0.5), OptimalAcsWidth(2.0)]
+# a synthetic pair checks its width's mass T(0), which reads no scipy
+specs += [SyntheticSpec(OptimalCsWidth(0.5)), SyntheticSpec(OptimalAcsWidth(2.0))]
 assert main(["grs", "entropy", "--family", "discrete",
              "--q", "0.5,0.5,0,0", "--p", "0.25,0.25,0.25,0.25"]) == 0
 assert not scipy_modules(), scipy_modules()[:5]
@@ -410,11 +451,16 @@ class TriangleWidth(WidthFunction):
     def _formula(self, h: np.ndarray) -> np.ndarray:
         return 1.0 - 0.5 * h
 
+    def _tail(self, h: float, tol: float) -> QuadResult:
+        return QuadResult((2.0 - h) ** 2 / 4.0, 0.0, True, 0)
+
 
 @pytest.mark.parametrize("width", [LaplaceWidth(0.5), two_level_width(0.1), OptimalCsWidth(0.5),
-                                   GaussianWidth(1.0, 0.5, 1), TriangleWidth()],
-                         ids=["laplace_closed_form", "step_closed_form", "base_quadrature",
-                              "gaussian_closed_form", "custom_subclass"])
+                                   OptimalAcsWidth(2.0), GaussianWidth(1.0, 0.5, 1),
+                                   TriangleWidth()],
+                         ids=["laplace_closed_form", "step_closed_form", "optimal_cs_closed_form",
+                              "optimal_acs_closed_form", "gaussian_closed_form",
+                              "custom_subclass"])
 def test_tail_integral_rejects_nan(width):
     for h in (math.nan, -1.0, -math.inf):
         with pytest.raises(InvalidParameterError, match="h must be >= 0"):
@@ -423,12 +469,32 @@ def test_tail_integral_rejects_nan(width):
 
 def test_custom_width_without_base_init_has_mass():
     # the mass cache used to live in WidthFunction.__init__, so this width
-    # raised AttributeError on total_mass
+    # raised AttributeError on its mass; the mass is now T(0)
     w = TriangleWidth()
-    want = width_mass_integral(w, 0.0, 1e-10)
-    assert w.total_mass == want.value == pytest.approx(1.0, abs=1e-10)
-    assert vars(w)["total_mass"] == want.value  # cached on first read
+    assert w.tail_integral(0.0).value == 1.0
+    assert _quad_tail(w)[0] == pytest.approx(1.0, abs=1e-12)
     assert w.tail_integral(1.0).value == pytest.approx(0.25, abs=1e-12)
+    assert _quad_tail(w, 1.0)[0] == pytest.approx(0.25, abs=1e-12)
+    SyntheticSpec(w)  # checks T(0) against 1
+
+
+class _NoTailWidth(WidthFunction):
+    h_max, breakpoints = 2.0, ()
+
+    def _formula(self, h: np.ndarray) -> np.ndarray:
+        return 1.0 - 0.5 * h
+
+
+def test_width_without_tail_raises_not_implemented():
+    # T is part of a width's contract, as w is: there is no quadrature T
+    with pytest.raises(NotImplementedError):
+        _NoTailWidth().tail_integral(1.0)
+    with pytest.raises(NotImplementedError):
+        SyntheticSpec(_NoTailWidth())
+    # the domain checks still come first
+    with pytest.raises(InvalidParameterError, match="h must be >= 0"):
+        _NoTailWidth().tail_integral(math.nan)
+    assert _NoTailWidth().tail_integral(2.0).value == 0.0
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
@@ -500,7 +566,7 @@ def test_width_rejects_negative_argument():
 
 def test_indicator_width_unit_mass_only():
     w = indicator_width()
-    assert (w.h_max, w.total_mass) == (1.0, 1.0)
+    assert (w.h_max, w.tail_integral(0.0).value) == (1.0, 1.0)
 
 
 DOMAIN_WIDTHS = {

@@ -22,7 +22,17 @@ delta_{k+1}^2 = delta_k^3 (1 - delta_k/4). H[K] is enclosed by the dense sum
 over the first 10^6 steps and that sum plus the max-entropy bound on the
 rest, s (log2 m - 2 log2 s + log2 e) with s = delta^2 the survival and
 m = 2 delta = h_max - L the mean tail after them: about 2.4e-10 bits apart.
-The whole script takes about 25 s on a 2-vCPU x86 host, most of it in this sum.
+
+The extremal widths. OptimalCsWidth(alpha) has w = min(1, (h/alpha)^-p),
+p = 1/(1 - alpha), so T(h) = 1 - h up to alpha and (1 - alpha)(h/alpha)^(1-p)
+beyond. OptimalAcsWidth(alpha) has w = 1/(1 + (beta h)^alpha), and T is the
+regularized incomplete beta I_y(1 - 1/alpha, 1/alpha) at y = 1/(1 + (beta h)^alpha),
+written through its complement where y > 1/2. Each value is also integrated
+by tanh-sinh quadrature, in ln h beyond the width's scale, and the script
+stops if the two disagree beyond 1e-45 relative.
+
+The whole script takes about 40 s on a 2-vCPU x86 host, most of it in the
+Laplace sum.
 """
 from __future__ import annotations
 
@@ -115,6 +125,76 @@ SMALLEST = 1e-300
 RATIO_INVERSE_U = (0.1, 0.25, 0.5, 0.9)
 LAPLACE_HALF_STEPS = 10**6
 
+OPTIMAL_CS_ALPHAS = (0.1, 0.5, 0.9)
+OPTIMAL_ACS_ALPHAS = (1.5, 2.0, 3.0, 6.0)
+# h = 0 is the mass, 1; the points straddle alpha and 1/beta, and at the
+# last, h/alpha and beta h overflow (a T below the float range reads as 0.0)
+EXTREMAL_H = (0.0, 1e-300, 1e-8, 0.05, 0.3, 0.5, 0.7, 0.9, 1.0, 3.0, 100.0, 1e6, 1e12,
+              1e300, 1.7e308)
+
+
+class OptimalCs:
+    """OptimalCsWidth(alpha) at the float alpha: w and its closed-form T."""
+
+    def __init__(self, alpha: float):
+        self.alpha = mp.mpf(alpha)
+        self.p = 1 / (1 - self.alpha)
+        self.scale = self.alpha  # w is 1 below, a power beyond
+
+    def w(self, t):
+        return min(mp.mpf(1), (t / self.alpha) ** -self.p)
+
+    def tail(self, h):
+        a = self.alpha
+        return 1 - h if h <= a else (1 - a) * (h / a) ** (1 - self.p)
+
+
+class OptimalAcs:
+    """OptimalAcsWidth(alpha) at the float alpha, with beta exact."""
+
+    def __init__(self, alpha: float):
+        self.alpha = mp.mpf(alpha)
+        self.beta = (mp.pi / self.alpha) / mp.sin(mp.pi / self.alpha)
+        self.scale = 1 / self.beta  # the power tail sets in beyond
+
+    def w(self, t):
+        return 1 / (1 + (self.beta * t) ** self.alpha)
+
+    def tail(self, h):
+        if h == 0:
+            return mp.mpf(1)
+        a = 1 / self.alpha
+        z = (self.beta * h) ** self.alpha
+        if z >= 1:
+            return mp.betainc(1 - a, a, 0, 1 / (1 + z), regularized=True)
+        return 1 - mp.betainc(a, 1 - a, 0, z / (1 + z), regularized=True)
+
+
+def tail_by_quadrature(width, h):
+    """T(h) by tanh-sinh: in h up to the width's scale, then in v = ln(t/k)
+    from k = max(h, scale), with the integrand divided by w(k) k so that it
+    starts at 1 and the quadrature's absolute stop is a relative one."""
+    k = max(h, width.scale)
+    head = mp.quad(width.w, [h, k]) if k > h else mp.mpf(0)
+    wk = width.w(k)
+    rest = mp.quad(lambda v: width.w(k * mp.exp(v)) * mp.exp(v) / wk, [0, 1, 4, 16, 64, mp.inf])
+    return head + wk * k * rest
+
+
+def extremal_rows(cls, alphas) -> list[str]:
+    rows = []
+    for alpha in alphas:
+        width = cls(alpha)
+        for h in EXTREMAL_H:
+            t = width.tail(mp.mpf(h))
+            quad = tail_by_quadrature(width, mp.mpf(h))
+            if abs(t - quad) > mp.mpf(10) ** -45 * t:
+                raise SystemExit(f"{cls.__name__}({alpha}) at h = {h!r}: closed form {t} "
+                                 f"and quadrature {quad} disagree")
+            print(f"{cls.__name__}({alpha}) h={h!r}: T={mp.nstr(t, 8)}", file=sys.stderr)
+            rows.append(f"    ({alpha!r}, {h!r}, {fmt(t)}),")
+    return rows
+
 
 def fmt(v) -> str:
     return mp.nstr(v, DIGITS, min_fixed=-4, max_fixed=4)
@@ -181,6 +261,15 @@ def main() -> None:
         "# first width); d = 206 is left out, as its w underflows there",
         "GAUSSIAN_WIDTH_NEAR_H_MAX = [",
         *near,
+        "]",
+        "",
+        "# T(h) of OptimalCsWidth(alpha) and of OptimalAcsWidth(alpha): (alpha, h, T(h))",
+        "OPTIMAL_CS_TAIL = [",
+        *extremal_rows(OptimalCs, OPTIMAL_CS_ALPHAS),
+        "]",
+        "",
+        "OPTIMAL_ACS_TAIL = [",
+        *extremal_rows(OptimalAcs, OPTIMAL_ACS_ALPHAS),
         "]",
         "",
         "# GaussianWidth(1.0, 0.5, 1).ratio_inverse(u): (u, r(u))",
