@@ -23,7 +23,6 @@ from .measures import (
     DistributionPair,
     GaussianSpec,
     LaplaceSpec,
-    PairSpec,
     SyntheticSpec,
     discrete_spec,
     make_pair,

@@ -17,6 +17,7 @@ column name says nats. Identical argv and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -30,23 +31,9 @@ from .divergences import (
     kl_divergence,
 )
 from .errors import CrsToolkitError, InvalidParameterError
-from .experiments import (
-    EPSILON_HEADER,
-    GAUSSIAN_HEADER,
-    LAPLACE_HEADER,
-    SUITE_EPS_STOP,
-    SWEEP_EPS_STOP,
-    bound_suite,
-    epsilon_family_study,
-    gaussian_sweep,
-    laplace_sweep,
-    load_suite_file,
-    rows_to_csv,
-    sweep_metadata,
-    write_sweep,
-)
+from .experiments import STUDIES, bound_suite, load_suite_file, write_sweep
 from .grs import grs_empirical, grs_index_distribution, grs_sample
-from .measures import FAMILIES, PairSpec
+from .measures import FAMILIES, DistributionPair
 from .streams import RngStream
 from .width import width_eval
 
@@ -73,7 +60,7 @@ def _csv_floats(text: str) -> list[float]:
         raise InvalidParameterError(f"bad numeric list {text!r}") from exc
 
 
-def _pair_spec(args) -> PairSpec:
+def _pair_spec(args) -> DistributionPair:
     """Pair spec from the pair flags, read as a suite-file descriptor."""
     flags = {"b": args.b, "mu": args.mu, "sigma": args.sigma, "d": args.d,
              "q": None if args.q is None else _csv_floats(args.q),
@@ -116,13 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="parameter sweeps emitting CSV")
     exp_sub = exp.add_subparsers(dest="study", required=True)
-    for study in ("laplace", "gaussian", "epsilon"):
+    for study, (sweep, _, _) in STUDIES.items():
         ep = exp_sub.add_parser(study)
         ep.add_argument("--grid", type=str, default=None, help="comma-separated grid values")
         ep.add_argument("--out", type=str, default=None, help="CSV output path (stdout if absent)")
-        if study == "gaussian":
-            ep.add_argument("--mu", type=float, default=1.0)
-            ep.add_argument("--sigma", type=float, default=0.5)
+        for param in _sweep_params(sweep):
+            ep.add_argument(f"--{param.name}", type=float, default=param.default)
 
     ver = sub.add_parser("verify", help="run the bound-verification suite")
     ver.add_argument("--suite", type=str, default="default",
@@ -185,28 +171,16 @@ def _run_grs(args) -> int:
     return 0
 
 
+def _sweep_params(sweep) -> list[inspect.Parameter]:
+    """A sweep's keyword parameters after its grid: each is a float flag."""
+    return list(inspect.signature(sweep).parameters.values())[1:]
+
+
 def _run_experiment(args) -> int:
+    sweep = STUDIES[args.study][0]
+    params = {p.name: getattr(args, p.name) for p in _sweep_params(sweep)}
     grid = _csv_floats(args.grid) if args.grid is not None else None
-    if args.study == "laplace":
-        rows = laplace_sweep(grid)
-        header = LAPLACE_HEADER
-        meta = sweep_metadata("laplace", [r.b for r in rows],
-                              {"eps_stop": SWEEP_EPS_STOP})
-    elif args.study == "gaussian":
-        rows = gaussian_sweep(grid, mu=args.mu, sigma=args.sigma)
-        header = GAUSSIAN_HEADER
-        meta = sweep_metadata("gaussian", [r.d for r in rows],
-                              {"dcs_tol_bits": DEFAULT_TOL_BITS, "mu": args.mu,
-                               "sigma": args.sigma})
-    else:
-        rows = epsilon_family_study(grid)
-        header = EPSILON_HEADER
-        meta = sweep_metadata("epsilon", [r.eps for r in rows],
-                              {"eps_stop": SUITE_EPS_STOP})
-    if args.out is None:
-        sys.stdout.write(rows_to_csv(header, rows))
-    else:
-        write_sweep(args.out, header, rows, sidecar=meta)
+    write_sweep(args.out, args.study, sweep(grid, **params), params)
     return 0
 
 

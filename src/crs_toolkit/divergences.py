@@ -123,7 +123,7 @@ def _kl_width_identity_bits(w: WidthFunction, tol_bits: float) -> tuple[float, f
 
 
 def kl_divergence(
-    spec: measures.PairSpec,
+    spec: measures.DistributionPair,
     route: str = "closed_form",
     tol: float = DEFAULT_TOL_BITS,
 ) -> DivergenceReport:

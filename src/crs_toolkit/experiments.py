@@ -2,9 +2,9 @@
 
 Three sweeps (CSV) and one verification report (JSON):
 
-  laplace:  b,neg_ln_b,kl_bits,dcs_bits,delta_bits,lower_digamma_nats,upper_digamma_nats,entropy_bits
-  gaussian: d,kl_bits,dcs_bits,delta_bits,conjecture_half_log_bits
-  epsilon:  eps,dcs_bits,entropy_bits,gap_bits
+  laplace, gaussian, epsilon: one CSV row per grid value. The columns are
+      the fields of LaplaceRow, GaussianRow and EpsilonRow, in order;
+      STUDIES maps each study name to its sweep, row class and tolerances.
   bounds:   JSON list of {spec, quantities, inequalities: [{name, lhs, rhs, margin, pass}]}
 
 Every row re-validates its own identities (delta recomputation, digamma-band
@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import platform
+import sys
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .divergences import (
+    DEFAULT_TOL_BITS,
     LOG2_E_PLUS_1,
     alternative_divergence,
     channel_simulation_divergence,
@@ -33,9 +36,9 @@ from .errors import CrsToolkitError, InvalidParameterError, SweepValidationError
 from .grs import grs_index_distribution
 from .measures import (
     FAMILIES,
+    DistributionPair,
     GaussianSpec,
     LaplaceSpec,
-    PairSpec,
     SyntheticSpec,
     discrete_spec,
     json_number,
@@ -49,20 +52,30 @@ DEFAULT_B_GRID = tuple(np.geomspace(0.02, 1.0, 25).tolist())
 DEFAULT_D_GRID = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_EPS_GRID = (0.3, 0.1, 0.03, 0.01, 0.003)
 
-LAPLACE_HEADER = "b,neg_ln_b,kl_bits,dcs_bits,delta_bits,lower_digamma_nats,upper_digamma_nats,entropy_bits"
-GAUSSIAN_HEADER = "d,kl_bits,dcs_bits,delta_bits,conjecture_half_log_bits"
-EPSILON_HEADER = "eps,dcs_bits,entropy_bits,gap_bits"
-
 SWEEP_EPS_STOP = 1e-6  # survival cutoff for sweep entropy columns
 SUITE_EPS_STOP = 1e-9  # default cutoff inside the verification suite
 
+_NOT_CSV = {"csv": False}  # field metadata: a row field that is no CSV column
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+
+def _in_entropy_band(gap_bits: float, low_slack: float, high_slack: float) -> bool:
+    """0 <= H[K] - D_CS <= log2(e+1), each end widened by its own slack."""
+    return -low_slack <= gap_bits <= LOG2_E_PLUS_1 + high_slack
+
+
+class _SweepRow:
+    """A sweep row: its CSV columns are its fields, in order, less _NOT_CSV ones."""
+
+    @classmethod
+    def header(cls) -> str:
+        return ",".join(f.name for f in fields(cls) if f.metadata.get("csv", True))
+
+    def csv(self) -> str:
+        return ",".join(format(float(getattr(self, c)), ".9g") for c in self.header().split(","))
 
 
 @dataclass(frozen=True)
-class LaplaceRow:
+class LaplaceRow(_SweepRow):
     b: float
     neg_ln_b: float
     kl_bits: float
@@ -71,7 +84,7 @@ class LaplaceRow:
     lower_digamma_nats: float
     upper_digamma_nats: float
     entropy_bits: float
-    entropy_tail_bound_bits: float = field(default=0.0)
+    entropy_tail_bound_bits: float = field(default=0.0, metadata=_NOT_CSV)
 
     def validate(self):
         if self.delta_bits != self.dcs_bits - self.kl_bits:
@@ -83,20 +96,14 @@ class LaplaceRow:
         slack = self.entropy_tail_bound_bits + 1e-9
         chain_tail = kl_sandwich(self.kl_bits).entropy_upper_bits
         ok = (self.kl_bits <= self.dcs_bits + 1e-12
-              and self.dcs_bits <= self.entropy_bits + slack
-              and self.entropy_bits <= self.dcs_bits + LOG2_E_PLUS_1 + slack
+              and _in_entropy_band(self.entropy_bits - self.dcs_bits, slack, slack)
               and self.dcs_bits + LOG2_E_PLUS_1 <= chain_tail + 1e-12)
         if not ok:
             raise SweepValidationError(f"bound chain violated at b={self.b}")
 
-    def csv(self) -> str:
-        return ",".join(_fmt(v) for v in (
-            self.b, self.neg_ln_b, self.kl_bits, self.dcs_bits, self.delta_bits,
-            self.lower_digamma_nats, self.upper_digamma_nats, self.entropy_bits))
-
 
 @dataclass(frozen=True)
-class GaussianRow:
+class GaussianRow(_SweepRow):
     d: int
     kl_bits: float
     dcs_bits: float
@@ -109,27 +116,20 @@ class GaussianRow:
         if self.kl_bits > self.dcs_bits + 1e-9:
             raise SweepValidationError(f"KL exceeds D_CS at d={self.d}")
 
-    def csv(self) -> str:
-        return ",".join([str(self.d)] + [_fmt(v) for v in (
-            self.kl_bits, self.dcs_bits, self.delta_bits, self.conjecture_half_log_bits)])
-
 
 @dataclass(frozen=True)
-class EpsilonRow:
+class EpsilonRow(_SweepRow):
     eps: float
     dcs_bits: float
     entropy_bits: float
     gap_bits: float
+    entropy_tail_bound_bits: float = field(default=0.0, metadata=_NOT_CSV)
 
     def validate(self):
         if self.gap_bits != self.entropy_bits - self.dcs_bits:
             raise SweepValidationError(f"gap identity violated at eps={self.eps}")
-        if self.gap_bits > LOG2_E_PLUS_1 + 1e-6:
-            raise SweepValidationError(f"entropy gap exceeds log2(e+1) at eps={self.eps}")
-
-    def csv(self) -> str:
-        return ",".join(_fmt(v) for v in (
-            self.eps, self.dcs_bits, self.entropy_bits, self.gap_bits))
+        if not _in_entropy_band(self.gap_bits, self.entropy_tail_bound_bits + 1e-12, 1e-6):
+            raise SweepValidationError(f"entropy gap outside [0, log2(e+1)] at eps={self.eps}")
 
 
 def laplace_sweep(b_grid: Sequence[float] | None = None) -> list[LaplaceRow]:
@@ -201,6 +201,7 @@ def epsilon_family_study(eps_grid: Sequence[float] | None = None) -> list[Epsilo
             dcs_bits=dcs,
             entropy_bits=dist.entropy_bits,
             gap_bits=dist.entropy_bits - dcs,
+            entropy_tail_bound_bits=dist.entropy_tail_bound_bits,
         )
         row.validate()
         return row
@@ -213,7 +214,7 @@ class SuiteEntry:
     """One verification job: a pair spec plus its recursion cutoff."""
 
     name: str
-    spec: PairSpec
+    spec: DistributionPair
     eps_stop: float = SUITE_EPS_STOP
 
 
@@ -269,7 +270,7 @@ class BoundSuiteReport:
         return [p.to_json() for p in self.pairs]
 
 
-def spec_descriptor(spec: PairSpec) -> dict:
+def spec_descriptor(spec: DistributionPair) -> dict:
     return spec.descriptor()
 
 
@@ -352,7 +353,7 @@ def bound_suite(entries: Sequence[SuiteEntry] | None = None) -> BoundSuiteReport
     return BoundSuiteReport([_verify_pair(e) for e in entries])
 
 
-def parse_spec_json(obj: dict) -> PairSpec:
+def parse_spec_json(obj: dict) -> DistributionPair:
     """Pair spec from its JSON descriptor (the verify file format)."""
     if not isinstance(obj, dict):
         raise InvalidParameterError(f"suite entry {obj!r} is not a JSON object")
@@ -384,19 +385,29 @@ def load_suite_file(path: str) -> list[SuiteEntry]:
     return entries
 
 
-def rows_to_csv(header: str, rows: Sequence) -> str:
-    return "\n".join([header] + [r.csv() for r in rows]) + "\n"
+STUDIES = {  # name: (sweep, row class, tolerances its sidecar records)
+    "laplace": (laplace_sweep, LaplaceRow, {"eps_stop": SWEEP_EPS_STOP}),
+    "gaussian": (gaussian_sweep, GaussianRow, {"dcs_tol_bits": DEFAULT_TOL_BITS}),
+    "epsilon": (epsilon_family_study, EpsilonRow, {"eps_stop": SUITE_EPS_STOP}),
+}
 
 
-def write_sweep(path: str, header: str, rows: Sequence, sidecar: dict | None = None) -> None:
+def write_sweep(path: str | None, study: str, rows: Sequence, params: dict) -> None:
+    """Write a study's rows as CSV to path, or to stdout when path is None.
+    A file gets a .meta.json sidecar: versions, grid, tolerances and params."""
+    _, row, tolerances = STUDIES[study]
+    text = "\n".join([row.header()] + [r.csv() for r in rows]) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(rows_to_csv(header, rows))
-    if sidecar is not None:
-        meta = {"tool": "crs-toolkit", "version": __version__, **sidecar}
-        with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        fh.write(text)
+    from importlib.metadata import version  # a 20 ms import that only a sidecar needs
 
-
-def sweep_metadata(name: str, grid: Sequence, tolerances: dict) -> dict:
-    return {"sweep": name, "grid": list(grid), "tolerances": tolerances}
+    grid = [getattr(r, fields(row)[0].name) for r in rows]  # each row's first column
+    meta = {"tool": "crs-toolkit", "version": __version__, "python": platform.python_version(),
+            "numpy": version("numpy"), "scipy": version("scipy"), "sweep": study,
+            "grid": grid, "tolerances": {**tolerances, **params}}
+    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -260,13 +260,11 @@ class SyntheticSpec(DistributionPair):
         return np.maximum(gen.random(n), 2.0**-54)
 
 
-PairSpec = DistributionPair
-
 FAMILIES: dict[str, type[DistributionPair]] = {
     cls.family: cls for cls in (LaplaceSpec, GaussianSpec, DiscreteSpec, SyntheticSpec)}
 
 
-def make_pair(spec: PairSpec) -> DistributionPair:
+def make_pair(spec: DistributionPair) -> DistributionPair:
     """The pair of a validated spec: the spec itself, as each family class is both."""
     return spec
 

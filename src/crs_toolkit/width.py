@@ -54,7 +54,7 @@ from .errors import InvalidParameterError
 from .quadrature import PowerTail, QuadResult, adaptive
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .measures import PairSpec
+    from .measures import DistributionPair
 
 LN2 = math.log(2.0)
 
@@ -558,7 +558,7 @@ def width_from_discrete(q: Sequence[float], p: Sequence[float]) -> StepWidth:
     return StepWidth(edges, values)
 
 
-def width_eval(spec: "PairSpec") -> WidthFunction:
+def width_eval(spec: "DistributionPair") -> WidthFunction:
     """Analytic width function of a pair spec."""
     return spec.width()
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from crs_toolkit import cli
+from crs_toolkit import __version__, cli
 from crs_toolkit.width import GaussianWidth
 
 
@@ -143,25 +143,47 @@ def test_grs_empirical_output(capsys):
     assert counts[1] > 800  # about half accept at the first step
 
 
-def test_experiment_epsilon_stdout(capsys):
-    code, out, _ = run_cli(capsys, "experiment", "epsilon", "--grid", "0.3,0.1")
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "eps,dcs_bits,entropy_bits,gap_bits"
-    assert len(lines) == 3
+def check_sweep_bytes(capsys, tmp_path, argv, csv_text, sidecar):
+    """The sweep's CSV on stdout and through --out, and its sidecar, byte for byte."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, csv_text)
+    path = tmp_path / "sweep.csv"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_text() == csv_text
+    meta = (tmp_path / "sweep.csv.meta.json").read_text()
+    versions = ('  "numpy": ', '  "python": ', '  "scipy": ')
+    sidecar = {**sidecar, "tool": "crs-toolkit", "version": __version__}
+    assert "".join(line for line in meta.splitlines(keepends=True)
+                   if not line.startswith(versions)) == json.dumps(
+        sidecar, indent=2, sort_keys=True) + "\n"
+
+
+def test_experiment_epsilon_stdout(tmp_path, capsys):
+    check_sweep_bytes(capsys, tmp_path, ("experiment", "epsilon", "--grid", "0.3,0.1"),
+                      "eps,dcs_bits,entropy_bits,gap_bits\n"
+                      "0.3,1.2698236,2.50291115,1.23308755\n"
+                      "0.1,2.42852403,4.01253358,1.58400955\n",
+                      {"grid": [0.3, 0.1], "sweep": "epsilon", "tolerances": {"eps_stop": 1e-9}})
+    check_sweep_bytes(capsys, tmp_path, ("experiment", "epsilon", "--grid", ""),
+                      "eps,dcs_bits,entropy_bits,gap_bits\n",
+                      {"grid": [], "sweep": "epsilon", "tolerances": {"eps_stop": 1e-9}})
 
 
 def test_experiment_gaussian_file_and_sidecar(tmp_path, capsys):
-    out_path = tmp_path / "gauss.csv"
-    code, _, _ = run_cli(capsys, "experiment", "gaussian", "--grid", "1,2",
-                         "--out", str(out_path))
-    assert code == 0
-    lines = out_path.read_text().strip().split("\n")
-    assert lines[0] == "d,kl_bits,dcs_bits,delta_bits,conjecture_half_log_bits"
-    assert len(lines) == 3
-    meta = json.loads((tmp_path / "gauss.csv.meta.json").read_text())
-    assert meta["sweep"] == "gaussian" and meta["grid"] == [1, 2]
-    assert meta["tolerances"]["dcs_tol_bits"] == 1e-9
+    check_sweep_bytes(capsys, tmp_path, ("experiment", "gaussian", "--grid", "1,2"),
+                      "d,kl_bits,dcs_bits,delta_bits,conjecture_half_log_bits\n"
+                      "1,1.18033688,1.73438206,0.55404518,0.56227553\n"
+                      "2,2.36067376,3.23723974,0.876565984,0.874375249\n",
+                      {"grid": [1, 2], "sweep": "gaussian", "tolerances": {
+                          "dcs_tol_bits": 1e-9, "mu": 1.0, "sigma": 0.5}})
+    check_sweep_bytes(capsys, tmp_path, ("experiment", "gaussian", "--grid", "1,2",
+                                         "--mu", "0.5", "--sigma", "0.7"),
+                      "d,kl_bits,dcs_bits,delta_bits,conjecture_half_log_bits\n"
+                      "1,0.327022818,0.719363632,0.392340815,0.204096589\n"
+                      "2,0.654045635,1.28576431,0.631718671,0.362999519\n",
+                      {"grid": [1, 2], "sweep": "gaussian", "tolerances": {
+                          "dcs_tol_bits": 1e-9, "mu": 0.5, "sigma": 0.7}})
 
 
 @pytest.mark.parametrize("kind", ["kl", "cs", "acs"])
@@ -173,12 +195,14 @@ def test_bad_tol_exits_2_for_every_kind(capsys, kind):
     assert err == "error: tol must be positive, got -1.0\n"
 
 
-def test_experiment_laplace_small_grid(capsys):
-    code, out, _ = run_cli(capsys, "experiment", "laplace", "--grid", "1,0.5")
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0].startswith("b,neg_ln_b,")
-    assert len(lines) == 3
+def test_experiment_laplace_small_grid(tmp_path, capsys):
+    check_sweep_bytes(capsys, tmp_path, ("experiment", "laplace", "--grid", "1,0.5"),
+                      "b,neg_ln_b,kl_bits,dcs_bits,delta_bits,lower_digamma_nats,"
+                      "upper_digamma_nats,entropy_bits\n"
+                      "1,0,0,0,0,-0.422784335,0.0772156649,0\n"
+                      "0.5,0.693147181,0.27865248,0.72134752,0.442695041,0.0772156649,"
+                      "0.327215665,1.53386311\n",
+                      {"grid": [1.0, 0.5], "sweep": "laplace", "tolerances": {"eps_stop": 1e-6}})
 
 
 def test_width_table_synthetic_pipeline(tmp_path, capsys):

@@ -1,16 +1,17 @@
 import json
 import math
+import platform
+from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy
 
 from crs_toolkit.errors import InvalidParameterError, SweepValidationError
 from crs_toolkit.experiments import (
     DEFAULT_EPS_GRID,
-    EPSILON_HEADER,
-    GAUSSIAN_HEADER,
-    LAPLACE_HEADER,
     EpsilonRow,
+    GaussianRow,
     LaplaceRow,
     SuiteEntry,
     bound_suite,
@@ -20,9 +21,7 @@ from crs_toolkit.experiments import (
     laplace_sweep,
     load_suite_file,
     parse_spec_json,
-    rows_to_csv,
     spec_descriptor,
-    sweep_metadata,
     write_sweep,
 )
 from crs_toolkit.measures import LaplaceSpec, SyntheticSpec, discrete_spec
@@ -101,23 +100,34 @@ def test_epsilon_study_requires_decreasing_grid():
         epsilon_family_study([0.1, 0.3])
 
 
-def test_csv_headers_and_formatting(tmp_path):
+def test_csv_headers_and_formatting(tmp_path, capsys):
     rows = epsilon_family_study([0.3, 0.1])
-    text = rows_to_csv(EPSILON_HEADER, rows)
+    write_sweep(None, "epsilon", rows, {})
+    text = capsys.readouterr().out
     lines = text.strip().split("\n")
     assert lines[0] == "eps,dcs_bits,entropy_bits,gap_bits"
     assert len(lines) == 3
-    assert LAPLACE_HEADER.startswith("b,neg_ln_b,kl_bits,dcs_bits,delta_bits,")
-    assert GAUSSIAN_HEADER == "d,kl_bits,dcs_bits,delta_bits,conjecture_half_log_bits"
+    assert LaplaceRow.header().startswith("b,neg_ln_b,kl_bits,dcs_bits,delta_bits,")
+    assert GaussianRow.header() == "d,kl_bits,dcs_bits,delta_bits,conjecture_half_log_bits"
     out = tmp_path / "eps.csv"
-    write_sweep(str(out), EPSILON_HEADER, rows,
-                sidecar=sweep_metadata("epsilon", [0.3, 0.1], {"eps_stop": 1e-9}))
-    assert out.read_text().startswith("eps,")
+    write_sweep(str(out), "epsilon", rows, {})
+    assert out.read_text() == text
     meta = json.loads((tmp_path / "eps.csv.meta.json").read_text())
     assert meta["tool"] == "crs-toolkit"
     assert meta["sweep"] == "epsilon"
     assert meta["grid"] == [0.3, 0.1]
     assert "version" in meta and "tolerances" in meta
+    assert (meta["python"], meta["numpy"], meta["scipy"]) == (
+        platform.python_version(), np.__version__, scipy.__version__)
+
+
+@pytest.mark.parametrize("row_class", [LaplaceRow, GaussianRow, EpsilonRow])
+def test_row_header_names_the_columns_its_csv_prints(row_class):
+    row = row_class(*range(1, len(fields(row_class)) + 1))  # a distinct value per field
+    names, cells = row.header().split(","), row.csv().split(",")
+    assert len(cells) == len(names)
+    assert [float(c) for c in cells] == [getattr(row, name) for name in names]
+    assert set(names) == {f.name for f in fields(row)} - {"entropy_tail_bound_bits"}
 
 
 def test_default_suite_shape():
@@ -212,3 +222,15 @@ def test_spec_descriptor_and_parse_roundtrip(tmp_path):
 def test_epsilon_row_self_validation():
     with pytest.raises(SweepValidationError):
         EpsilonRow(eps=0.1, dcs_bits=1.0, entropy_bits=5.0, gap_bits=4.0).validate()
+
+
+def test_epsilon_row_checks_dcs_le_entropy():
+    with pytest.raises(SweepValidationError, match="outside"):
+        EpsilonRow(eps=0.1, dcs_bits=5.0, entropy_bits=1.0, gap_bits=-4.0).validate()
+    # a gap below 0 is forgiven by the truncated law's tail bound, and only by it
+    ent = 1.0 - 2e-9
+    EpsilonRow(eps=0.1, dcs_bits=1.0, entropy_bits=ent, gap_bits=ent - 1.0,
+               entropy_tail_bound_bits=3e-9).validate()
+    with pytest.raises(SweepValidationError, match="outside"):
+        EpsilonRow(eps=0.1, dcs_bits=1.0, entropy_bits=ent, gap_bits=ent - 1.0,
+                   entropy_tail_bound_bits=1e-9).validate()

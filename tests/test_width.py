@@ -307,17 +307,19 @@ widths = [spec.width() for spec in specs] + [OptimalCsWidth(0.5), OptimalAcsWidt
 specs += [SyntheticSpec(OptimalCsWidth(0.5)), SyntheticSpec(OptimalAcsWidth(2.0))]
 assert main(["grs", "entropy", "--family", "discrete",
              "--q", "0.5,0.5,0,0", "--p", "0.25,0.25,0.25,0.25"]) == 0
+# a sweep sidecar reads the scipy version from package metadata, not from scipy
+assert main(["experiment", "epsilon", "--grid", "0.3", "--out", sys.argv[1]]) == 0
 assert not scipy_modules(), scipy_modules()[:5]
 widths[2](1.0)
 assert "scipy.special" in sys.modules
 """
 
 
-def test_scipy_special_loads_on_first_gaussian_evaluation():
+def test_scipy_special_loads_on_first_gaussian_evaluation(tmp_path):
     src = os.path.dirname(os.path.dirname(crs_toolkit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "eps.csv")], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "2.000000000\n"
