@@ -26,8 +26,9 @@ from .quadrature import (
     PHI_XLOGX,
     PhiSpec,
     _check_tol,
-    integrate_interval,
+    adaptive,
     phi_of_width_integral,
+    seed_panels,
     width_log_h_integral,
 )
 from .width import StepWidth, WidthFunction, width_eval
@@ -215,7 +216,7 @@ def dcs_integral_representation_check(
 
     levels = sorted({float(v) for v in np.atleast_1d(w(np.asarray(cuts))) if 0.0 < v < 1.0}) \
         if cuts else []
-    res = integrate_interval(outer_integrand, 0.0, 1.0, tol_nats / 2.0, levels)
+    res = adaptive(outer_integrand, seed_panels(0.0, 1.0, levels, max_len=0.125), tol_nats / 2.0)
     if not res.converged:
         raise QuadratureError("outer integral of the representation check did not converge")
     rhs = (res.value - 1.0) / LN2

@@ -18,9 +18,15 @@ costs one tail integral (see width.py); a step width crosses a constant
 segment of value v < 1 in one closed-form geometric block (q_k = v) and a
 breakpoint in one exact band step.
 
-A block from survival S holds p_i = S v r^i for i < m, with r = 1 - v, and
-the index law of a step width sums each block in closed form, storing no p_k:
+An index law is the orbit's pieces up to its stop point (L, S), plus a
+certified tail. A piece is a tuple whose first entry is its kind, a class
+never instantiated (dense head, band step or geometric block) that defines
+once the piece's end state after i steps, its (E[K], entropy) shares and
+its p; the law adds the shares with math.fsum and builds p on first read.
+A block from (L, S) holds p_i = S v r^i for i < m, r = 1 - v, and the orbit
+fills it, as the law ends it, through one end state:
 
+    end after i   S r^i,  L + (1 - r^i) S / v,  r^i = exp(i ln r)
     mass          S (1 - r^m),  1 - r^m = -expm1(m ln r)
     E[K] share    S (1 - r^m) / v
     entropy       -ln(S v) S (1 - r^m) - ln(r) S v sum_{i<m} i r^i   (nats),
@@ -86,7 +92,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,17 +128,17 @@ class GrsRecursion:
     """Lazily extended orbit L_{k+1} = L_k + S_k, S_{k+1} = T(L_{k+1}).
 
     L and S are float64 arrays with L_k and S_k at index k - 1, so that
-    p_k = S_k - S_{k+1}; S is clamped to be non-increasing. A geometric block
-    is filled only up to the step read, step i of it from its first step as
-    S r^i with r^i = exp(i ln r), the call with which the index law ends a
-    block. The orbit has no step cap: the code that reads it counts steps.
+    p_k = S_k - S_{k+1}; S is clamped to be non-increasing. A step width's
+    pieces are filled only up to the step read, through the end state with
+    which the index law ends them. The orbit has no step cap: the code that
+    reads it counts steps.
     """
 
     def __init__(self, w: WidthFunction):
         self.w = w
         self._blocks = isinstance(w, StepWidth)
         self.L, self.S = array("d", [0.0]), array("d", [1.0])
-        self._block = None  # the block being filled, as _next_piece gives it
+        self._piece, self._start = None, 0  # the piece being filled, from step _start + 1
 
     def state(self, k: int) -> tuple[float, float]:
         """(L_k, S_k) at 1-based step k, extending the orbit as needed."""
@@ -151,21 +157,16 @@ class GrsRecursion:
             self.L.append(L + S)
             self.S.append(S_next)
             return
-        if self._block is None:
-            piece = _next_piece(self.w, steps, L, S)
-            if len(piece) == 3:
-                self.L.append(piece[0])
-                self.S.append(piece[1])
-                return
-            self._block = piece
-        start, m, L0, S0, v, ln_r = self._block
-        end, span = min(m, k - 1 - start), S0 / v  # span: the block's limit of L - L0
+        if self._piece is None:
+            self._piece, self._start = _next_piece(self.w, L, S, 0.0), steps
+        piece, start = self._piece, self._start
+        end_state, end = piece[0].end, min(piece[1], k - 1 - start)
         for i in range(steps - start + 1, end + 1):
-            r_i = math.exp(i * ln_r)
-            self.S.append(S0 * r_i)
-            self.L.append((1.0 - r_i) * span + L0)
-        if end == m:  # the block's end, from which the orbit goes on
-            self._block = None
+            L, S = end_state(piece, i)
+            self.L.append(L)
+            self.S.append(S)
+        if end == piece[1]:  # the piece's end, from which the orbit goes on
+            self._piece = None
 
 
 def _budget_error(S: float, step_cap: int) -> StepBudgetError:
@@ -173,42 +174,75 @@ def _budget_error(S: float, step_cap: int) -> StepBudgetError:
                            "raise eps_stop or the step cap")
 
 
-def _next_piece(w: StepWidth, steps: int, L: float, S: float):
-    """The piece of a step width's orbit after `steps` steps, at (L, S).
-
-    One exact band step (L_next, S_next, p) where the band straddles a
-    breakpoint or v = 1; else a geometric block (first step, length m, L, S, v,
-    log(1 - v)) that ends at the segment's end. A block whose limit does not
-    pass the segment's end, as on the last segment, has no end: m is inf.
-    """
+def _next_piece(w: StepWidth, L: float, S: float, eps_stop: float) -> tuple:
+    """The piece of a step width's orbit from (L, S): a band step across a
+    breakpoint or where v = 1, else a geometric block to the segment's end or,
+    for eps_stop > 0, to where S first falls to eps_stop; a block that does
+    neither, as on the orbit's last segment, has no end: m is inf."""
     j = w._segment(L)
     right, v = w.breakpoints[j], float(w.values[j])
     if L + S > right or v >= 1.0:  # exact band step; S = 0 only past the width's end
         q = min(max(w.band_integral(L, L + S) / S, 0.0), 1.0) if S > 0.0 else 1.0
-        return L + S, S * (1.0 - q), S * q
+        return _Band, 1, L, S, q, S * q
     ln_r = math.log1p(-v)
     m = math.inf
     overshoot = L + S / v - right  # block limit of L minus segment end
     if overshoot > 0.0:
         rhs = overshoot / (S * (1.0 / v - 1.0))
         m = 1 + max(0, math.floor(math.log(rhs) / ln_r)) if rhs < 1.0 else 1
-    return steps, m, L, S, v, ln_r
+    if eps_stop > 0.0:
+        m = min(m, max(1, math.ceil(math.log(eps_stop / S) / ln_r)))
+    return _Block, m, L, S, v, ln_r
 
 
-def _pieces_p(pieces: tuple) -> np.ndarray:
-    """p_1..p_n of a step width's law, built from its pieces."""
-    # a block (first step, m, L, S, v, ln r) holds p_i = S v r^i, i < m
-    return np.concatenate([np.exp(np.arange(piece[1]) * piece[5]) * (piece[3] * piece[4])
-                           if len(piece) == 6 else [piece[2]] for piece in pieces])
+class _Head:
+    """A smooth width's dense head (_Head, S_k..S_{k+n}): p_i = S_i - S_{i+1}."""
+
+    def shares(piece) -> tuple[float, float]:
+        S, p = piece[1], _Head.p(piece)
+        pos = p if p.min() > 0.0 else p[p > 0.0]  # no copy in the usual case
+        return float(np.sum(S[:-1])), float(-np.dot(pos, np.log2(pos))) if pos.size else 0.0
+
+    def p(piece) -> np.ndarray:
+        return piece[1][:-1] - piece[1][1:]
+
+
+class _Band:
+    """An exact band step (_Band, 1, L, S, q, p = S q) from (L, S)."""
+
+    def end(piece, i: int) -> tuple[float, float]:
+        return (piece[2] + piece[3], piece[3] * (1.0 - piece[4])) if i else (piece[2], piece[3])
+
+    def shares(piece) -> tuple[float, float]:
+        return piece[3], _xlog2(piece[5])
+
+    def p(piece) -> list[float]:
+        return [piece[5]]
+
+
+class _Block:
+    """A geometric block (_Block, m, L, S, v, ln r), r = 1 - v (module docstring)."""
+
+    def end(piece, i: int) -> tuple[float, float]:
+        _, _, L, S, v, ln_r = piece
+        r_i = math.exp(i * ln_r)
+        return (1.0 - r_i) * (S / v) + L, S * r_i
+
+    def shares(piece) -> tuple[float, float]:
+        _, m, _, S, v, ln_r = piece
+        one_minus_r_m = -math.expm1(m * ln_r)
+        mass = S * one_minus_r_m
+        sum_i_r_i = (one_minus_r_m * (1.0 - v) / v - m * math.exp(m * ln_r)) / v
+        return mass / v, -math.log2(S * v) * mass - ln_r / LN2 * S * v * sum_i_r_i
+
+    def p(piece) -> np.ndarray:
+        return np.exp(np.arange(piece[1]) * piece[5]) * (piece[3] * piece[4])
 
 
 @dataclass(frozen=True)
 class IndexDistribution:
-    """Exact (truncated) GRS index law with certified tails. Bits throughout.
-
-    p = (p_1, ..., p_n) is built when first read: a step width's law keeps
-    only its pieces, one per band step or geometric block.
-    """
+    """Exact (truncated) GRS index law with certified tails, in bits. It keeps
+    its pieces, and builds p = (p_1, ..., p_n) from them when first read."""
 
     truncation_index: int
     tail_mass: float
@@ -216,11 +250,11 @@ class IndexDistribution:
     entropy_tail_bound_bits: float
     mean_index: float
     mean_tail_bound: float
-    _build_p: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    _pieces: tuple = field(repr=False, compare=False)
 
     @functools.cached_property
     def p(self) -> np.ndarray:
-        return self._build_p()
+        return np.concatenate([piece[0].p(piece) for piece in self._pieces])
 
     def to_json(self) -> dict:
         return {
@@ -292,20 +326,27 @@ def _smooth_width_law(w: WidthFunction, eps_stop: float, step_cap: int) -> Index
                     retry_below = S / 4.0
         n, L, S = n + 1, L_next, S_next
     # steps 1..n-1 are the head; S = S_n is the tail mass
-    S_head = np.frombuffer(rec.S)[:n]
-    p = S_head[:-1] - S_head[1:]
+    return _law([(_Head, np.frombuffer(rec.S)[:n])], n - 1, L, S, h_max, tail)
+
+
+def _law(pieces: list, steps: int, L: float, S: float, h_max: float, tail) -> IndexDistribution:
+    """The law of the pieces' steps, stopped at (L, S); tail is the enclosure
+    (lower end, width) of the entropy past it, or None: the max-entropy bound."""
+    means, entropies = [], []
+    for piece in pieces:
+        mean, entropy = piece[0].shares(piece)
+        means.append(mean)
+        entropies.append(entropy)
     mean_tail = max(h_max - L, 0.0)
-    pos = p if p.min() > 0.0 else p[p > 0.0]  # no copy in the usual case
-    entropy_bits = float(-np.dot(pos, np.log2(pos))) + 0.0 if pos.size else 0.0
     tail_lo, tail_width = (0.0, _entropy_tail_bound_bits(S, mean_tail)) if tail is None else tail
     return IndexDistribution(
-        truncation_index=int(p.size),
+        truncation_index=steps,
         tail_mass=S,
-        entropy_bits=entropy_bits + tail_lo,
+        entropy_bits=math.fsum(entropies) + tail_lo,
         entropy_tail_bound_bits=tail_width,
-        mean_index=float(np.sum(S_head[:-1])),
+        mean_index=math.fsum(means),
         mean_tail_bound=mean_tail,
-        _build_p=lambda: p,
+        _pieces=tuple(pieces),
     )
 
 
@@ -422,49 +463,19 @@ def _entropy_enclosure(w: WidthFunction, L_prev: float, S_prev: float, L: float,
 
 
 def _step_width_law(w: StepWidth, eps_stop: float, step_cap: int) -> IndexDistribution:
-    """The law from the orbit's pieces, each block summed in closed form.
-
-    The last block ends where S first falls to eps_stop; a block that the
-    step cap cuts above eps_stop raises before it is summed.
-    """
+    """The law from the orbit's pieces, up to S <= eps_stop within the step cap."""
     pieces, steps, L, S = [], 0, 0.0, 1.0
-    mean_terms, entropy_terms = [], []  # E[K] shares; entropy in bits
     while S > eps_stop:
-        if steps >= step_cap:
-            raise _budget_error(S, step_cap)
-        piece = _next_piece(w, steps, L, S)
-        if len(piece) == 3:
-            pieces.append(piece)
-            mean_terms.append(S)
-            L, S, p = piece
-            if p > 0.0:
-                entropy_terms.append(-p * math.log2(p))
-            steps += 1
-            continue
-        _, m, L0, S0, v, ln_r = piece
-        m = min(m, step_cap - steps, max(1, math.ceil(math.log(eps_stop / S) / ln_r)))
-        r_m = math.exp(m * ln_r)
-        if steps + m >= step_cap and S * r_m > eps_stop:
-            raise _budget_error(S * r_m, step_cap)  # the survival after step_cap steps
-        pieces.append((steps, m, L0, S0, v, ln_r))
-        one_minus_r_m = -math.expm1(m * ln_r)
-        mass = S0 * one_minus_r_m
-        sum_i_r_i = (one_minus_r_m * (1.0 - v) / v - m * r_m) / v
-        mean_terms.append(mass / v)
-        entropy_terms.append(-math.log2(S0 * v) * mass - ln_r / LN2 * S0 * v * sum_i_r_i)
-        # the block's end as the orbit stores it
-        S, L = S0 * r_m, (1.0 - r_m) * (S0 / v) + L0
+        piece = _next_piece(w, L, S, eps_stop)
+        kind, m = piece[0], piece[1]
+        # a piece that passes the cap raises, before it is kept, with the
+        # survival after step_cap steps: above eps_stop, where the piece ends
+        if steps + m > step_cap:
+            raise _budget_error(kind.end(piece, step_cap - steps)[1], step_cap)
+        pieces.append(piece)
+        L, S = kind.end(piece, m)
         steps += m
-    mean_tail = max(w.h_max - L, 0.0)
-    return IndexDistribution(
-        truncation_index=steps,
-        tail_mass=S,
-        entropy_bits=math.fsum(entropy_terms) + 0.0,
-        entropy_tail_bound_bits=_entropy_tail_bound_bits(S, mean_tail),
-        mean_index=math.fsum(mean_terms),
-        mean_tail_bound=mean_tail,
-        _build_p=functools.partial(_pieces_p, tuple(pieces)),
-    )
+    return _law(pieces, steps, L, S, w.h_max, None)
 
 
 def _run_replicas(pair: DistributionPair, rec: GrsRecursion, rng_stream: RngStream, n: int,

@@ -234,22 +234,6 @@ def seed_panels(
     return panels
 
 
-def integrate_interval(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    tol: float,
-    cuts: Sequence[float] = (),
-) -> QuadResult:
-    """Plain adaptive integration of f over [lo, hi] in the given variable."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidParameterError("integration bounds must be finite")
-    if hi <= lo:
-        return QuadResult(0.0, 0.0, True, 0)
-    span = hi - lo
-    return adaptive(f, seed_panels(lo, hi, cuts, max_len=max(span / 8, 1e-12)), tol)
-
-
 @dataclass(frozen=True)
 class PowerTail:
     """Certificate w(h) <= coef * h**-exponent for all h >= h_from, exponent > 1."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -281,9 +282,15 @@ def test_verify_malformed_suite_entry_exits_2(tmp_path, capsys, entry, named):
     assert err.startswith("error: ") and named in err
 
 
+# sha256 of `verify --suite default` stdout, made at commit 825de5f
+# (numpy 2.4.6, scipy 1.17.1): the report's bytes, every digit of it
+VERIFY_DEFAULT_SHA256 = "3ebe700c3eb73c0171ba6a690328ce7ca09a69225ee4fa1e9e93e86c3ed812a7"
+
+
 def test_verify_default_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "default")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DEFAULT_SHA256
     report = json.loads(out)
     assert len(report) >= 12
     assert {entry["spec"]["family"] for entry in report} == {

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from crs_toolkit.width import (
     width_from_discrete,
 )
 
+from exact_laws import exact_law
 from reference_values import LAPLACE_HALF_ENTROPY
 
 LN2 = math.log(2.0)
@@ -286,12 +289,58 @@ STEP_SUITE_LAWS = {
 }
 
 
+def holds_exact_entropy(dist, truth: Decimal) -> bool:
+    """Whether the exact H[K] lies in [entropy_bits, entropy_bits + tail
+    bound], each end widened by 4 ulp of entropy_bits. A step width's tail is
+    geometric, which attains the max-entropy bound, so the truth sits at the
+    upper end, and the law's float sums, which carry no rounding pad, leave
+    it up to 1.4 ulp above it on this corpus."""
+    pad = 4 * Decimal(math.ulp(dist.entropy_bits))
+    lo = Decimal(dist.entropy_bits)
+    return lo - pad <= truth <= lo + Decimal(dist.entropy_tail_bound_bits) + pad
+
+
 @pytest.mark.parametrize("name", sorted(STEP_SUITE_LAWS))
 def test_step_suite_index_laws_pinned(name):
     entry = next(e for e in default_suite() if e.name == name)
-    dist = grs_index_distribution(width_eval(entry.spec), eps_stop=entry.eps_stop)
+    w = width_eval(entry.spec)
+    dist = grs_index_distribution(w, eps_stop=entry.eps_stop)
     assert (dist.truncation_index, dist.entropy_bits, dist.tail_mass,
             dist.mean_index) == STEP_SUITE_LAWS[name]
+    # and each holds the exact law, summed to infinity (exact_laws.py)
+    truth, mean = exact_law(w)
+    assert holds_exact_entropy(dist, truth)
+    assert dist.mean_index + dist.mean_tail_bound == pytest.approx(float(mean), rel=1e-15, abs=0.0)
+
+
+# sha256 of json.dumps(dist.to_json()) for each default-suite law at its
+# suite eps_stop, made at commit 825de5f (numpy 2.4.6, scipy 1.17.1) with
+# hashlib.sha256(json.dumps(grs_index_distribution(width_eval(entry.spec),
+# eps_stop=entry.eps_stop).to_json()).encode()).hexdigest(); they pin p,
+# which no other test pins bit for bit
+SUITE_LAW_JSON_SHA256 = {
+    "discrete_eight": "9b92eb9acd738faa41850009cfea1f5955bb65fb3a4b5a5a456bc39dd19bf5f9",
+    "discrete_half_pair": "4ebf6c215763e3b5b7542fb39c7ebda9a6e99d890084032bdc01c593644cdcdb",
+    "discrete_point_mass": "8ee6d1ccc2f8343141396a837c034994b1475024104fb3a681e2e1e5fa51d551",
+    "equality_width_c2": "4ebf6c215763e3b5b7542fb39c7ebda9a6e99d890084032bdc01c593644cdcdb",
+    "equality_width_c4": "8ee6d1ccc2f8343141396a837c034994b1475024104fb3a681e2e1e5fa51d551",
+    "gaussian_mu0_s06_d1": "ef0aff428d8bdb58d5f282ce307f9a42f8d61f2f0eb4dd853aa8193ba1204c73",
+    "gaussian_mu1_s05_d1": "1b418c69fd2009718f891edc5d622f36c9db49edcec238724137e021c192803c",
+    "gaussian_mu1_s05_d2": "645ed9a9232de650ca0d31ffe7a6d5dddaf561fe1f1ad9c01611d838d954dd82",
+    "laplace_b025": "c9c6312fef58fd9b62c1aff74a60489e183a904dd7b005ff4c1671d9d6c6b4f9",
+    "laplace_b05": "5987a35a7387ee19bac9ec4eccbc2e8e9e447fd503509963489c7df26c57cdb7",
+    "laplace_b075": "f42b804d8cb516d5ef6d56b6d23cffc54c425ad1e5daea93addb276c84185cc8",
+    "laplace_identity": "87250b33f0a81bf357c1befe319db454d3dfab38b04ed93a48898226b3cb4a22",
+    "two_level_eps01": "136b5b9e50ae9807f301a595b73599ae9f7dc62ea2fa4335f5979b4ee258f137",
+    "two_level_eps03": "6ecb8e80863a3bb7f1c0d7b5e094d35d826e0216a298e37698754de4ab79d304",
+}
+
+
+@pytest.mark.parametrize("entry", default_suite(), ids=lambda e: e.name)
+def test_suite_law_json_pinned(entry):
+    dist = grs_index_distribution(width_eval(entry.spec), eps_stop=entry.eps_stop)
+    digest = hashlib.sha256(json.dumps(dist.to_json()).encode()).hexdigest()
+    assert digest == SUITE_LAW_JSON_SHA256[entry.name]
 
 
 def test_default_eps_stop_by_width_kind():
@@ -433,8 +482,9 @@ def step_law_corpus():
 
 
 def test_step_width_laws_match_the_lazily_read_orbit():
-    # the law sums blocks in closed form; the samplers' orbit fills them step
-    # by step with the same exp, so both end the law's last block alike
+    # the law and the samplers' orbit read a block's end through one
+    # definition, the law at the block's last step and the orbit step by
+    # step, so both end the law's last block at the same bits
     for name, w in step_law_corpus():
         for eps_stop in (1e-6, 1e-9, 1e-12):
             dist = grs_index_distribution(w, eps_stop=eps_stop)
@@ -448,6 +498,18 @@ def test_step_width_laws_match_the_lazily_read_orbit():
             assert abs(dist.entropy_bits - math.fsum(-pos * np.log2(pos))) <= 1e-14, name
             mean_index = math.fsum(rec.S[:n])
             assert abs(dist.mean_index - mean_index) <= 1e-15 * mean_index, name
+
+
+def test_step_law_corpus_holds_its_exact_entropy():
+    # the exact law, summed to infinity in decimal (exact_laws.py), against
+    # every truncation of the same width
+    for name, w in step_law_corpus():
+        truth, mean = exact_law(w)
+        for eps_stop in (1e-6, 1e-9, 1e-12):
+            dist = grs_index_distribution(w, eps_stop=eps_stop)
+            assert holds_exact_entropy(dist, truth), (name, eps_stop)
+            total = dist.mean_index + dist.mean_tail_bound
+            assert total == pytest.approx(float(mean), rel=1e-15, abs=0.0), (name, eps_stop)
 
 
 def test_step_width_law_stores_no_per_step_arrays():

@@ -19,7 +19,6 @@ from crs_toolkit.quadrature import (
     PowerTail,
     adaptive,
     gk15,
-    integrate_interval,
     phi_of_width_integral,
     seed_panels,
     width_log_h_integral,
@@ -68,7 +67,7 @@ def test_adaptive_kink_with_cut():
 
 def test_adaptive_log_singularity():
     # int_0^1 ln(x) dx = -1; endpoint singular but integrable
-    res = integrate_interval(lambda x: np.log(x), 0.0, 1.0, 1e-10)
+    res = adaptive(lambda x: np.log(x), seed_panels(0.0, 1.0, max_len=0.125), 1e-10)
     assert res.value == pytest.approx(-1.0, abs=1e-8)
 
 
@@ -372,9 +371,7 @@ def test_gk15_arrays_match_scalar_calls_by_row(monkeypatch):
 @pytest.mark.parametrize("call", [
     lambda: adaptive(np.sin, [(0.0, math.nan)], 1e-9),
     lambda: adaptive(np.sin, [(0.0, 1.0), (-math.inf, 0.0)], 1e-9),
-    lambda: integrate_interval(np.sin, 0.0, math.inf, 1e-9),
-    lambda: integrate_interval(np.sin, math.nan, 1.0, 1e-9),
-], ids=["adaptive_nan", "adaptive_inf", "interval_inf", "interval_nan"])
+], ids=["adaptive_nan", "adaptive_inf"])
 def test_non_finite_panel_ends_rejected(call):
     with pytest.raises(InvalidParameterError, match="finite"):
         call()
