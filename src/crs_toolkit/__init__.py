@@ -32,6 +32,7 @@ from .width import (
     LaplaceWidth,
     OptimalAcsWidth,
     OptimalCsWidth,
+    PowerTail,
     StepWidth,
     WidthFunction,
     d_infinity,
@@ -42,9 +43,11 @@ from .width import (
     width_from_discrete,
     width_from_table,
 )
-from .quadrature import PHI_BINARY_ENTROPY, PHI_XLOGX, PhiSpec, PowerTail
 from .divergences import (
+    PHI_BINARY_ENTROPY,
+    PHI_XLOGX,
     DivergenceReport,
+    PhiSpec,
     SandwichBounds,
     alternative_divergence,
     channel_simulation_divergence,

@@ -7,8 +7,18 @@ Everything reduces to one-dimensional integrals of the width:
   D^phi =  int phi(w(h)) dh               (concave phi, phi(0) = phi(1) = 0)
   D_KL  =  log2 e + int w(h) log2 h dh    (integration-by-parts identity)
 
-Step widths are integrated exactly; smooth widths go through the adaptive
-engine. Internal arithmetic is in nats; bits appear only in reports. Every
+Step widths are integrated exactly. Any other width goes through one driver,
+_log_h_quad, which integrates g(w(h), ln h) dh in u = ln h on the adaptive
+engine: panels are seeded between mapped breakpoints, the stub below e^u_lo
+is replaced by a certified remainder bound, and an infinite h_max is cut
+where a power-law tail majorant bounds the discarded part. Each integral
+supplies only its integrand g, its stub end and bound, and its tail majorant:
+
+  D^phi   g = phi(w)   stub e^u_lo * sup(phi)   _phi_majorant
+  D_KL    g = w ln h   stub d (1 + |ln d|)      the w ln h tail;
+                                                h = 1 is a breakpoint (sign change)
+
+Internal arithmetic is in nats; bits appear only in reports. Every
 divergence takes its tolerance in bits, DEFAULT_TOL_BITS = 1e-9 for every
 width unless the caller sets it, and refuses a tol that is not positive.
 """
@@ -16,27 +26,52 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import measures
 from .errors import InvalidParameterError, QuadratureError
-from .quadrature import (
-    PHI_BINARY_ENTROPY,
-    PHI_XLOGX,
-    PhiSpec,
-    _check_tol,
-    adaptive,
-    phi_of_width_integral,
-    seed_panels,
-    width_log_h_integral,
-)
-from .width import StepWidth, WidthFunction, width_eval
+from .quadrature import QuadResult, _check_tol, adaptive, seed_panels
+from .width import PowerTail, StepWidth, WidthFunction, width_eval
 
 LN2 = math.log(2.0)
 LOG2_E_PLUS_1 = math.log2(math.e + 1.0)
 
 DEFAULT_TOL_BITS = 1e-9
+
+
+@dataclass(frozen=True)
+class PhiSpec:
+    """A concave integrand phi on [0, 1] with phi(0) = phi(1) = 0, in nats.
+
+    sup_value bounds phi on [0, 1]. The optional majorant asserts
+    phi(x) <= maj_a * x - maj_b * x * ln(x) on (0, 1/2]; it certifies tail
+    remainders when the width has a power-law tail certificate.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    sup_value: float
+    maj_a: float | None = None
+    maj_b: float | None = None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.fn(np.clip(x, 0.0, 1.0))
+
+
+def _phi_xlogx(x: np.ndarray) -> np.ndarray:
+    # the floor gives 0 at x = 0; "0.0 -" keeps phi(1) = +0.0, not -0.0
+    return 0.0 - x * np.log(np.maximum(x, math.ulp(0.0)))
+
+
+def _phi_binary_entropy(x: np.ndarray) -> np.ndarray:
+    return _phi_xlogx(x) + _phi_xlogx(1.0 - x)
+
+
+# -x ln x peaks at 1/e; H_b peaks at ln 2. Majorants: -x ln x <= -x ln x,
+# and H_b(x) <= x - x ln x on (0, 1/2] since -(1-x) ln(1-x) <= x.
+PHI_XLOGX = PhiSpec(_phi_xlogx, sup_value=math.exp(-1.0), maj_a=0.0, maj_b=1.0)
+PHI_BINARY_ENTROPY = PhiSpec(_phi_binary_entropy, sup_value=math.log(2.0), maj_a=1.0, maj_b=1.0)
 
 
 @dataclass(frozen=True)
@@ -69,10 +104,91 @@ def _report(kind: str, value_bits: float, err_bits: float, method: str,
     return DivergenceReport(kind, value_bits, err_bits, method, converged)
 
 
-def _phi_step_sum(w: StepWidth, phi: PhiSpec) -> float:
-    """Exact integral of phi(w) for a piecewise-constant width, in nats."""
-    seg = np.diff(w.edges)
-    return float(np.dot(seg, phi(w.values)))
+def _tail_cut(ln_bound: Callable[[float], float], u_start: float,
+              budget: float) -> tuple[float, float]:
+    """First u = u_start + k/4 with ln_bound(u) <= ln(budget): (u, e^ln_bound(u)).
+
+    ln_bound(u) is the log of a certified bound on the width integral beyond
+    H = e^u; working in log space keeps heavy tails (exponent close to 1)
+    from overflowing.
+    """
+    u, ln_budget = u_start, math.log(budget)
+    for _ in range(5000):
+        ln_b = ln_bound(u)
+        if ln_b <= ln_budget:
+            return u, math.exp(ln_b)
+        if u > 690.0:
+            raise QuadratureError(
+                "power tail too heavy to truncate within float range; "
+                "exponent too close to 1")
+        u += 0.25
+    raise QuadratureError("could not place the tail cut")
+
+
+def _log_h_quad(
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    w: WidthFunction,
+    u_lo: float,
+    stub: float,
+    majorant: Callable[[PowerTail], tuple[Callable[[float], float], float]],
+    tol: float,
+    cuts: Sequence[float] = (),
+) -> QuadResult:
+    """integral of g(w(h), ln h) dh over (e^u_lo, w.h_max], in u = ln h, in nats.
+
+    stub bounds the part below e^u_lo. For infinite h_max, majorant(w.tail)
+    gives (ln_bound, u_start) for _tail_cut, and the cut's remainder is
+    folded into the error as the stub is. Panels are seeded between the
+    width's breakpoints and the extra cuts, all in h.
+    """
+    remainder = stub
+    if math.isinf(w.h_max):
+        if w.tail is None:
+            raise QuadratureError("width has infinite h_max and no tail certificate")
+        u_hi, tail_rem = _tail_cut(*majorant(w.tail), tol / 8.0)
+        remainder += tail_rem
+    else:
+        u_hi = math.log(w.h_max)
+    if u_hi <= u_lo:
+        return QuadResult(0.0, remainder, True, 0)
+    u_cuts = [math.log(b) for b in (*w.breakpoints, *cuts)
+              if b > 0 and u_lo < math.log(b) < u_hi]
+
+    def f(u: np.ndarray) -> np.ndarray:
+        h = np.exp(u)
+        return g(w(h), u) * h
+
+    res = adaptive(f, seed_panels(u_lo, u_hi, u_cuts, max_len=4.0), tol / 2.0)
+    return QuadResult(res.value, res.error + remainder, res.converged, res.panels)
+
+
+def _phi_majorant(tail: PowerTail, phi: PhiSpec) -> tuple[Callable[[float], float], float]:
+    """Log bound on the phi(w) tail beyond H = e^u, and where it starts to hold.
+
+    Uses int_H^inf [a*w - b*w*ln w] dh with w <= C h^-p, valid once
+    C h^-p <= 1/2.
+    """
+    if phi.maj_a is None or phi.maj_b is None:
+        raise QuadratureError(
+            "width has infinite h_max and phi carries no integrable tail certificate")
+    c, p, a, b = tail.coef, tail.exponent, phi.maj_a, phi.maj_b
+    # loop invariants are hoisted, but the sums keep their order: reordering
+    # the terms of a bound moves the last ulp of the reported error
+    lnc, ln_p1, flat = math.log(c), math.log(p - 1.0), b * p / (p - 1.0)
+
+    def ln_bound(u: float) -> float:
+        bracket = a + b * max(p * u - lnc, 0.0) + flat
+        return lnc + (1.0 - p) * u + math.log(bracket) - ln_p1
+
+    return ln_bound, max(math.log(tail.h_from), (lnc + math.log(2.0)) / p, 0.0)
+
+
+def _phi_quad(w: WidthFunction, phi: PhiSpec, tol: float) -> QuadResult:
+    """integral of phi(w(h)) dh over (0, h_max] by _log_h_quad, in nats; the
+    stub below e^u_lo contributes at most e^u_lo * sup(phi)."""
+    u_lo = math.log(tol / (8.0 * phi.sup_value))
+    return _log_h_quad(lambda v, u: phi(v), w, u_lo, math.exp(u_lo) * phi.sup_value,
+                       lambda t: _phi_majorant(t, phi), tol)
 
 
 def quad_phi_integral(
@@ -94,8 +210,9 @@ def quad_phi_integral(
     if not isinstance(phi, PhiSpec):
         raise InvalidParameterError("phi must be a PhiSpec with a proven sup_value")
     if isinstance(w, StepWidth):
-        return _report(kind, _phi_step_sum(w, phi) / LN2, 0.0, "discrete_sum")
-    res = phi_of_width_integral(w, phi, tol * LN2)
+        exact = float(np.dot(np.diff(w.edges), phi(w.values)))
+        return _report(kind, exact / LN2, 0.0, "discrete_sum")
+    res = _phi_quad(w, phi, tol * LN2)
     return _report(kind, res.value / LN2, res.error / LN2, "quadrature", res.converged)
 
 
@@ -109,6 +226,25 @@ def alternative_divergence(w: WidthFunction, tol: float = DEFAULT_TOL_BITS) -> D
     return quad_phi_integral(w, PHI_BINARY_ENTROPY, tol, "ACS")
 
 
+def _w_ln_h_quad(w: WidthFunction, tol: float) -> QuadResult:
+    """integral of w(h) ln(h) dh over (0, h_max] by _log_h_quad, in nats.
+
+    The integrand is signed (negative below h = 1), so h = 1 is always a
+    breakpoint. Stub bound: |int_0^d w ln h| <= d (1 + |ln d|).
+    """
+    u_lo = math.log(tol / 8.0) - 1.0
+    d = math.exp(u_lo)
+
+    def majorant(t: PowerTail) -> tuple[Callable[[float], float], float]:
+        lnc, p, inv_sq = math.log(t.coef), t.exponent, 1.0 / (t.exponent - 1.0) ** 2
+        # int_H^inf C h^-p ln h dh = C H^(1-p) [ln H/(p-1) + 1/(p-1)^2]
+        return (lambda u: lnc + (1.0 - p) * u + math.log(u / (p - 1.0) + inv_sq),
+                max(math.log(t.h_from), 1.0))
+
+    return _log_h_quad(lambda v, u: v * u, w, u_lo, d * (1.0 + abs(math.log(d))), majorant,
+                       tol, cuts=(1.0,))
+
+
 def _kl_width_identity_bits(w: WidthFunction, tol_bits: float) -> tuple[float, float, bool, str]:
     if isinstance(w, StepWidth):
         # exact: int_a^b ln h dh = [h ln h - h]
@@ -119,7 +255,7 @@ def _kl_width_identity_bits(w: WidthFunction, tol_bits: float) -> tuple[float, f
         total = math.fsum(v * seg(a, b) for a, b, v
                           in zip(w.edges[:-1], w.edges[1:], w.values))
         return (1.0 + total) / LN2, 0.0, True, "discrete_sum"
-    res = width_log_h_integral(w, tol_bits * LN2)
+    res = _w_ln_h_quad(w, tol_bits * LN2)
     return (1.0 + res.value) / LN2, res.error / LN2, res.converged, "quadrature"
 
 

@@ -225,8 +225,8 @@ class _Block:
 
     def end(piece, i: int) -> tuple[float, float]:
         _, _, L, S, v, ln_r = piece
-        r_i = math.exp(i * ln_r)
-        return (1.0 - r_i) * (S / v) + L, S * r_i
+        # 1 - r^i by expm1: 1.0 - exp rounds to 0 once i v < 1e-16
+        return -math.expm1(i * ln_r) * (S / v) + L, S * math.exp(i * ln_r)
 
     def shares(piece) -> tuple[float, float]:
         _, m, _, S, v, ln_r = piece

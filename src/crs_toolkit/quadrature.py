@@ -1,21 +1,8 @@
-"""Adaptive panel quadrature for width-function integrals.
-
-The engine is a Gauss-Kronrod 15(7) rule with greedy bisection of the worst
-panel. Width integrands live on (0, h_max] with h_max anywhere between 1 and
-e^350, and have kinks at width breakpoints plus log-type endpoint behaviour,
-so one driver, _log_h_quad, integrates g(w(h), ln h) dh in u = ln h: panels
-are seeded between mapped breakpoints, the stub below e^u_lo is replaced by a
-certified remainder bound, and infinite h_max is cut where a power-law tail
-majorant bounds the discarded part. Each public integral supplies only its
-integrand g, its stub end and bound, and its tail majorant:
-
-  phi_of_width_integral  g = phi(w)     stub e^u_lo * sup(phi)   _phi_majorant
-  width_log_h_integral   g = w ln h     stub d (1 + |ln d|)      the w ln h tail;
-                                        h = 1 is a breakpoint (sign change)
-
-All integrals are in nats; callers convert to bits at the report boundary.
-Panel sums are accumulated with math.fsum in position order, so results do
-not depend on the refinement schedule.
+"""Adaptive panel quadrature: a Gauss-Kronrod 15(7) rule with greedy
+bisection of the worst panel. It knows nothing of widths; the divergences
+and the width tails hand it an integrand and its seed panels. Panel sums are
+accumulated with math.fsum in position order, so results do not depend on
+the refinement schedule.
 
 adaptive() returns exactly what the one-panel greedy returns, panel set
 included, but calls the integrand on up to _BATCH panels at once: gk15 takes
@@ -29,15 +16,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, QuadratureError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .width import WidthFunction  # width.py imports this module
+from .errors import InvalidParameterError
 
 # Kronrod-15 abscissae on [-1, 1]; Gauss-7 points are the odd indices.
 _NODES = np.array([
@@ -232,160 +215,3 @@ def seed_panels(
         edges = np.linspace(a, b, k + 1)
         panels.extend(zip(edges[:-1], edges[1:]))
     return panels
-
-
-@dataclass(frozen=True)
-class PowerTail:
-    """Certificate w(h) <= coef * h**-exponent for all h >= h_from, exponent > 1."""
-
-    coef: float
-    exponent: float
-    h_from: float
-
-    def __post_init__(self):
-        if not (self.exponent > 1.0 and self.coef > 0.0 and self.h_from > 0.0):
-            raise InvalidParameterError("power tail needs coef > 0, exponent > 1, h_from > 0")
-
-
-@dataclass(frozen=True)
-class PhiSpec:
-    """A concave integrand phi on [0, 1] with phi(0) = phi(1) = 0, in nats.
-
-    sup_value bounds phi on [0, 1]. The optional majorant asserts
-    phi(x) <= maj_a * x - maj_b * x * ln(x) on (0, 1/2]; it certifies tail
-    remainders when the width has a power-law tail certificate.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    sup_value: float
-    maj_a: float | None = None
-    maj_b: float | None = None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.fn(np.clip(x, 0.0, 1.0))
-
-
-def _phi_xlogx(x: np.ndarray) -> np.ndarray:
-    # the floor gives 0 at x = 0; "0.0 -" keeps phi(1) = +0.0, not -0.0
-    return 0.0 - x * np.log(np.maximum(x, math.ulp(0.0)))
-
-
-def _phi_binary_entropy(x: np.ndarray) -> np.ndarray:
-    return _phi_xlogx(x) + _phi_xlogx(1.0 - x)
-
-
-# -x ln x peaks at 1/e; H_b peaks at ln 2. Majorants: -x ln x <= -x ln x,
-# and H_b(x) <= x - x ln x on (0, 1/2] since -(1-x) ln(1-x) <= x.
-PHI_XLOGX = PhiSpec(_phi_xlogx, sup_value=math.exp(-1.0), maj_a=0.0, maj_b=1.0)
-PHI_BINARY_ENTROPY = PhiSpec(_phi_binary_entropy, sup_value=math.log(2.0), maj_a=1.0, maj_b=1.0)
-
-
-def _tail_cut(ln_bound: Callable[[float], float], u_start: float,
-              budget: float) -> tuple[float, float]:
-    """First u = u_start + k/4 with ln_bound(u) <= ln(budget): (u, e^ln_bound(u)).
-
-    ln_bound(u) is the log of a certified bound on the width integral beyond
-    H = e^u; working in log space keeps heavy tails (exponent close to 1)
-    from overflowing.
-    """
-    u, ln_budget = u_start, math.log(budget)
-    for _ in range(5000):
-        ln_b = ln_bound(u)
-        if ln_b <= ln_budget:
-            return u, math.exp(ln_b)
-        if u > 690.0:
-            raise QuadratureError(
-                "power tail too heavy to truncate within float range; "
-                "exponent too close to 1")
-        u += 0.25
-    raise QuadratureError("could not place the tail cut")
-
-
-def _phi_majorant(tail: PowerTail, phi: PhiSpec) -> tuple[Callable[[float], float], float]:
-    """Log bound on the phi(w) tail beyond H = e^u, and where it starts to hold.
-
-    Uses int_H^inf [a*w - b*w*ln w] dh with w <= C h^-p, valid once
-    C h^-p <= 1/2.
-    """
-    if phi.maj_a is None or phi.maj_b is None:
-        raise QuadratureError(
-            "width has infinite h_max and phi carries no integrable tail certificate")
-    c, p, a, b = tail.coef, tail.exponent, phi.maj_a, phi.maj_b
-    # loop invariants are hoisted, but the sums keep their order: reordering
-    # the terms of a bound moves the last ulp of the reported error
-    lnc, ln_p1, flat = math.log(c), math.log(p - 1.0), b * p / (p - 1.0)
-
-    def ln_bound(u: float) -> float:
-        bracket = a + b * max(p * u - lnc, 0.0) + flat
-        return lnc + (1.0 - p) * u + math.log(bracket) - ln_p1
-
-    return ln_bound, max(math.log(tail.h_from), (lnc + math.log(2.0)) / p, 0.0)
-
-
-def _log_h_quad(
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    w: WidthFunction,
-    u_lo: float,
-    stub: float,
-    majorant: Callable[[PowerTail], tuple[Callable[[float], float], float]],
-    tol: float,
-    cuts: Sequence[float] = (),
-) -> QuadResult:
-    """integral of g(w(h), ln h) dh over (e^u_lo, w.h_max], in u = ln h.
-
-    stub bounds the part below e^u_lo. For infinite h_max, majorant(w.tail)
-    gives (ln_bound, u_start) for _tail_cut, and the cut's remainder is
-    folded into the error as the stub is. Panels are seeded between the
-    width's breakpoints and the extra cuts, all in h.
-    """
-    remainder = stub
-    if math.isinf(w.h_max):
-        if w.tail is None:
-            raise QuadratureError("width has infinite h_max and no tail certificate")
-        u_hi, tail_rem = _tail_cut(*majorant(w.tail), tol / 8.0)
-        remainder += tail_rem
-    else:
-        u_hi = math.log(w.h_max)
-    if u_hi <= u_lo:
-        return QuadResult(0.0, remainder, True, 0)
-    u_cuts = [math.log(b) for b in (*w.breakpoints, *cuts)
-              if b > 0 and u_lo < math.log(b) < u_hi]
-
-    def f(u: np.ndarray) -> np.ndarray:
-        h = np.exp(u)
-        return g(w(h), u) * h
-
-    res = adaptive(f, seed_panels(u_lo, u_hi, u_cuts, max_len=4.0), tol / 2.0)
-    return QuadResult(res.value, res.error + remainder, res.converged, res.panels)
-
-
-def phi_of_width_integral(w: WidthFunction, phi: PhiSpec, tol: float) -> QuadResult:
-    """integral of phi(w(h)) dh over (0, h_max], in nats.
-
-    The stub below e^u_lo contributes at most e^u_lo * sup(phi); an infinite
-    h_max requires a power-tail certificate on the width and a majorant on phi.
-    """
-    _check_tol(tol)
-    u_lo = math.log(tol / (8.0 * phi.sup_value))
-    return _log_h_quad(lambda v, u: phi(v), w, u_lo, math.exp(u_lo) * phi.sup_value,
-                       lambda t: _phi_majorant(t, phi), tol)
-
-
-def width_log_h_integral(w: WidthFunction, tol: float) -> QuadResult:
-    """integral of w(h) ln(h) dh over (0, h_max], in nats.
-
-    The integrand is signed (negative below h = 1), so h = 1 is always a
-    breakpoint. Stub bound: |int_0^d w ln h| <= d (1 + |ln d|).
-    """
-    _check_tol(tol)
-    u_lo = math.log(tol / 8.0) - 1.0
-    d = math.exp(u_lo)
-
-    def majorant(t: PowerTail) -> tuple[Callable[[float], float], float]:
-        lnc, p, inv_sq = math.log(t.coef), t.exponent, 1.0 / (t.exponent - 1.0) ** 2
-        # int_H^inf C h^-p ln h dh = C H^(1-p) [ln H/(p-1) + 1/(p-1)^2]
-        return (lambda u: lnc + (1.0 - p) * u + math.log(u / (p - 1.0) + inv_sq),
-                max(math.log(t.h_from), 1.0))
-
-    return _log_h_quad(lambda v, u: v * u, w, u_lo, d * (1.0 + abs(math.log(d))), majorant,
-                       tol, cuts=(1.0,))

@@ -46,12 +46,13 @@ import bisect
 import functools
 import math
 import sys
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .quadrature import PowerTail, QuadResult, adaptive
+from .quadrature import QuadResult, adaptive
 
 if TYPE_CHECKING:  # pragma: no cover
     from .measures import DistributionPair
@@ -416,6 +417,19 @@ class GaussianWidth(WidthFunction):
                               res.converged, res.panels)
         # the two terms also carry ulp-level errors relative to Q
         return QuadResult(value, 64.0 * _EPS * q_mass + x_rounding, True, 0)
+
+
+@dataclass(frozen=True)
+class PowerTail:
+    """Certificate w(h) <= coef * h**-exponent for all h >= h_from, exponent > 1."""
+
+    coef: float
+    exponent: float
+    h_from: float
+
+    def __post_init__(self):
+        if not (self.exponent > 1.0 and self.coef > 0.0 and self.h_from > 0.0):
+            raise InvalidParameterError("power tail needs coef > 0, exponent > 1, h_from > 0")
 
 
 class OptimalCsWidth(WidthFunction):

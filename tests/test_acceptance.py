@@ -26,7 +26,6 @@ from crs_toolkit.measures import (
     discrete_spec,
     make_pair,
 )
-from crs_toolkit.quadrature import PHI_BINARY_ENTROPY, PHI_XLOGX, width_log_h_integral
 from crs_toolkit.streams import RngStream
 from crs_toolkit.width import (
     OptimalAcsWidth,
@@ -36,7 +35,7 @@ from crs_toolkit.width import (
     width_eval,
     width_from_discrete,
 )
-from crs_toolkit.divergences import quad_phi_integral
+from crs_toolkit.divergences import PHI_BINARY_ENTROPY, PHI_XLOGX, _w_ln_h_quad, quad_phi_integral
 
 LN2 = math.log(2.0)
 GAMMA = float(np.euler_gamma)
@@ -134,13 +133,13 @@ def test_criterion_07_optimal_family_fixtures():
     dcs_cs = (1.0 - 0.5) / 0.5 / LN2
     w_cs = OptimalCsWidth(0.5)
     quad_cs = quad_phi_integral(w_cs, PHI_XLOGX, tol=1e-8).value_bits
-    kl_route_cs = (1.0 + width_log_h_integral(w_cs, 1e-8).value) / LN2
+    kl_route_cs = (1.0 + _w_ln_h_quad(w_cs, 1e-8).value) / LN2
     beta = math.pi / 2.0
     kl_acs = -(math.log(beta) - 1.0 + beta * math.cos(math.pi / 2.0)) / LN2
     dacs_acs = (2.0 - math.pi / math.tan(math.pi / 2.0)) / LN2
     w_acs = OptimalAcsWidth(2.0)
     quad_acs = quad_phi_integral(w_acs, PHI_BINARY_ENTROPY, tol=1e-8).value_bits
-    kl_route_acs = (1.0 + width_log_h_integral(w_acs, 1e-8).value) / LN2
+    kl_route_acs = (1.0 + _w_ln_h_quad(w_acs, 1e-8).value) / LN2
     ok = (abs(kl_cs - 0.4426950408889634) <= 1e-12
           and abs(dcs_cs - 1.4426950408889634) <= 1e-12
           and abs(quad_cs - dcs_cs) <= 1e-6

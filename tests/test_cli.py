@@ -131,6 +131,32 @@ def test_grs_sample_deterministic(capsys):
     float(x_txt)
 
 
+FOUR_ATOM_PAIR = ("--family", "discrete", "--q", "0.5,0.5,0,0", "--p", "0.25,0.25,0.25,0.25")
+GAUSSIAN_D2_PAIR = ("--family", "gaussian", "--mu", "1", "--sigma", "0.5", "--d", "2")
+
+
+@pytest.mark.parametrize("pair, plain, blob", [
+    (FOUR_ATOM_PAIR, "0 2\n", '{"x": 0, "k": 2}\n'),
+    (GAUSSIAN_D2_PAIR, "1.012293702,0.753696779 1\n",
+     '{"x": [1.0122937017490639, 0.7536967787531172], "k": 1}\n'),
+], ids=["integer_point", "vector_point"])
+def test_grs_sample_output_bytes(capsys, pair, plain, blob):
+    for fmt, want in (("plain", plain), ("json", blob)):
+        code, out, _ = run_cli(capsys, "grs", "sample", *pair, "--seed", "3", "--format", fmt)
+        assert (code, out) == (0, want)
+
+
+def test_computation_error_exits_1(capsys):
+    # a CrsToolkitError that is not a parameter error: the recursion's step
+    # cap. ROADMAP item 1 (exact step-width laws) will let this law finish;
+    # this test then needs another computation that cannot be completed
+    code, out, err = run_cli(capsys, "grs", "entropy", "--family", "discrete",
+                             "--q", "0.999999,0.000001", "--p", "0.000001,0.999999")
+    assert (code, out) == (1, "")
+    assert err == ("error: survival mass still 3.679e-01 after 1000000 steps; "
+                   "raise eps_stop or the step cap\n")
+
+
 def test_grs_empirical_output(capsys):
     code, out, _ = run_cli(capsys, "grs", "empirical", "--family", "discrete",
                            "--q", "0.5,0.5,0,0", "--p", "0.25,0.25,0.25,0.25",
@@ -142,6 +168,12 @@ def test_grs_empirical_output(capsys):
         counts[int(k)] = int(c)
     assert sum(counts.values()) == 2000
     assert counts[1] > 800  # about half accept at the first step
+    code, out, _ = run_cli(capsys, "grs", "empirical", *FOUR_ATOM_PAIR,
+                           "--runs", "2000", "--seed", "1", "--format", "json")
+    assert code == 0
+    assert out == ('{"n": 2000, "histogram": {"1": 1023, "2": 515, "3": 212, "4": 126, '
+                   '"5": 55, "6": 32, "7": 22, "8": 7, "9": 6, "12": 1, "13": 1}}\n')
+    assert json.loads(out)["histogram"] == {str(k): c for k, c in sorted(counts.items())}
 
 
 def check_sweep_bytes(capsys, tmp_path, argv, csv_text, sidecar):

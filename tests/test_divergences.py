@@ -7,6 +7,12 @@ import pytest
 from crs_toolkit.errors import InvalidParameterError, QuadratureError
 from crs_toolkit.divergences import (
     LOG2_E_PLUS_1,
+    PHI_BINARY_ENTROPY,
+    PHI_XLOGX,
+    DivergenceReport,
+    PhiSpec,
+    _report,
+    _w_ln_h_quad,
     alternative_divergence,
     channel_simulation_divergence,
     dcs_integral_representation_check,
@@ -21,7 +27,6 @@ from crs_toolkit.measures import (
     SyntheticSpec,
     discrete_spec,
 )
-from crs_toolkit.quadrature import PHI_BINARY_ENTROPY, PHI_XLOGX, PhiSpec, width_log_h_integral
 from crs_toolkit.width import (
     GaussianWidth,
     LaplaceWidth,
@@ -191,7 +196,7 @@ def test_optimal_family_kl_consistent_with_width_identity():
     for w in (OptimalCsWidth(0.4), OptimalCsWidth(0.8), OptimalAcsWidth(1.5),
               OptimalAcsWidth(3.0)):
         kl = w.kl_bits()
-        res = width_log_h_integral(w, 1e-9)
+        res = _w_ln_h_quad(w, 1e-9)
         assert (1.0 + res.value) / LN2 == pytest.approx(kl, abs=1e-7)
 
 
@@ -209,7 +214,7 @@ def test_extremal_families_dominate():
     # any pair with smaller KL has smaller D_CS than the extremal family
     pair_stats = []
     for w in SUITE_WIDTHS:
-        res = width_log_h_integral(w, 1e-9)
+        res = _w_ln_h_quad(w, 1e-9)
         kl = (1.0 + res.value) / LN2
         dcs = channel_simulation_divergence(w).value_bits
         dacs = alternative_divergence(w).value_bits
@@ -226,7 +231,7 @@ def test_extremal_families_dominate():
 
 def test_ordering_kl_cs_acs():
     for w in SUITE_WIDTHS:
-        res = width_log_h_integral(w, 1e-9)
+        res = _w_ln_h_quad(w, 1e-9)
         kl = (1.0 + res.value) / LN2
         dcs = channel_simulation_divergence(w).value_bits
         dacs = alternative_divergence(w).value_bits
@@ -329,6 +334,17 @@ def test_report_json_schema():
     exact = channel_simulation_divergence(width_eval(DISCRETE_EXAMPLE))
     assert exact.method == "discrete_sum"
     assert exact.abs_error_estimate == 0.0
+
+
+def test_report_clamps_a_negative_value_only_within_its_error_bar():
+    # quadrature rounding can take a zero divergence just below 0
+    rep = _report("CS", -1e-10, 2e-10, "quadrature")
+    assert (rep.value_bits, rep.abs_error_estimate) == (0.0, 2e-10)
+    assert _report("KL", -1e-13, 0.0, "discrete_sum").value_bits == 0.0  # 1e-12 floor
+    with pytest.raises(QuadratureError, match="beyond its error bar"):
+        _report("CS", -3e-10, 2e-10, "quadrature")
+    with pytest.raises(InvalidParameterError, match="non-negative"):
+        DivergenceReport("CS", -1e-10, 2e-10, "quadrature")
 
 
 def test_gaussian_dcs_default_tolerance_known_value():

@@ -30,6 +30,7 @@ from crs_toolkit.width import (
     GaussianWidth,
     LaplaceWidth,
     OptimalCsWidth,
+    StepWidth,
     equality_case_width,
     indicator_width,
     two_level_width,
@@ -498,6 +499,16 @@ def test_step_width_laws_match_the_lazily_read_orbit():
             assert abs(dist.entropy_bits - math.fsum(-pos * np.log2(pos))) <= 1e-14, name
             mean_index = math.fsum(rec.S[:n])
             assert abs(dist.mean_index - mean_index) <= 1e-15 * mean_index, name
+
+
+def test_block_orbit_moves_when_its_ratio_rounds_to_one():
+    # the second segment's block has v = 1e-17, so r = 1 - v rounds to 1 and
+    # 1 - r^i must come from expm1, or L stops at L_2
+    rec = GrsRecursion(StepWidth([0.0, 0.5, 0.5 + 0.5 / 1e-17], [1.0, 1e-17]))
+    rec.state(20)
+    assert (rec.L[1], rec.S[1]) == (1.0, 0.5)
+    for k in range(1, 19):
+        assert rec.L[k + 1] == pytest.approx(rec.L[k] + rec.S[k], rel=1e-15, abs=0.0), k
 
 
 def test_step_law_corpus_holds_its_exact_entropy():

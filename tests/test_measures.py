@@ -51,6 +51,12 @@ def test_gaussian_log_ratio_sums_over_dimensions():
     pts = np.array([[0.1, -0.4, 2.0], [1.0, 1.0, 1.0]])
     expected = one.log_ratio(pts.ravel()).reshape(pts.shape).sum(axis=1)
     assert np.allclose(pair.log_ratio(pts), expected, atol=1e-12)
+    # a flat array of length d is one point; any other length is refused
+    flat = pair.log_ratio(pts[0])
+    assert flat.shape == (1,) and flat[0] == pair.log_ratio(pts)[0]
+    for bad in (pts[0, :2], np.zeros((2, 4))):
+        with pytest.raises(InvalidParameterError, match="points must have dimension 3"):
+            pair.log_ratio(bad)
 
 
 def test_d_inf_bounds_log_ratio():

@@ -4,7 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from crs_toolkit.divergences import alternative_divergence, channel_simulation_divergence
+from crs_toolkit.divergences import (
+    PHI_BINARY_ENTROPY,
+    PHI_XLOGX,
+    PhiSpec,
+    _phi_quad,
+    _w_ln_h_quad,
+    alternative_divergence,
+    channel_simulation_divergence,
+    kl_divergence,
+    quad_phi_integral,
+)
 from crs_toolkit.errors import InvalidParameterError, QuadratureError
 from crs_toolkit import quadrature
 from crs_toolkit.quadrature import (
@@ -13,21 +23,17 @@ from crs_toolkit.quadrature import (
     _W_GAUSS,
     _W_KRONROD,
     _row_dots_by_row,
-    PHI_BINARY_ENTROPY,
-    PHI_XLOGX,
-    PhiSpec,
-    PowerTail,
     adaptive,
     gk15,
-    phi_of_width_integral,
     seed_panels,
-    width_log_h_integral,
 )
+from crs_toolkit.measures import LaplaceSpec
 from crs_toolkit.width import (
     GaussianWidth,
     LaplaceWidth,
     OptimalAcsWidth,
     OptimalCsWidth,
+    PowerTail,
     WidthFunction,
     two_level_width,
 )
@@ -97,14 +103,14 @@ def test_phi_constants():
 
 def test_phi_of_width_indicator_is_zero():
     w = FormulaWidth(lambda h: np.where(h <= 1.0, 1.0, 0.0), 1.0)
-    res = phi_of_width_integral(w, PHI_XLOGX, 1e-12)
+    res = _phi_quad(w, PHI_XLOGX, 1e-12)
     assert abs(res.value) < 1e-12
 
 
 def test_phi_of_width_laplace_half_closed_form():
     # w(h) = 1 - h/2 on [0, 2]: -int w ln w dh = 1/2 nats
     w = FormulaWidth(lambda h: np.clip(1.0 - h / 2.0, 0.0, 1.0), 2.0, (2.0,))
-    res = phi_of_width_integral(w, PHI_XLOGX, 1e-11)
+    res = _phi_quad(w, PHI_XLOGX, 1e-11)
     assert res.converged
     assert res.value == pytest.approx(0.5, abs=1e-10)
 
@@ -112,19 +118,19 @@ def test_phi_of_width_laplace_half_closed_form():
 def test_infinite_h_max_requires_tail():
     formula = lambda h: 1.0 / (1.0 + h**2)
     with pytest.raises(QuadratureError):
-        phi_of_width_integral(FormulaWidth(formula, math.inf), PHI_XLOGX, 1e-9)
+        _phi_quad(FormulaWidth(formula, math.inf), PHI_XLOGX, 1e-9)
     # a phi without a majorant is rejected even with a tail certificate
     tail = PowerTail(coef=1.0, exponent=2.0, h_from=1.0)
     phi = PhiSpec(lambda x: x * (1 - x), sup_value=0.25)
     with pytest.raises(QuadratureError):
-        phi_of_width_integral(FormulaWidth(formula, math.inf, tail=tail), phi, 1e-9)
+        _phi_quad(FormulaWidth(formula, math.inf, tail=tail), phi, 1e-9)
 
 
 def test_power_tail_integral():
     # w = min(1, h^-2): int phi2(w) over tail has closed form p/(p-1)^2 from 1
     tail = PowerTail(coef=1.0, exponent=2.0, h_from=1.0)
     w = FormulaWidth(lambda h: np.maximum(1.0, h) ** -2.0, math.inf, (1.0,), tail)
-    res = phi_of_width_integral(w, PHI_XLOGX, 1e-10)
+    res = _phi_quad(w, PHI_XLOGX, 1e-10)
     assert res.converged
     assert res.value == pytest.approx(2.0, abs=1e-9)  # p ln(h) h^-p integrates to 2
 
@@ -139,7 +145,7 @@ def test_power_tail_validation():
 def test_width_log_h_integral_matches_kl_identity():
     # laplace b = 1/2: 1 + int w ln h dh = ln 2 - 1/2 + 1... KL nats = b-1-ln b
     w = FormulaWidth(lambda h: np.clip(1.0 - h / 2.0, 0.0, 1.0), 2.0, (2.0,))
-    res = width_log_h_integral(w, 1e-11)
+    res = _w_ln_h_quad(w, 1e-11)
     kl_nats = 0.5 - 1.0 - math.log(0.5)
     assert 1.0 + res.value == pytest.approx(kl_nats, abs=1e-9)
 
@@ -147,7 +153,7 @@ def test_width_log_h_integral_matches_kl_identity():
 def test_error_estimates_are_honest():
     # sqrt profile: substituting s = sqrt(h) gives int 2s phi2(1-s) ds = 5/18
     w = FormulaWidth(lambda h: np.clip(1.0 - np.sqrt(h), 0.0, 1.0), 1.0, (1.0,))
-    res = phi_of_width_integral(w, PHI_XLOGX, 1e-10)
+    res = _phi_quad(w, PHI_XLOGX, 1e-10)
     exact = 5.0 / 18.0
     assert res.value == pytest.approx(exact, abs=1e-9)
     assert abs(res.value - exact) <= max(res.error, 1e-12) * 50
@@ -173,7 +179,7 @@ def test_phi_driver_outputs_pinned(divergence, width, value, error):
 
 def test_log_h_driver_output_pinned():
     w = OptimalAcsWidth(3.0)
-    res = width_log_h_integral(w, 1e-9 * LN2)
+    res = _w_ln_h_quad(w, 1e-9 * LN2)
     _assert_pinned(res.value, res.error, -0.7945584207655596, 1.085160453265248e-09)
     assert res.converged and res.panels == 15
 
@@ -186,14 +192,15 @@ def test_too_heavy_tail_message_prefix():
 
 def test_empty_log_range_returns_stub_bound():
     # h_max below the stub end e^u_lo: nothing to integrate, only the stub bound
-    res = width_log_h_integral(FormulaWidth(np.ones_like, 1e-12), 1e-9)
+    res = _w_ln_h_quad(FormulaWidth(np.ones_like, 1e-12), 1e-9)
     assert res.value == 0.0 and res.panels == 0 and res.converged
     assert res.error >= 1e-12 * (1.0 + math.log(1e12))
 
 
 BAD_TOL_CALLS = {
-    "phi": lambda tol: phi_of_width_integral(LaplaceWidth(0.5), PHI_XLOGX, tol),
-    "log_h": lambda tol: width_log_h_integral(LaplaceWidth(0.5), tol),
+    # the log-h integrals check tol at their bits-level entries
+    "phi": lambda tol: quad_phi_integral(LaplaceWidth(0.5), PHI_XLOGX, tol),
+    "log_h": lambda tol: kl_divergence(LaplaceSpec(0.5), "width_identity", tol),
     # the mass of w above h is T(h), and its unit mass T(0): closed forms
     # that return their own rounding bar and read no tol, but still check it
     "mass_from_0": lambda tol: LaplaceWidth(0.5).tail_integral(0.0, tol),
@@ -260,7 +267,7 @@ def _greedy_reference(f, panels, tol, max_panels=20000):
 
 
 def _laplace_cs_case():
-    # the D_CS integrand of phi_of_width_integral in u = ln h, b = 1/4
+    # the D_CS integrand of _phi_quad in u = ln h, b = 1/4
     w, tol = LaplaceWidth(0.25), 1e-9 * LN2
     u_lo = math.log(tol / (8.0 * PHI_XLOGX.sup_value))
     f = lambda u: PHI_XLOGX(w(np.exp(u))) * np.exp(u)
