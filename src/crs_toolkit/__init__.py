@@ -59,7 +59,6 @@ from .divergences import (
 )
 from .grs import (
     GrsEmpirical,
-    GrsRecursion,
     IndexDistribution,
     default_eps_stop,
     grs_empirical,

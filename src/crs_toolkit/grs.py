@@ -12,11 +12,11 @@ one map:
     p_k      = P[K = k] = T(L_k) - T(L_{k+1})
 
 so the whole index distribution is a deterministic functional of the width,
-and E[K] = sum_k S_k = sum_k (L_{k+1} - L_k) = h_max by telescoping. Samplers
-read one lazily extended orbit, as does a smooth width's index law. A step
-costs one tail integral (see width.py); a step width crosses a constant
-segment of value v < 1 in one closed-form geometric block (q_k = v) and a
-breakpoint in one exact band step.
+and E[K] = sum_k S_k = sum_k (L_{k+1} - L_k) = h_max by telescoping. Each
+sampler call, and a smooth width's index law, reads its own lazily extended
+orbit of w. A step costs one tail integral (see width.py); a step width
+crosses a constant segment of value v < 1 in one closed-form geometric block
+(q_k = v) and a breakpoint in one exact band step.
 
 An index law is the orbit's pieces up to its stop point (L, S), plus a
 certified tail. A piece is a tuple whose first entry is its kind, a class
@@ -97,7 +97,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, QuadratureError, StepBudgetError
-from .streams import RngStream
+from .streams import RngStream, _integer
 from .measures import DistributionPair
 from .width import StepWidth, WidthFunction
 
@@ -478,7 +478,7 @@ def _step_width_law(w: StepWidth, eps_stop: float, step_cap: int) -> IndexDistri
     return _law(pieces, steps, L, S, w.h_max, None)
 
 
-def _run_replicas(pair: DistributionPair, rec: GrsRecursion, rng_stream: RngStream, n: int,
+def _run_replicas(pair: DistributionPair, w: WidthFunction, rng_stream: RngStream, n: int,
                   step_cap: int) -> tuple[np.ndarray, np.ndarray]:
     """The acceptance kernel: n sampler replicas over the shared proposal
     steps, as (index k, accepted point) arrays in replica order.
@@ -496,17 +496,14 @@ def _run_replicas(pair: DistributionPair, rec: GrsRecursion, rng_stream: RngStre
 
     A replica accepts at step k with u S_k + L_k <= r, that is u <= beta,
     where r is dQ/dP at the proposal; a step with no survival mass left
-    accepts, as its beta is 1. The orbit is read step by step, so no deeper
-    than the deepest step a replica reaches.
+    accepts, as its beta is 1. The orbit of w is read step by step, so no
+    deeper than the deepest step a replica reaches.
     """
-    gen = rng_stream.generator()
+    rec, gen = GrsRecursion(w), rng_stream.generator()
     indices = np.zeros(n, dtype=np.int64)
     accepted = None
     active, k, grow = np.arange(n), 1, _FIRST_BLOCK
     while active.size:
-        if k > step_cap:
-            raise StepBudgetError(
-                f"{active.size} of {n} replicas still active after {step_cap} steps")
         m = active.size
         B = max(1, min(_ROUND_POINTS // m, grow))
         grow = min(2 * grow, _ROUND_POINTS)
@@ -516,7 +513,7 @@ def _run_replicas(pair: DistributionPair, rec: GrsRecursion, rng_stream: RngStre
         if accepted is None:
             accepted = np.zeros((n, *x.shape[1:]), dtype=x.dtype)
         if B == 1:
-            L, S = _acceptance_state(rec, k)
+            L, S = _acceptance_state(rec, k, step_cap, m, n)
             acc = u * S + L <= r
             pos = np.flatnonzero(acc)  # take and compress beat indexing by a mask
             hit = active.take(pos)
@@ -526,10 +523,7 @@ def _run_replicas(pair: DistributionPair, rec: GrsRecursion, rng_stream: RngStre
         else:  # at most _ROUND_POINTS points, scanned one by one
             u, r, ids, live = u.tolist(), r.tolist(), active.tolist(), range(m)
             for j in range(B):
-                if k + j > step_cap:
-                    raise StepBudgetError(
-                        f"{len(live)} of {n} replicas still active after {step_cap} steps")
-                L, S = _acceptance_state(rec, k + j)
+                L, S = _acceptance_state(rec, k + j, step_cap, len(live), n)
                 still = []
                 for i in live:
                     if u[j * m + i] * S + L <= r[j * m + i]:
@@ -545,8 +539,12 @@ def _run_replicas(pair: DistributionPair, rec: GrsRecursion, rng_stream: RngStre
     return indices, accepted
 
 
-def _acceptance_state(rec: GrsRecursion, k: int) -> tuple[float, float]:
-    """(L_k, S_k), with L_k = -inf where S_k = 0 so that u S_k + L_k <= r holds."""
+def _acceptance_state(rec: GrsRecursion, k: int, step_cap: int, active: int,
+                      n: int) -> tuple[float, float]:
+    """(L_k, S_k), with L_k = -inf where S_k = 0 so that u S_k + L_k <= r holds;
+    a step past the cap, with active of the n replicas still running, raises."""
+    if k > step_cap:
+        raise StepBudgetError(f"{active} of {n} replicas still active after {step_cap} steps")
     L, S = rec.state(k)
     return (L, S) if S > 0.0 else (-math.inf, S)
 
@@ -556,7 +554,6 @@ def grs_sample(
     w: WidthFunction,
     rng_stream: RngStream,
     step_cap: int = DEFAULT_STEP_CAP,
-    recursion: GrsRecursion | None = None,
 ):
     """One greedy rejection sampling run: (accepted point, index k).
 
@@ -569,11 +566,9 @@ def grs_sample(
     grs_empirical on the same key. Finite Renyi-infinity divergence keeps
     the expected index finite; step_cap turns a mismatched pair/width (or
     an infinite mean) into an error instead of an endless loop, and a run
-    that accepts within it is the same under any cap. It is the only cap:
-    a recursion passed in, shared between calls, has none of its own.
+    that accepts within it is the same under any cap.
     """
-    rec = recursion if recursion is not None else GrsRecursion(w)
-    indices, accepted = _run_replicas(pair, rec, rng_stream, 1, step_cap)
+    indices, accepted = _run_replicas(pair, w, rng_stream, 1, step_cap)
     point = accepted[0]
     return (point if point.ndim else point.item()), int(indices[0])
 
@@ -597,7 +592,6 @@ def grs_empirical(
     rng_stream: RngStream,
     n: int,
     step_cap: int = DEFAULT_STEP_CAP,
-    recursion: GrsRecursion | None = None,
 ) -> GrsEmpirical:
     """n sampler replicas, run together over the shared proposal steps.
 
@@ -607,10 +601,9 @@ def grs_empirical(
     deterministic function of the stream key alone; accepted points are
     stored by replica index, which makes the result independent of
     acceptance timing. The orbit is read up to the largest index and no
-    further on a smooth width. step_cap, as in grs_sample, is the only cap.
+    further on a smooth width. step_cap stops the runs as in grs_sample.
     """
-    if n < 1000:
+    if _integer(n, "n") < 1000:
         raise InvalidParameterError("empirical runs need n >= 1000")
-    rec = recursion if recursion is not None else GrsRecursion(w)
-    indices, accepted = _run_replicas(pair, rec, rng_stream, n, step_cap)
+    indices, accepted = _run_replicas(pair, w, rng_stream, n, step_cap)
     return GrsEmpirical(indices=indices, accepted=accepted.astype(float, copy=False))

@@ -7,6 +7,7 @@ the key, never on scheduling, which keeps parallel consumers reproducible.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,14 @@ import numpy as np
 from .errors import InvalidParameterError
 
 _U64 = 2**64
+
+
+def _integer(value, name: str) -> int:
+    """value by operator.index: a float raises instead of truncating to an int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -24,7 +33,9 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < _U64 and 0 <= int(self.stream) < _U64):
+        # a float key is refused: truncated, it would draw another key's stream
+        seed, stream = _integer(self.seed, "seed"), _integer(self.stream, "stream")
+        if not (0 <= seed < _U64 and 0 <= stream < _U64):
             raise InvalidParameterError("seed and stream must be unsigned 64-bit integers")
 
     def generator(self) -> np.random.Generator:

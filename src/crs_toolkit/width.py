@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .quadrature import QuadResult, adaptive
+from .quadrature import QuadResult, _check_tol, adaptive
 
 if TYPE_CHECKING:  # pragma: no cover
     from .measures import DistributionPair
@@ -139,8 +139,7 @@ class WidthFunction:
         """
         if not h >= 0.0:  # NaN fails too
             raise InvalidParameterError("h must be >= 0")
-        if not tol > 0.0:
-            raise InvalidParameterError(f"tol must be positive, got {tol!r}")
+        _check_tol(tol)
         if h >= self.h_max:
             return QuadResult(0.0, 0.0, True, 0)
         return self._tail(h, tol)

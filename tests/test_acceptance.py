@@ -184,30 +184,30 @@ def test_criterion_09_sampler_goodness_of_fit():
     n = 10**5
     pair_d = make_pair(DISCRETE_EXAMPLE)
     w_d = width_eval(DISCRETE_EXAMPLE)
-    rec_d = GrsRecursion(w_d)
     chi_threshold = stats.chi2.ppf(0.999, 12)
     ks_threshold = special.kolmogi(1e-3) / math.sqrt(n)
     pair_l = make_pair(LaplaceSpec(0.5))
     w_l = width_eval(LaplaceSpec(0.5))
-    rec_l = GrsRecursion(w_l)
     cdf = stats.laplace(scale=0.5).cdf
     ok = True
     for seed in range(10):
-        res = grs_empirical(pair_d, w_d, RngStream(seed, 0), n, recursion=rec_d)
+        res = grs_empirical(pair_d, w_d, RngStream(seed, 0), n)
         exp_p = 0.5 ** np.arange(1, 13)
         obs = np.array([(res.indices == k).sum() for k in range(1, 13)]
                        + [(res.indices > 12).sum()], dtype=float)
         chi2 = float((((obs - np.append(exp_p, 1 - exp_p.sum()) * n) ** 2)
                       / (np.append(exp_p, 1 - exp_p.sum()) * n)).sum())
         ok &= chi2 < chi_threshold
-        res_l = grs_empirical(pair_l, w_l, RngStream(seed, 1), n, recursion=rec_l)
+        res_l = grs_empirical(pair_l, w_l, RngStream(seed, 1), n)
         xs = np.sort(res_l.accepted)
         F = cdf(xs)
         i = np.arange(1, n + 1)
         ks = max(float(np.max(i / n - F)), float(np.max(F - (i - 1) / n)))
         ok &= ks < ks_threshold
     # survival consistency for k <= 10 on the last seed of each family
-    for res, rec in ((res, rec_d), (res_l, rec_l)):
+    for res, w in ((res, w_d), (res_l, w_l)):
+        rec = GrsRecursion(w)
+        rec.state(10)
         for k in range(1, 11):
             s_k = rec.S[k - 1]
             sigma = math.sqrt(max(s_k * (1 - s_k), 1e-12) / n)

@@ -58,6 +58,9 @@ def test_parameter_error_exits_2(capsys):
                  ("experiment", "gaussian", "--grid", "1.5,2.9")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, err = run_cli(capsys, "divergence", "--family", "discrete", "--q", "0.5,x",
+                             "--p", "0.5,0.5", "--kind", "kl")
+    assert (code, out, err) == (2, "", "error: bad numeric list '0.5,x'\n")
 
 
 def test_missing_flags_exit_2(capsys):
@@ -228,6 +231,15 @@ def test_bad_tol_exits_2_for_every_kind(capsys, kind):
     assert err == "error: tol must be positive, got -1.0\n"
 
 
+def test_unconverged_divergence_warns(capsys):
+    # a tol below float resolution: the value prints, with a warning beside it
+    code, out, err = run_cli(capsys, "divergence", "--family", "laplace", "--b", "0.5",
+                             "--kind", "acs", "--tol", "1e-18")
+    assert (code, out) == (0, "1.442695041\n")
+    assert err.startswith("warning: error estimate ") and err.endswith(
+        " bits exceeds the requested tolerance\n")
+
+
 def test_experiment_laplace_small_grid(tmp_path, capsys):
     check_sweep_bytes(capsys, tmp_path, ("experiment", "laplace", "--grid", "1,0.5"),
                       "b,neg_ln_b,kl_bits,dcs_bits,delta_bits,lower_digamma_nats,"
@@ -288,6 +300,9 @@ def test_verify_custom_suite_file(tmp_path, capsys):
     suite.write_text('[{"family": "laplace", "b": 0.5},\n{"family": }]\n')
     code, out, err = run_cli(capsys, "verify", "--suite", str(suite))
     assert (code, out) == (2, "") and "suite file line 2" in err
+    suite.write_text('{"family": "laplace", "b": 0.5}\n')
+    code, out, err = run_cli(capsys, "verify", "--suite", str(suite))
+    assert (code, out, err) == (2, "", "error: suite file must be a JSON list of pair specs\n")
     for path in (tmp_path, tmp_path / "missing.json"):
         code, out, err = run_cli(capsys, "verify", "--suite", str(path))
         assert (code, out) == (2, "") and err.startswith("error: ")

@@ -1,7 +1,7 @@
 import json
 import math
 import platform
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -217,6 +217,28 @@ def test_spec_descriptor_and_parse_roundtrip(tmp_path):
         parse_spec_json({"family": "nope"})
     with pytest.raises(InvalidParameterError):
         parse_spec_json({"family": "synthetic", "width": "mystery"})
+
+
+# the b = 1 row of `experiment laplace`, which validates
+_LAPLACE_B1 = LaplaceRow(b=1.0, neg_ln_b=0.0, kl_bits=0.0, dcs_bits=0.0, delta_bits=0.0,
+                         lower_digamma_nats=GAMMA - 1.0, upper_digamma_nats=GAMMA - 0.5,
+                         entropy_bits=0.0)
+
+
+@pytest.mark.parametrize("row, broken", [
+    (replace(_LAPLACE_B1, lower_digamma_nats=0.1), "digamma band violated at b=1.0"),
+    (replace(_LAPLACE_B1, entropy_bits=5.0), "bound chain violated at b=1.0"),
+    (GaussianRow(d=1, kl_bits=0.3, dcs_bits=0.7, delta_bits=0.5, conjecture_half_log_bits=0.2),
+     "delta identity violated at d=1"),
+    (GaussianRow(d=2, kl_bits=0.7, dcs_bits=0.3, delta_bits=0.3 - 0.7,
+                 conjecture_half_log_bits=0.4), "KL exceeds D_CS at d=2"),
+    (EpsilonRow(eps=0.1, dcs_bits=1.0, entropy_bits=2.0, gap_bits=0.5),
+     "gap identity violated at eps=0.1"),
+], ids=["laplace_digamma", "laplace_chain", "gaussian_delta", "gaussian_kl", "epsilon_gap"])
+def test_sweep_row_validate_names_the_broken_check(row, broken):
+    _LAPLACE_B1.validate()
+    with pytest.raises(SweepValidationError, match=f"^{broken}$"):
+        row.validate()
 
 
 def test_epsilon_row_self_validation():

@@ -424,19 +424,6 @@ def test_smooth_law_step_cap_reports_survival(w, survival):
         grs_index_distribution(w, eps_stop=1e-9, step_cap=1000)
 
 
-def test_sampler_step_cap_is_the_calls_own():
-    # a shared orbit carries no cap: a capped call stops, and a later call
-    # under the default cap reads on past it, as it would on a fresh orbit
-    w = OptimalCsWidth(0.5)
-    pair = make_pair(SyntheticSpec(w))
-    fresh = [grs_sample(pair, w, RngStream(33, j)) for j in range(100)]
-    j = next(j for j, (_, k) in enumerate(fresh) if k > 50)
-    rec = GrsRecursion(w)
-    with pytest.raises(StepBudgetError, match="still active after 50 steps"):
-        grs_sample(pair, w, RngStream(33, j), step_cap=50, recursion=rec)
-    assert grs_sample(pair, w, RngStream(33, j), recursion=rec) == fresh[j]
-
-
 def two_level_at_bits(bits):
     """The two-level width whose h_max is 2**bits."""
     return two_level_width(math.e / ((1.0 + math.e) * (2.0**bits - 1.0 / (1.0 + math.e))))
@@ -574,18 +561,6 @@ def test_sampler_discrete_support_and_first_step():
     assert abs(p1 - 0.5) <= 4 * math.sqrt(0.25 / 20_000)
 
 
-def test_sampler_trace_matches_recursion():
-    w = width_eval(LaplaceSpec(0.5))
-    rec = GrsRecursion(w)
-    pair = make_pair(LaplaceSpec(0.5))
-    grs_sample(pair, w, RngStream(5, 5), recursion=rec)
-    fresh = GrsRecursion(w)
-    k = len(rec.L)
-    fresh.state(k)
-    assert np.allclose(rec.L[:k], fresh.L[:k], atol=0.0)
-    assert np.allclose(rec.S[:k], fresh.S[:k], atol=0.0)
-
-
 def test_sampler_deterministic_given_stream():
     pair = make_pair(LaplaceSpec(0.5))
     w = width_eval(LaplaceSpec(0.5))
@@ -628,19 +603,41 @@ def test_sample_points_follow_target():
     assert ks < special.kolmogi(1e-3) / math.sqrt(n)
 
 
+class _TailCount:
+    """Counts a width's _tail calls: one per smooth orbit step past step 1."""
+
+    calls = 0
+
+    def _tail(self, h, tol):
+        self.calls += 1
+        return super()._tail(h, tol)
+
+
+class _CountedLaplace(_TailCount, LaplaceWidth):
+    pass
+
+
+class _CountedGaussian(_TailCount, GaussianWidth):
+    pass
+
+
+class _CountedOptimalCs(_TailCount, OptimalCsWidth):
+    pass
+
+
 def test_sample_step_cap_reads_the_orbit_no_further():
     # about 5% of runs pass step 50 here (S_51 = 0.049)
-    w = OptimalCsWidth(0.5)
-    pair = make_pair(SyntheticSpec(w))
-    rec = GrsRecursion(w)
+    pair = make_pair(SyntheticSpec(OptimalCsWidth(0.5)))
+    w = _CountedOptimalCs(0.5)
     raised = 0
     for j in range(200):
+        before = w.calls
         try:
-            grs_sample(pair, w, RngStream(33, j), step_cap=50, recursion=rec)
+            grs_sample(pair, w, RngStream(33, j), step_cap=50)
         except StepBudgetError:
             raised += 1
+        assert w.calls - before <= 49  # reading S_50 takes 49 tail integrals
     assert raised > 0
-    assert len(rec.S) <= 51
 
 
 class _DrawLog:
@@ -662,14 +659,13 @@ def test_step_cap_does_not_change_runs_within_it():
     # makes under the default cap, also in a block that reaches past the cap
     spec = LaplaceSpec(0.05)
     pair, w = make_pair(spec), width_eval(spec)
-    rec = GrsRecursion(w)
     deep = 0
     for j in range(100):
         free, capped = _DrawLog(pair), _DrawLog(pair)
-        x, k = grs_sample(free, w, RngStream(33, j), recursion=rec)
+        x, k = grs_sample(free, w, RngStream(33, j))
         if k <= 50:
             deep += k > 24  # the third block, 32 steps from 25, passes 50
-            assert grs_sample(capped, w, RngStream(33, j), step_cap=50, recursion=rec) == (x, k)
+            assert grs_sample(capped, w, RngStream(33, j), step_cap=50) == (x, k)
             assert capped.sizes == free.sizes
     assert deep > 5
     w = OptimalCsWidth(0.5)
@@ -680,18 +676,20 @@ def test_step_cap_does_not_change_runs_within_it():
     assert np.array_equal(capped.accepted, res.accepted)
 
 
-@pytest.mark.parametrize("spec", [LaplaceSpec(0.5), GaussianSpec(1.0, 0.5, 2)],
+@pytest.mark.parametrize("spec, w", [(LaplaceSpec(0.5), _CountedLaplace(0.5)),
+                                     (GaussianSpec(1.0, 0.5, 2), _CountedGaussian(1.0, 0.5, 2))],
                          ids=["laplace", "gaussian_d2"])
-def test_samplers_read_the_orbit_to_the_deepest_index(spec):
-    # on a smooth width each step past the orbit read costs a tail integral
-    pair, w = make_pair(spec), width_eval(spec)
+def test_samplers_read_the_orbit_to_the_deepest_index(spec, w):
+    # on a smooth width each step past the orbit read costs a tail integral:
+    # reading (L_k, S_k) takes k - 1 of them
+    pair = make_pair(spec)
     for j in range(20):
-        rec = GrsRecursion(w)
-        _, k = grs_sample(pair, w, RngStream(34, j), recursion=rec)
-        assert len(rec.S) == k
-    rec = GrsRecursion(w)
-    res = grs_empirical(pair, w, RngStream(35, 0), 1000, recursion=rec)
-    assert len(rec.S) == res.indices.max()
+        before = w.calls
+        _, k = grs_sample(pair, w, RngStream(34, j))
+        assert w.calls - before == k - 1
+    before = w.calls
+    res = grs_empirical(pair, w, RngStream(35, 0), 1000)
+    assert w.calls - before == res.indices.max() - 1
 
 
 def test_synthetic_first_step_acceptance():
@@ -736,8 +734,9 @@ def test_empirical_survival_matches_recursion():
     pair = make_pair(LaplaceSpec(0.5))
     w = width_eval(LaplaceSpec(0.5))
     n = 10**4
+    res = grs_empirical(pair, w, RngStream(2, 6), n)
     rec = GrsRecursion(w)
-    res = grs_empirical(pair, w, RngStream(2, 6), n, recursion=rec)
+    rec.state(10)
     for k in range(1, 11):
         s_k = rec.S[k - 1]
         sigma = math.sqrt(max(s_k * (1.0 - s_k), 1e-12) / n)
@@ -758,6 +757,22 @@ def test_empirical_step_cap():
     pair = make_pair(SyntheticSpec(w))
     with pytest.raises(StepBudgetError):
         grs_empirical(pair, w, RngStream(0, 1), 1000, step_cap=50)
+
+
+def test_empirical_step_cap_stops_the_lockstep_round():
+    # 1000 replicas take one step a round; the cap stops the round at step 2
+    w = OptimalCsWidth(0.5)
+    msg = "^245 of 1000 replicas still active after 1 steps$"
+    with pytest.raises(StepBudgetError, match=msg):
+        grs_empirical(SyntheticSpec(w), w, RngStream(1, 0), 1000, step_cap=1)
+
+
+def test_empirical_count_must_be_an_integer():
+    # a float n is refused by name, not by numpy's bare TypeError
+    pair, w = make_pair(LaplaceSpec(1.0)), width_eval(LaplaceSpec(1.0))
+    with pytest.raises(InvalidParameterError, match="n must be an integer, got 1500.0"):
+        grs_empirical(pair, w, RngStream(0, 0), 1500.0)
+    assert grs_empirical(pair, w, RngStream(0, 0), np.int64(1000)).histogram == {1: 1000}
 
 
 def test_index_distribution_json_schema():

@@ -271,3 +271,12 @@ def test_synthetic_rejects_a_non_width(w):
 def test_stream_child_offsets():
     with pytest.raises(InvalidParameterError):
         RngStream(-1, 0)
+
+
+@pytest.mark.parametrize("seed, stream", [(1.5, 0), (0, 2.0), (np.float64(1.0), 0), ("1", 0)])
+def test_stream_key_must_be_an_integer(seed, stream):
+    # truncated to a uint64, a float key would draw another key's stream
+    with pytest.raises(InvalidParameterError, match="must be an integer, got"):
+        RngStream(seed, stream)
+    numpy_key = RngStream(np.uint64(2**64 - 1), np.int64(3)).generator().random(4)
+    assert np.array_equal(numpy_key, RngStream(2**64 - 1, 3).generator().random(4))

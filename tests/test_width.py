@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -32,6 +33,7 @@ from crs_toolkit.width import (
     two_level_width,
     width_eval,
     width_from_discrete,
+    read_width_table,
     width_from_table,
     WidthFunction,
 )
@@ -559,6 +561,37 @@ def test_width_from_table_validation():
                  [(0.0, 1.0), (0.5, math.nan), (1.5, 0.0)]):
         with pytest.raises(InvalidParameterError):
             width_from_table(rows)
+
+
+# refusals no other test reaches, each with the rule it names
+BAD_WIDTH_CALLS = {
+    "step_lengths": (lambda: StepWidth([0.0, 1.0], [1.0, 0.5]), "len(edges) == len(values) + 1"),
+    "laplace_b1": (lambda: LaplaceWidth(1.0), "b = 1 is a step"),
+    "two_level_eps0": (lambda: two_level_width(0.0), "need 0 < eps < 1"),
+    "gaussian_sigma1": (lambda: GaussianWidth(0.0, 1.0, 1), "need 0 < sigma < 1"),
+    "discrete_q_not_ac": (lambda: width_from_discrete((0.5, 0.5), (1.0, 0.0)),
+                          "Q is not absolutely continuous"),
+    "table_one_row": (lambda: width_from_table([(0.0, 1.0)]), "at least two rows"),
+    # the bisection inverse, on a width whose h_max gives it no upper end
+    "generic_inverse": (lambda: WidthFunction._inverse(OptimalCsWidth(0.5), np.array([0.5])),
+                        "needs finite h_max"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_WIDTH_CALLS))
+def test_width_refusals_name_their_rule(name):
+    call, rule = BAD_WIDTH_CALLS[name]
+    with pytest.raises(InvalidParameterError, match=re.escape(rule)):
+        call()
+
+
+def test_read_width_table_header_and_blank_lines(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("h,w\n0,1\n\n0.5,0.5\n1.5,0\n")
+    assert read_width_table(str(path)) == [(0.0, 1.0), (0.5, 0.5), (1.5, 0.0)]
+    path.write_text("w,h\n0,1\n1,0\n")
+    with pytest.raises(InvalidParameterError, match="must start with the header 'h,w'"):
+        read_width_table(str(path))
 
 
 def test_width_rejects_negative_argument():
