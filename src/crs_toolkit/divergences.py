@@ -25,7 +25,7 @@ width unless the caller sets it, and refuses a tol that is not positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,7 +65,9 @@ def _phi_xlogx(x: np.ndarray) -> np.ndarray:
 
 
 def _phi_binary_entropy(x: np.ndarray) -> np.ndarray:
-    return _phi_xlogx(x) + _phi_xlogx(1.0 - x)
+    # log(1 - x) would round away the -x term for small x; log1p keeps it.
+    # The clamp keeps x = 1 finite: 0 * log1p(-1) would be 0 * -inf = nan.
+    return _phi_xlogx(x) - (1.0 - x) * np.log1p(-np.minimum(x, 1.0 - 2.0**-53))
 
 
 # -x ln x peaks at 1/e; H_b peaks at ln 2. Majorants: -x ln x <= -x ln x,
@@ -87,12 +89,7 @@ class DivergenceReport:
             raise InvalidParameterError("divergence values are non-negative")
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value_bits": self.value_bits,
-            "abs_error_estimate": self.abs_error_estimate,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def _report(kind: str, value_bits: float, err_bits: float, method: str,

@@ -42,7 +42,16 @@ def test_divergence_acs_and_json(capsys):
     blob = json.loads(out)
     assert blob["kind"] == "ACS"
     assert blob["value_bits"] == pytest.approx(2.0, abs=1e-12)
-    assert set(blob) == {"kind", "value_bits", "abs_error_estimate", "method"}
+    assert set(blob) == {"kind", "value_bits", "abs_error_estimate", "method", "converged"}
+    assert blob["converged"] is True
+
+
+def test_divergence_json_flags_an_unconverged_result(capsys):
+    # a tolerance below float resolution spends the panel budget and fails
+    code, out, err = run_cli(capsys, "divergence", "--family", "laplace", "--b", "0.5",
+                             "--kind", "acs", "--tol", "1e-18", "--format", "json")
+    assert code == 0 and err.startswith("warning: error estimate")
+    assert json.loads(out)["converged"] is False
 
 
 def test_parameter_error_exits_2(capsys):
@@ -329,9 +338,9 @@ def test_verify_malformed_suite_entry_exits_2(tmp_path, capsys, entry, named):
     assert err.startswith("error: ") and named in err
 
 
-# sha256 of `verify --suite default` stdout, made at commit 825de5f
-# (numpy 2.4.6, scipy 1.17.1): the report's bytes, every digit of it
-VERIFY_DEFAULT_SHA256 = "3ebe700c3eb73c0171ba6a690328ce7ca09a69225ee4fa1e9e93e86c3ed812a7"
+# sha256 of `verify --suite default` stdout (numpy 2.4.6, scipy 1.17.1):
+# the report's bytes, every digit of it
+VERIFY_DEFAULT_SHA256 = "4e285daeff7e51b26290adfabb90710033ae4c27840c5e0b768ac92b50613991"
 
 
 def test_verify_default_suite(capsys):

@@ -240,6 +240,21 @@ def test_ordering_kl_cs_acs():
         assert dcs <= kl + math.log2(kl + 1.0) + 1.0 + 1e-8
 
 
+@pytest.mark.parametrize("mu, sigma, d", [(1.0, 0.5, 16), (1.0, 0.5, 64), (0.0, 0.5, 128),
+                                          (1.0, 0.5, 256)])
+def test_dacs_minus_dcs_lies_in_its_bracket_on_deep_gaussians(mu, sigma, d):
+    # w - w^2 <= -(1 - w) ln(1 - w) <= w - w^2 / 2 and int w dh = 1 nat, so
+    # D_ACS - D_CS lies in [m, (log2 e + m) / 2] for m = int w (1 - w) dh in
+    # bits. At high d most of the mass sits where w < 2^-53.
+    w = GaussianWidth(mu, sigma, d)
+    acs, cs = alternative_divergence(w), channel_simulation_divergence(w)
+    m = quad_phi_integral(w, PHI_X_ONE_MINUS_X, tol=1e-12)
+    slack = acs.abs_error_estimate + cs.abs_error_estimate + m.abs_error_estimate
+    gap = acs.value_bits - cs.value_bits
+    assert acs.converged
+    assert m.value_bits - slack <= gap <= (1.0 / LN2 + m.value_bits) / 2.0 + slack
+
+
 def test_convexity_in_target_on_random_discrete_triples():
     rng = np.random.default_rng(42)
     for _ in range(200):
@@ -328,7 +343,8 @@ def test_integral_representation_raises_on_an_unconverged_inner_tail():
 def test_report_json_schema():
     rep = channel_simulation_divergence(width_eval(LaplaceSpec(0.5)))
     blob = json.loads(json.dumps(rep.to_json()))
-    assert set(blob) == {"kind", "value_bits", "abs_error_estimate", "method"}
+    assert set(blob) == {"kind", "value_bits", "abs_error_estimate", "method", "converged"}
+    assert blob["converged"] is True
     assert blob["kind"] == "CS" and blob["method"] == "quadrature"
     assert blob["abs_error_estimate"] >= 0.0
     exact = channel_simulation_divergence(width_eval(DISCRETE_EXAMPLE))

@@ -1,10 +1,13 @@
+import decimal
 import heapq
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from crs_toolkit.divergences import (
+    DEFAULT_TOL_BITS,
     PHI_BINARY_ENTROPY,
     PHI_XLOGX,
     PhiSpec,
@@ -101,6 +104,27 @@ def test_phi_constants():
     assert PHI_XLOGX(np.array([1.0 + 1e-15]))[0] == 0.0
 
 
+def _binary_entropy_nats_exact(x: float) -> float:
+    """H_b(x) in nats for 0 < x < 1, from 40-digit logs of the exact x and 1 - x."""
+    # a float has at most 1074 fraction digits, so 1 - x is exact at 2000
+    one_minus_x = decimal.Context(prec=2000, traps=[decimal.Inexact]).subtract(1, Decimal(x))
+    with decimal.localcontext(prec=40):
+        return float(-(Decimal(x) * Decimal(x).ln() + one_minus_x * one_minus_x.ln()))
+
+
+BINARY_ENTROPY_POINTS = [1e-300, 1e-20, 2.0**-53, 1e-12, 1e-6, 0.3, 0.5, 1.0 - 2.0**-53]
+
+
+def test_binary_entropy_is_accurate_to_2_ulp():
+    # (1 - x) ln(1 - x) ~ -x is read by log1p, not rounded away in 1 - x
+    got = PHI_BINARY_ENTROPY(np.array(BINARY_ENTROPY_POINTS))
+    for x, value in zip(BINARY_ENTROPY_POINTS, got):
+        want = _binary_entropy_nats_exact(x)
+        assert abs(value - want) <= 2 * math.ulp(want), x
+    ends = PHI_BINARY_ENTROPY(np.array([0.0, 1.0]))
+    assert list(ends) == [0.0, 0.0] and not np.signbit(ends).any()
+
+
 def test_phi_of_width_indicator_is_zero():
     w = FormulaWidth(lambda h: np.where(h <= 1.0, 1.0, 0.0), 1.0)
     res = _phi_quad(w, PHI_XLOGX, 1e-12)
@@ -168,13 +192,33 @@ def _assert_pinned(value, error, want_value, want_error):
 
 @pytest.mark.parametrize("divergence, width, value, error", [
     (channel_simulation_divergence, LaplaceWidth(0.25), 1.562919627630252, 3.8197898760619975e-10),
-    (alternative_divergence, OptimalAcsWidth(1.8), 3.3960283998810286, 7.303716349181394e-10),
+    (alternative_divergence, OptimalAcsWidth(1.8), 3.3960284527864553, 3.2010925855464525e-10),
     (channel_simulation_divergence, OptimalCsWidth(0.3), 3.3662884286214796, 2.4448752519634635e-10),
 ], ids=["cs_laplace_b025", "acs_optimal_a1.8", "cs_optimal_a0.3"])
 def test_phi_driver_outputs_pinned(divergence, width, value, error):
     rep = divergence(width)
     assert rep.converged and rep.method == "quadrature"
     _assert_pinned(rep.value_bits, rep.abs_error_estimate, value, error)
+    if divergence is alternative_divergence:
+        assert abs(rep.value_bits - width.dacs_bits()) <= rep.abs_error_estimate
+
+
+# D_ACS on power tails: w drops below 1e-8 where the u = ln h substitution
+# scales the integrand by h ~ 1e13, so any rounding of H_b(w) there is noise
+# that the panel splitter chases until the budget is spent
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0, 2.4, 3.0, 6.0])
+def test_optimal_acs_dacs_meets_its_closed_form_in_few_panels(alpha):
+    w = OptimalAcsWidth(alpha)
+    rep = alternative_divergence(w)
+    assert rep.converged
+    assert abs(rep.value_bits - w.dacs_bits()) <= rep.abs_error_estimate + 1e-12
+    assert _phi_quad(w, PHI_BINARY_ENTROPY, DEFAULT_TOL_BITS * LN2).panels <= 64
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5])
+def test_optimal_cs_dacs_converges_in_few_panels(alpha):
+    res = _phi_quad(OptimalCsWidth(alpha), PHI_BINARY_ENTROPY, DEFAULT_TOL_BITS * LN2)
+    assert res.converged and res.panels <= 200
 
 
 def test_log_h_driver_output_pinned():
