@@ -42,7 +42,8 @@ Truncation is certified: after stopping with survival mass s = S_{n+1},
 the entropy bound coming from splitting -log2 p_k = -log2(p_k/s) - log2 s
 and maximizing the normalized tail entropy at fixed mean by a geometric law.
 That bound is about as large as the tail itself, so a step width's law, and
-a smooth width's law that reaches eps_stop, report it.
+a smooth width's law that reaches eps_stop, report it, with its upper end
+padded by _ROUNDING_PAD for the rounding of the law's float sums.
 
 A smooth width's law usually stops much earlier, behind a two-sided
 enclosure of the remaining entropy. Let p(L) = T(L) - T(L + T(L)), so that
@@ -105,8 +106,6 @@ LOG2_E = math.log2(math.e)
 LN2 = math.log(2.0)
 
 DEFAULT_STEP_CAP = 10**6
-# relative tolerance of a quadrature tail integral; closed forms ignore it
-_TAIL_TOL_FACTOR = 1e-13
 # a smooth law's stopping test leaves all but this share of the target
 # width to the panel bracket and the cut of its entropy enclosure; the
 # bracket converges only to first order, so a small share, which stops the
@@ -114,7 +113,7 @@ _TAIL_TOL_FACTOR = 1e-13
 _STOP_SHARE = 0.05
 # the cut's max-entropy term takes at most this share of what remains
 _CUT_SHARE = 0.25
-# relative pad of the enclosure's ends for the rounding of its float sums
+# relative pad of an entropy interval's ends for the rounding of its float sums
 _ROUNDING_PAD = 1e-12
 _EPS = sys.float_info.epsilon
 _INV_E = 1.0 / math.e
@@ -152,8 +151,7 @@ class GrsRecursion:
         """Extend the orbit toward step k: one step, or a block up to step k."""
         steps, L, S = len(self.S) - 1, self.L[-1], self.S[-1]
         if not self._blocks:  # one tail integral
-            tol = max(S * _TAIL_TOL_FACTOR, 1e-300)
-            S_next = min(S, self.w.tail_integral(L + S, tol=tol).value) if S > 0.0 else S
+            S_next = min(S, self.w.tail_integral(L + S).value) if S > 0.0 else S
             self.L.append(L + S)
             self.S.append(S_next)
             return
@@ -318,7 +316,7 @@ def _smooth_width_law(w: WidthFunction, eps_stop: float, step_cap: int) -> Index
                 i_max = _entropy_tail_bound_bits(S, h_max - L) / (1.0 - w_est)
                 if _xlog2(p) + w_est * i_max <= _STOP_SHARE * tau:
                     try:  # at most n panel splits: about the orbit's own cost
-                        tail = _entropy_enclosure(w, L_prev, rec.S[n - 2], L, eps_stop, n)
+                        tail = _entropy_enclosure(w, L_prev, L, eps_stop, n)
                     except QuadratureError:  # an unconverged T certifies nothing
                         tail = None
                     if tail is not None:
@@ -338,11 +336,13 @@ def _law(pieces: list, steps: int, L: float, S: float, h_max: float, tail) -> In
         means.append(mean)
         entropies.append(entropy)
     mean_tail = max(h_max - L, 0.0)
-    tail_lo, tail_width = (0.0, _entropy_tail_bound_bits(S, mean_tail)) if tail is None else tail
+    head, bound = math.fsum(entropies), _entropy_tail_bound_bits(S, mean_tail)
+    # the bound's upper end is padded as the enclosure pads its own
+    tail_lo, tail_width = (0.0, bound + (head + bound) * _ROUNDING_PAD) if tail is None else tail
     return IndexDistribution(
         truncation_index=steps,
         tail_mass=S,
-        entropy_bits=math.fsum(entropies) + tail_lo,
+        entropy_bits=head + tail_lo,
         entropy_tail_bound_bits=tail_width,
         mean_index=math.fsum(means),
         mean_tail_bound=mean_tail,
@@ -362,9 +362,9 @@ def _target_width_bits(eps_stop: float, w_bar: float) -> float:
     return s * (LOG2_E - math.log2(s * w_bar))
 
 
-def _tail_bar(w: WidthFunction, L: float, scale: float) -> tuple[float, float]:
-    """T(L) and its error bar, at the orbit's relative tolerance of scale."""
-    res = w.tail_integral(L, tol=max(scale * _TAIL_TOL_FACTOR, 1e-300))
+def _tail_bar(w: WidthFunction, L: float) -> tuple[float, float]:
+    """T(L) and its error bar; a T that did not converge raises."""
+    res = w.tail_integral(L)
     if not res.converged:
         raise QuadratureError(f"tail integral at L = {L!r} did not converge")
     return res.value, res.error
@@ -384,10 +384,10 @@ class _Node(NamedTuple):
 def _node(w: WidthFunction, L: float, L_left: float, t_hi_left: float) -> _Node:
     """The node at L, from an upper bar on T at some L_left < L, whose chord
     of T bounds w(L) from above."""
-    t, t_err = _tail_bar(w, L, t_hi_left)
+    t, t_err = _tail_bar(w, L)
     w_hi = min(1.0, (t_hi_left - (t - t_err)) / (L - L_left) * (1.0 + 4.0 * _EPS))
     L2 = L + t
-    t2, t2_err = _tail_bar(w, L2, t)
+    t2, t2_err = _tail_bar(w, L2)
     # T is read at the float L2, off L + T(L) by t_err and half an ulp, which
     # moves the second T by at most w(L) times that
     p_err = t_err + t2_err + w_hi * (t_err + 0.5 * math.ulp(L2)) + _EPS * t
@@ -420,14 +420,13 @@ def _cut_nodes(w: WidthFunction, first: _Node, budget: float) -> list[_Node]:
     return nodes
 
 
-def _entropy_enclosure(w: WidthFunction, L_prev: float, S_prev: float, L: float,
+def _entropy_enclosure(w: WidthFunction, L_prev: float, L: float,
                        eps_stop: float, max_splits: int) -> tuple[float, float] | None:
     """(lower end, width) of the enclosure of sum_{k>=N} -p_k log2 p_k from
-    the orbit point L = L_N after (L_prev, S_prev) = (L_{N-1}, S_{N-1}), with
-    at most max_splits panel splits, or None when it is wider than the
-    target. A tail integral on the way that does not converge raises
-    QuadratureError."""
-    t_prev, t_err = _tail_bar(w, L_prev, S_prev)
+    the orbit point L = L_N after L_prev = L_{N-1}, with at most max_splits
+    panel splits, or None when it is wider than the target. A tail integral
+    on the way that does not converge raises QuadratureError."""
+    t_prev, t_err = _tail_bar(w, L_prev)
     first = _node(w, L, L_prev, t_prev + t_err)
     w_bar = first.w_hi
     if not (first.t_lo > 0.0 and first.p_hi < _INV_E and 0.0 < w_bar < 1.0):

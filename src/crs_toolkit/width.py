@@ -7,12 +7,12 @@ choice at atoms of the density ratio (the discrete pair with ratios {2, 0}
 has w(2) = 0.5); every integral here is insensitive to that choice.
 
 Each class states its formula, _formula(h), valid on h >= 0, and its tail
-T, _tail(h, tol); the WidthFunction docstring gives the subclass contract.
+T, _tail(h); the WidthFunction docstring gives the subclass contract.
 The domains live in the base class, once each. WidthFunction.__call__ rejects
 negative and NaN h, clips the formula to [0, 1], then pins w(0) = 1 and w = 0
 for h > h_max, each pin only when the argument's min or max reaches it.
-tail_integral rejects the same h and tol <= 0 and is 0 from h_max on, so _tail
-sees only 0 <= h < h_max; ratio_inverse admits u in (0, 1) only.
+tail_integral rejects the same h and is 0 from h_max on, so _tail sees only
+0 <= h < h_max; ratio_inverse admits u in (0, 1) only.
 
 Analytic widths per family:
 
@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .quadrature import QuadResult, _check_tol, adaptive
+from .quadrature import QuadResult, adaptive
 
 if TYPE_CHECKING:  # pragma: no cover
     from .measures import DistributionPair
@@ -67,8 +67,10 @@ _MIN_NORMAL = sys.float_info.min
 # by a factor 20 or more each, so the term cap is never reached
 _LAPLACE_SERIES_BAND = 0.05
 _LAPLACE_SERIES_TERMS = 40
-# Gaussian tail: quadrature once Q(r >= h) - h w(h) would cancel 7 digits
+# Gaussian tail: quadrature once Q(r >= h) - h w(h) would cancel 7 digits,
+# to this tolerance relative to (h_max - h) w(h) >= T(h)
 _GAUSSIAN_CANCEL_LIMIT = 1e-7
+_GAUSSIAN_QUAD_TOL = 1e-13
 
 def gaussian_log_ratio_constants(mu: float, sigma: float) -> tuple[float, float, float]:
     """Per-dimension constants (a, c, t0) of the Gaussian pair log-ratio.
@@ -88,9 +90,10 @@ class WidthFunction:
     A subclass sets h_max and breakpoints, and implements _formula, w on an
     array of h >= 0 as a new array, finite and warning-free there (__call__
     overrides it at h = 0 and beyond h_max), and _tail, T on [0, h_max) with
-    an error bar; T(0) is the mass, 1. It may set a PowerTail certificate
-    `tail` (needed when h_max is infinite) and a closed-form _inverse(u) of
-    r on (0, 1). There is no base-class __init__ to call.
+    an error bar; T(0) is the mass, 1, and a _tail that integrates picks its
+    own tolerance. It may set a PowerTail certificate `tail` (needed when
+    h_max is infinite) and a closed-form _inverse(u) of r on (0, 1). There is
+    no base-class __init__ to call.
     """
 
     h_max: float
@@ -129,22 +132,21 @@ class WidthFunction:
         out = self._formula(h)
         return out if 0.0 <= out.item() <= 1.0 else out.clip(0.0, 1.0)
 
-    def tail_integral(self, h: float, tol: float = 1e-12) -> QuadResult:
+    def tail_integral(self, h: float) -> QuadResult:
         """T(h) = integral of w over (h, h_max], which the GRS recursion reads
-        as its survival masses S_k = T(L_k).
+        as its survival masses S_k = T(L_k), with its error bar.
 
-        The domain lives here, as w's lives in __call__: NaN or negative h and
-        tol <= 0 are rejected, and T is exactly 0 from h_max on, so a
-        subclass's _tail only sees 0 <= h < h_max.
+        The domain lives here, as w's lives in __call__: NaN or negative h is
+        rejected, and T is exactly 0 from h_max on, so a subclass's _tail
+        only sees 0 <= h < h_max.
         """
         if not h >= 0.0:  # NaN fails too
             raise InvalidParameterError("h must be >= 0")
-        _check_tol(tol)
         if h >= self.h_max:
             return QuadResult(0.0, 0.0, True, 0)
-        return self._tail(h, tol)
+        return self._tail(h)
 
-    def _tail(self, h: float, tol: float) -> QuadResult:
+    def _tail(self, h: float) -> QuadResult:
         raise NotImplementedError
 
     def ratio_inverse(self, u) -> np.ndarray:
@@ -248,7 +250,7 @@ class StepWidth(WidthFunction):
 
         return below(hi) - below(lo)
 
-    def _tail(self, h: float, tol: float) -> QuadResult:
+    def _tail(self, h: float) -> QuadResult:
         j = self._segment(h)
         value = float(self.values[j] * (self.edges[j + 1] - h) + self._suffix[j + 1])
         return QuadResult(value, 0.0, True, 0)
@@ -277,7 +279,7 @@ class LaplaceWidth(WidthFunction):
         # either way; the clamp keeps a large exponent from overflowing
         return 1.0 - np.power(np.minimum(self.b * h, 1.0), self.expo)
 
-    def _tail(self, h: float, tol: float) -> QuadResult:
+    def _tail(self, h: float) -> QuadResult:
         """Closed form: with delta = 1 - b h and e = b/(1-b),
 
             b T(h) = delta + expm1((e+1) log1p(-delta)) / (e+1)
@@ -380,7 +382,7 @@ class GaussianWidth(WidthFunction):
         x = self._chi2_argument(np.maximum(h, _TINY))
         return self._chndtr(np.maximum(x, 0.0), self.d, self.noncentrality)
 
-    def _tail(self, h: float, tol: float) -> QuadResult:
+    def _tail(self, h: float) -> QuadResult:
         """Layer cake: T(h) = Q(r >= h) - h w(h), with r = dQ/dP.
 
         With x = (d t0 - ln h)/a, Q(r >= h) is the Q-side noncentral
@@ -399,20 +401,29 @@ class GaussianWidth(WidthFunction):
         # terms only when both see it, and one ulp apart costs digits
         x = float(self._chi2_argument(h))
         q_mass = float(self._chndtr(max(x, 0.0) / self.sigma**2, self.d, self._q_noncentrality))
-        hw = h * float(self(h)[0])
+        w_h = float(self(h)[0])
+        hw = h * w_h
         value = q_mass - hw
         # T moves by h w(h) per unit of a x, and a x carries a few ulp of ln h
         # and of ln h_max = d t0: near h_max this outgrows T, as a x shrinks
         x_rounding = 64.0 * _EPS * (1.0 + abs(self.ln_h_max) + abs(math.log(h))) * hw
-        if value < _GAUSSIAN_CANCEL_LIMIT * q_mass:
+        # a w(h) below the normal range has lost its digits, and h w(h) with it
+        if value < _GAUSSIAN_CANCEL_LIMIT * q_mass or w_h < _MIN_NORMAL:
             scale = 2.0 * self.a * self.h_max
 
             def integrand(v: np.ndarray) -> np.ndarray:
                 y = v * v
                 return self._chndtr(y, self.d, self.noncentrality) * np.exp(-self.a * y) * v
 
-            res = adaptive(integrand, [(0.0, math.sqrt(x))], tol / scale)
-            return QuadResult(scale * res.value, scale * res.error + x_rounding,
+            # w does not increase, so T(h) <= (h_max - h) w(h): a tolerance
+            # relative to that bound is never tighter than the same share of
+            # T; the floor keeps it positive where the bound underflows
+            tol = max(_GAUSSIAN_QUAD_TOL * (self.h_max - h) * w_h / scale, 1e-300)
+            res = adaptive(integrand, [(0.0, math.sqrt(x))], tol)
+            # with w(h) below the normal range, T <= (h_max - h) w(h) is below
+            # (h_max - h) _MIN_NORMAL, which the bar adds for all the integrand lost
+            underflow = (self.h_max - h) * _MIN_NORMAL if w_h < _MIN_NORMAL else 0.0
+            return QuadResult(scale * res.value, scale * res.error + x_rounding + underflow,
                               res.converged, res.panels)
         # the two terms also carry ulp-level errors relative to Q
         return QuadResult(value, 64.0 * _EPS * q_mass + x_rounding, True, 0)
@@ -462,7 +473,7 @@ class OptimalCsWidth(WidthFunction):
     def dcs_bits(self) -> float:
         return (1.0 - self.alpha) / self.alpha / LN2
 
-    def _tail(self, h: float, tol: float) -> QuadResult:
+    def _tail(self, h: float) -> QuadResult:
         """T(h) = 1 - h up to alpha, and (1 - alpha) (h/alpha)^(1 - p) beyond."""
         if h <= self.alpha:
             return QuadResult(1.0 - h, _EPS * (1.0 - h), True, 0)
@@ -513,7 +524,7 @@ class OptimalAcsWidth(WidthFunction):
         from scipy.special import betainc
         return betainc
 
-    def _tail(self, h: float, tol: float) -> QuadResult:
+    def _tail(self, h: float) -> QuadResult:
         """T(h) = I_y(1 - a, a), y = 1/(1 + (beta h)^alpha), a = 1/alpha."""
         # s = (beta t)^alpha maps T onto a beta tail over B(a, 1 - a) = alpha
         # beta, and I is the regularized incomplete beta. Each branch keeps

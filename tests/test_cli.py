@@ -340,7 +340,7 @@ def test_verify_malformed_suite_entry_exits_2(tmp_path, capsys, entry, named):
 
 # sha256 of `verify --suite default` stdout (numpy 2.4.6, scipy 1.17.1):
 # the report's bytes, every digit of it
-VERIFY_DEFAULT_SHA256 = "4e285daeff7e51b26290adfabb90710033ae4c27840c5e0b768ac92b50613991"
+VERIFY_DEFAULT_SHA256 = "5312b17e63c6fb9bc738b0502744a43a3d409fc35624d7ea56afea7170cc95e3"
 
 
 def test_verify_default_suite(capsys):

@@ -153,14 +153,11 @@ def test_kl_unknown_route():
 
 
 def test_kl_sandwich_examples():
-    s0 = kl_sandwich(0.0)
-    assert (s0.cs_lower_bits, s0.cs_upper_bits) == (0.0, 1.0)
-    assert s0.refined_entropy_upper_bits == pytest.approx(
-        math.log2(math.log(4.0)) + LOG2_E_PLUS_1, abs=1e-12)
-    assert s0.refined_entropy_upper_bits == pytest.approx(2.3659, abs=1e-4)
-    assert s0.refined_entropy_upper_bits < 2.366
-    assert kl_sandwich(1.0).cs_upper_bits == pytest.approx(3.0, abs=1e-12)
-    assert kl_sandwich(7.0).cs_upper_bits == pytest.approx(11.0, abs=1e-12)
+    # the D_CS upper end kl + log2(kl+1) + 1 is 1, 3 and 11 bits here
+    for kl_bits, cs_upper in ((0.0, 1.0), (1.0, 3.0), (7.0, 11.0)):
+        s = kl_sandwich(kl_bits)
+        assert s.kl_bits == kl_bits
+        assert s.entropy_upper_bits == pytest.approx(cs_upper + LOG2_E_PLUS_1, abs=1e-12)
     for kl_bits in (-0.1, math.nan, -math.inf):
         with pytest.raises(InvalidParameterError):
             kl_sandwich(kl_bits)
@@ -331,8 +328,8 @@ def test_integral_representation_sides_agree_on_gaussian_widths(mu, sigma, d):
 
 
 class _UnconvergedTailWidth(LaplaceWidth):
-    def _tail(self, h, tol):
-        return super()._tail(h, tol)._replace(converged=False)
+    def _tail(self, h):
+        return super()._tail(h)._replace(converged=False)
 
 
 def test_integral_representation_raises_on_an_unconverged_inner_tail():

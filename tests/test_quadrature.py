@@ -32,13 +32,11 @@ from crs_toolkit.quadrature import (
 )
 from crs_toolkit.measures import LaplaceSpec
 from crs_toolkit.width import (
-    GaussianWidth,
     LaplaceWidth,
     OptimalAcsWidth,
     OptimalCsWidth,
     PowerTail,
     WidthFunction,
-    two_level_width,
 )
 
 LN2 = math.log(2.0)
@@ -245,18 +243,6 @@ BAD_TOL_CALLS = {
     # the log-h integrals check tol at their bits-level entries
     "phi": lambda tol: quad_phi_integral(LaplaceWidth(0.5), PHI_XLOGX, tol),
     "log_h": lambda tol: kl_divergence(LaplaceSpec(0.5), "width_identity", tol),
-    # the mass of w above h is T(h), and its unit mass T(0): closed forms
-    # that return their own rounding bar and read no tol, but still check it
-    "mass_from_0": lambda tol: LaplaceWidth(0.5).tail_integral(0.0, tol),
-    "mass_from_1": lambda tol: LaplaceWidth(0.5).tail_integral(1.0, tol),
-    "base_tail": lambda tol: WidthFunction.tail_integral(GaussianWidth(1.0, 0.5, 1), 0.3, tol),
-    "step_tail": lambda tol: two_level_width(0.1).tail_integral(0.3, tol),
-    "optimal_cs_tail": lambda tol: OptimalCsWidth(0.5).tail_integral(2.0, tol),
-    "optimal_acs_tail": lambda tol: OptimalAcsWidth(2.0).tail_integral(2.0, tol),
-    # the v-quadrature fallback 1e-8 below h_max, which used to run all
-    # 20 000 panels for tol 0
-    "gaussian_fallback": lambda tol: GaussianWidth(1.0, 0.5, 1).tail_integral(
-        (1.0 - 1e-8) * GaussianWidth(1.0, 0.5, 1).h_max, tol),
 }
 
 

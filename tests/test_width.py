@@ -217,8 +217,7 @@ def test_gaussian_width_and_tail_near_h_max_match_40_digit_references(mu, sigma,
     gw = GaussianWidth(mu, sigma, d)
     rel = _x_rounding(gw, h)
     assert float(gw(h)[0]) == pytest.approx(w_ref, rel=1e-13 + (d / 2 + 1) * rel, abs=0.0)
-    # a tol relative to T, which the default absolute 1e-12 far exceeds at d = 64
-    res = gw.tail_integral(h, tol=1e-12 * t_ref)
+    res = gw.tail_integral(h)
     assert res.value == pytest.approx(t_ref, rel=1e-12 + (d / 2 + 2) * rel, abs=0.0)
     assert abs(res.value - t_ref) <= res.error
 
@@ -272,7 +271,7 @@ def test_closed_form_tail_matches_quadrature(name):
 
 
 def test_laplace_tail_at_tiny_h_is_closed_form():
-    res = LaplaceWidth(0.5).tail_integral(1e-300, tol=1e-14)
+    res = LaplaceWidth(0.5).tail_integral(1e-300)
     assert res.converged and res.panels == 0
     assert res.value == pytest.approx(1.0, rel=1e-15)
 
@@ -282,9 +281,27 @@ def test_gaussian_tail_falls_back_to_quadrature_near_h_max():
     # the layer cake cancels 8 digits and quadrature takes over
     w = GaussianWidth(1.0, 0.5, 1)
     h = (1.0 - 1e-8) * w.h_max
-    res = w.tail_integral(h, tol=1e-13 * 7e-13)
+    res = w.tail_integral(h)
     assert res.converged and res.panels > 0
     assert 0.0 < res.value <= (w.h_max - h) * float(w(h)[0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 64])
+@pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_gaussian_tail_near_h_max_picks_a_tolerance_it_meets(d, delta):
+    # the v-quadrature's tolerance is relative to (h_max - h) w(h), which
+    # bounds T as w does not increase; at d = 64, 1e-6 below h_max, one of
+    # 1e-14 T would spend all 20 000 panels and end unconverged
+    w = GaussianWidth(1.0, 0.5, d)
+    h = (1.0 - delta) * w.h_max
+    res = w.tail_integral(h)
+    assert res.converged and res.panels <= 16
+    assert 0.0 <= res.value <= (w.h_max - h) * float(w(h)[0])
+    if (d, delta) == (64, 1e-8):
+        # w(h) = 4.03e-332 underflows while the layer cake's Q(r >= h) =
+        # 2.5e-294 does not, so Q cannot stand for T; the bar holds
+        # T = 7.636e-304, from a 50-digit mpmath quadrature of the v-integral
+        assert abs(res.value - 7.636292083e-304) <= res.error
 
 
 # run in a fresh interpreter: this test module itself imports scipy
@@ -455,7 +472,7 @@ class TriangleWidth(WidthFunction):
     def _formula(self, h: np.ndarray) -> np.ndarray:
         return 1.0 - 0.5 * h
 
-    def _tail(self, h: float, tol: float) -> QuadResult:
+    def _tail(self, h: float) -> QuadResult:
         return QuadResult((2.0 - h) ** 2 / 4.0, 0.0, True, 0)
 
 
