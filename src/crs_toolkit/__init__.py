@@ -48,7 +48,6 @@ from .divergences import (
     PHI_XLOGX,
     DivergenceReport,
     PhiSpec,
-    SandwichBounds,
     alternative_divergence,
     channel_simulation_divergence,
     dcs_integral_representation_check,

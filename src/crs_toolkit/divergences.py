@@ -286,21 +286,14 @@ def dcs_laplace_closed(b: float) -> float:
     return (b + float(digamma(1.0 / b)) + np.euler_gamma - 1.0) / LN2
 
 
-@dataclass(frozen=True)
-class SandwichBounds:
-    """The KL-based upper bound on the index entropy, in bits."""
-
-    kl_bits: float
-    entropy_upper_bits: float
-
-
-def kl_sandwich(kl_bits: float) -> SandwichBounds:
-    """Bounds implied by kl = D_KL: D_CS lies in [kl, kl + log2(kl+1) + 1],
-    and the sampler entropy below that upper end plus log2(e+1)."""
+def kl_sandwich(kl_bits: float) -> float:
+    """The KL-based upper bound on the index entropy, in bits: with
+    kl = D_KL, D_CS lies in [kl, kl + log2(kl+1) + 1], and the sampler
+    entropy below that upper end plus log2(e+1)."""
     if not kl_bits >= 0.0:
         raise InvalidParameterError("kl_bits must be >= 0")
     cs_upper = kl_bits + math.log2(kl_bits + 1.0) + 1.0
-    return SandwichBounds(kl_bits=kl_bits, entropy_upper_bits=cs_upper + LOG2_E_PLUS_1)
+    return cs_upper + LOG2_E_PLUS_1
 
 
 def dcs_integral_representation_check(

@@ -94,7 +94,7 @@ class LaplaceRow(_SweepRow):
                 <= self.upper_digamma_nats + 1e-9):
             raise SweepValidationError(f"digamma band violated at b={self.b}")
         slack = self.entropy_tail_bound_bits + 1e-9
-        chain_tail = kl_sandwich(self.kl_bits).entropy_upper_bits
+        chain_tail = kl_sandwich(self.kl_bits)
         ok = (self.kl_bits <= self.dcs_bits + 1e-12
               and _in_entropy_band(self.entropy_bits - self.dcs_bits, slack, slack)
               and self.dcs_bits + LOG2_E_PLUS_1 <= chain_tail + 1e-12)
@@ -306,7 +306,7 @@ def _verify_pair(entry: SuiteEntry) -> PairBoundReport:
             Inequality("entropy_le_dcs_plus_log2_e_plus_1", ent, dcs + LOG2_E_PLUS_1,
                        dcs_rep.abs_error_estimate + ent_slack + 1e-12),
             Inequality("chain_upper_kl_form", dcs + LOG2_E_PLUS_1,
-                       kl_sandwich(kl).entropy_upper_bits, quad + 1e-12),
+                       kl_sandwich(kl), quad + 1e-12),
             Inequality("runtime_ge_exp2_dinf", 2.0**dinf, mean_total, 1e-9),
             Inequality("dcs_le_dacs", dcs, dacs,
                        dcs_rep.abs_error_estimate + dacs_rep.abs_error_estimate + 1e-12),

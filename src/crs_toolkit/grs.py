@@ -14,9 +14,9 @@ one map:
 so the whole index distribution is a deterministic functional of the width,
 and E[K] = sum_k S_k = sum_k (L_{k+1} - L_k) = h_max by telescoping. Each
 sampler call, and a smooth width's index law, reads its own lazily extended
-orbit of w. A step costs one tail integral (see width.py); a step width
-crosses a constant segment of value v < 1 in one closed-form geometric block
-(q_k = v) and a breakpoint in one exact band step.
+orbit of w: a smooth step costs one tail integral (see width.py), and a step
+width's orbit is its pieces, one closed-form geometric block (q_k = v) across
+a constant segment of value v < 1 and one exact band step across a breakpoint.
 
 An index law is the orbit's pieces up to its stop point (L, S), plus a
 certified tail. A piece is a tuple whose first entry is its kind, a class
@@ -24,7 +24,7 @@ never instantiated (dense head, band step or geometric block) that defines
 once the piece's end state after i steps, its (E[K], entropy) shares and
 its p; the law adds the shares with math.fsum and builds p on first read.
 A block from (L, S) holds p_i = S v r^i for i < m, r = 1 - v, and the orbit
-fills it, as the law ends it, through one end state:
+reads its steps, as the law ends it, through one end state:
 
     end after i   S r^i,  L + (1 - r^i) S / v,  r^i = exp(i ln r)
     mass          S (1 - r^m),  1 - r^m = -expm1(m ln r)
@@ -86,6 +86,7 @@ orbit tries again once its survival has fallen fourfold.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -126,45 +127,45 @@ _FIRST_BLOCK = 8
 class GrsRecursion:
     """Lazily extended orbit L_{k+1} = L_k + S_k, S_{k+1} = T(L_{k+1}).
 
-    L and S are float64 arrays with L_k and S_k at index k - 1, so that
-    p_k = S_k - S_{k+1}; S is clamped to be non-increasing. A step width's
-    pieces are filled only up to the step read, through the end state with
-    which the index law ends them. The orbit has no step cap: the code that
-    reads it counts steps.
+    A smooth width's orbit is two float64 arrays with L_k and S_k at index
+    k - 1, so that p_k = S_k - S_{k+1}; S is clamped to be non-increasing.
+    A step width's orbit is its pieces, each built as a read first passes
+    the last one's end, and step k is read from the piece that holds it. The
+    orbit has no step cap: the code that reads it counts steps.
     """
 
     def __init__(self, w: WidthFunction):
         self.w = w
-        self._blocks = isinstance(w, StepWidth)
-        self.L, self.S = array("d", [0.0]), array("d", [1.0])
-        self._piece, self._start = None, 0  # the piece being filled, from step _start + 1
+        if isinstance(w, StepWidth):  # pieces, the steps they start at, the last one's end
+            self._pieces, self._firsts, self._end = [], [], 1
+        else:
+            self._pieces, self.L, self.S = None, array("d", [0.0]), array("d", [1.0])
 
     def state(self, k: int) -> tuple[float, float]:
         """(L_k, S_k) at 1-based step k, extending the orbit as needed."""
         if k < 1:
             raise InvalidParameterError("steps are 1-based")
-        while len(self.S) < k:
-            self._advance(k)
-        return self.L[k - 1], self.S[k - 1]
+        pieces = self._pieces
+        if pieces is None:
+            while len(self.S) < k:
+                self._advance()
+            return self.L[k - 1], self.S[k - 1]
+        while k > self._end:
+            L, S = pieces[-1][0].end(pieces[-1], pieces[-1][1]) if pieces else (0.0, 1.0)
+            pieces.append(_next_piece(self.w, L, S))
+            self._firsts.append(self._end)
+            self._end += pieces[-1][1]
+        j = bisect.bisect_left(self._firsts, k) - 1  # the piece with first < k <= its end
+        if j < 0:  # step 1
+            return 0.0, 1.0
+        return pieces[j][0].end(pieces[j], k - self._firsts[j])
 
-    def _advance(self, k: int):
-        """Extend the orbit toward step k: one step, or a block up to step k."""
-        steps, L, S = len(self.S) - 1, self.L[-1], self.S[-1]
-        if not self._blocks:  # one tail integral
-            S_next = min(S, self.w.tail_integral(L + S).value) if S > 0.0 else S
-            self.L.append(L + S)
-            self.S.append(S_next)
-            return
-        if self._piece is None:
-            self._piece, self._start = _next_piece(self.w, L, S, 0.0), steps
-        piece, start = self._piece, self._start
-        end_state, end = piece[0].end, min(piece[1], k - 1 - start)
-        for i in range(steps - start + 1, end + 1):
-            L, S = end_state(piece, i)
-            self.L.append(L)
-            self.S.append(S)
-        if end == piece[1]:  # the piece's end, from which the orbit goes on
-            self._piece = None
+    def _advance(self):
+        """One smooth step: one tail integral."""
+        L, S = self.L[-1], self.S[-1]
+        S_next = min(S, self.w.tail_integral(L + S).value) if S > 0.0 else S
+        self.L.append(L + S)
+        self.S.append(S_next)
 
 
 def _budget_error(S: float, step_cap: int) -> StepBudgetError:
@@ -172,11 +173,10 @@ def _budget_error(S: float, step_cap: int) -> StepBudgetError:
                            "raise eps_stop or the step cap")
 
 
-def _next_piece(w: StepWidth, L: float, S: float, eps_stop: float) -> tuple:
+def _next_piece(w: StepWidth, L: float, S: float) -> tuple:
     """The piece of a step width's orbit from (L, S): a band step across a
-    breakpoint or where v = 1, else a geometric block to the segment's end or,
-    for eps_stop > 0, to where S first falls to eps_stop; a block that does
-    neither, as on the orbit's last segment, has no end: m is inf."""
+    breakpoint or where v = 1, else a geometric block to the segment's end;
+    a block on the orbit's last segment has no end: m is inf."""
     j = w._segment(L)
     right, v = w.breakpoints[j], float(w.values[j])
     if L + S > right or v >= 1.0:  # exact band step; S = 0 only past the width's end
@@ -188,8 +188,6 @@ def _next_piece(w: StepWidth, L: float, S: float, eps_stop: float) -> tuple:
     if overshoot > 0.0:
         rhs = overshoot / (S * (1.0 / v - 1.0))
         m = 1 + max(0, math.floor(math.log(rhs) / ln_r)) if rhs < 1.0 else 1
-    if eps_stop > 0.0:
-        m = min(m, max(1, math.ceil(math.log(eps_stop / S) / ln_r)))
     return _Block, m, L, S, v, ln_r
 
 
@@ -465,8 +463,11 @@ def _step_width_law(w: StepWidth, eps_stop: float, step_cap: int) -> IndexDistri
     """The law from the orbit's pieces, up to S <= eps_stop within the step cap."""
     pieces, steps, L, S = [], 0, 0.0, 1.0
     while S > eps_stop:
-        piece = _next_piece(w, L, S, eps_stop)
+        piece = _next_piece(w, L, S)
         kind, m = piece[0], piece[1]
+        if kind is _Block:  # the law's last block ends where S first falls to eps_stop
+            m = min(m, max(1, math.ceil(math.log(eps_stop / S) / piece[5])))
+            piece = (kind, m, *piece[2:])
         # a piece that passes the cap raises, before it is kept, with the
         # survival after step_cap steps: above eps_stop, where the piece ends
         if steps + m > step_cap:

@@ -77,23 +77,18 @@ class QuadResult(NamedTuple):
 
 
 def gk15(
-    f: Callable[[np.ndarray], np.ndarray], a: float | np.ndarray, b: float | np.ndarray
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Kronrod-15 panels on [a, b]: (integral, error estimate).
+    f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod-15 panels on [a[i], b[i]]: (integrals, error estimates).
 
-    Float ends give one panel and two floats. Arrays of ends give two arrays,
-    from one call of f on all their nodes; each panel's entries are
-    bit-identical to its scalar call.
+    One call of f on all their nodes; each panel's entries are bit-identical
+    to a call on that panel alone.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[..., None] + half[..., None] * _NODES
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
     y = np.asarray(f(x.ravel()), dtype=float).reshape(-1, _NODES.size)
-    halves = half.ravel()
-    ik = halves * _row_dots(y, _W_KRONROD)
-    err = _ERR_SAFETY * np.abs(ik - halves * _row_dots(y[:, 1::2], _W_GAUSS))
-    if half.ndim == 0:
-        return float(ik[0]), float(err[0])
+    ik = half * _row_dots(y, _W_KRONROD)
+    err = _ERR_SAFETY * np.abs(ik - half * _row_dots(y[:, 1::2], _W_GAUSS))
     return ik, err
 
 

@@ -207,9 +207,8 @@ def test_criterion_09_sampler_goodness_of_fit():
     # survival consistency for k <= 10 on the last seed of each family
     for res, w in ((res, w_d), (res_l, w_l)):
         rec = GrsRecursion(w)
-        rec.state(10)
         for k in range(1, 11):
-            s_k = rec.S[k - 1]
+            s_k = rec.state(k)[1]
             sigma = math.sqrt(max(s_k * (1 - s_k), 1e-12) / n)
             ok &= abs(np.mean(res.indices >= k) - s_k) <= 4 * sigma + 1e-12
     elapsed = time.perf_counter() - start

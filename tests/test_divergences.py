@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from crs_toolkit import divergences
 from crs_toolkit.errors import InvalidParameterError, QuadratureError
 from crs_toolkit.divergences import (
     LOG2_E_PLUS_1,
@@ -155,9 +156,7 @@ def test_kl_unknown_route():
 def test_kl_sandwich_examples():
     # the D_CS upper end kl + log2(kl+1) + 1 is 1, 3 and 11 bits here
     for kl_bits, cs_upper in ((0.0, 1.0), (1.0, 3.0), (7.0, 11.0)):
-        s = kl_sandwich(kl_bits)
-        assert s.kl_bits == kl_bits
-        assert s.entropy_upper_bits == pytest.approx(cs_upper + LOG2_E_PLUS_1, abs=1e-12)
+        assert kl_sandwich(kl_bits) == pytest.approx(cs_upper + LOG2_E_PLUS_1, abs=1e-12)
     for kl_bits in (-0.1, math.nan, -math.inf):
         with pytest.raises(InvalidParameterError):
             kl_sandwich(kl_bits)
@@ -335,6 +334,16 @@ class _UnconvergedTailWidth(LaplaceWidth):
 def test_integral_representation_raises_on_an_unconverged_inner_tail():
     with pytest.raises(QuadratureError, match=r"inner tail integral .* at y = "):
         dcs_integral_representation_check(_UnconvergedTailWidth(0.5))
+
+
+def test_integral_representation_raises_on_an_unconverged_outer_integral(monkeypatch):
+    # a step width's D_CS is a discrete sum, so only the outer integral
+    # goes through adaptive
+    adaptive = divergences.adaptive
+    monkeypatch.setattr(divergences, "adaptive",
+                        lambda *args: adaptive(*args)._replace(converged=False))
+    with pytest.raises(QuadratureError, match="outer integral .* did not converge"):
+        dcs_integral_representation_check(two_level_width(0.3))
 
 
 def test_report_json_schema():

@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
 from decimal import Decimal
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -25,12 +27,14 @@ from crs_toolkit.measures import (
     discrete_spec,
     make_pair,
 )
+from crs_toolkit.quadrature import QuadResult
 from crs_toolkit.streams import RngStream
 from crs_toolkit.width import (
     GaussianWidth,
     LaplaceWidth,
     OptimalCsWidth,
     StepWidth,
+    WidthFunction,
     equality_case_width,
     indicator_width,
     two_level_width,
@@ -92,9 +96,9 @@ def test_blocked_and_scalar_paths_agree():
         assert dist.mean_tail_bound == pytest.approx(w.h_max - L[n], abs=1e-12 * w.h_max)
         # the samplers' lazily read orbit is the same orbit
         rec = GrsRecursion(w)
-        rec.state(n + 2)
-        assert np.max(np.abs(np.array(rec.S[:n + 2]) - S)) < 1e-12
-        assert np.max(np.abs(np.array(rec.L[:n + 2]) - L)) < 1e-12 * w.h_max
+        rec_L, rec_S = np.array([rec.state(k) for k in range(1, n + 3)]).T
+        assert np.max(np.abs(rec_S - S)) < 1e-12
+        assert np.max(np.abs(rec_L - L)) < 1e-12 * w.h_max
 
 
 # Index laws of the six smooth default-suite pairs at their suite eps_stop,
@@ -243,7 +247,9 @@ def test_law_without_a_certified_tail_runs_densely():
     dense_bits, dense_bound = dense_law_bits(w, 1e-6)
     assert dist.tail_mass <= 1e-6 < dist.tail_mass + dist.p[-1]
     assert dist.entropy_bits == pytest.approx(dense_bits, abs=1e-15)
-    assert dist.entropy_tail_bound_bits == pytest.approx(dense_bound, rel=1e-15)
+    # the max-entropy bound, its upper end padded for the law's float sums
+    padded = dense_bound + (dense_bits + dense_bound) * grs._ROUNDING_PAD
+    assert dist.entropy_tail_bound_bits == padded
 
 
 @pytest.mark.parametrize("eps_stop", [1e-9, 1e-6])
@@ -270,6 +276,54 @@ def test_cut_panels_near_h_max_stay_finite(w):
             assert all(math.isfinite(v) and v >= 0.0 for v in grs._panel(a, b))
         tail = grs._entropy_enclosure(w, L_prev, L, 1e-9, 10**4)
         assert tail is None or all(math.isfinite(v) and v >= 0.0 for v in tail)
+
+
+class _TriangleWidth(WidthFunction):
+    """w(h) = 1 - h/2 on [0, 2], with the exact tail (2 - h)^2 / 4; resolved
+    only where 2 - h is a power of two if dyadic, else with a bar as wide as T."""
+
+    def __init__(self, dyadic: bool = False):
+        self.h_max, self.breakpoints, self.dyadic = 2.0, (), dyadic
+
+    def _formula(self, h: np.ndarray) -> np.ndarray:
+        return 1.0 - 0.5 * h
+
+    def _tail(self, h: float) -> QuadResult:
+        t = (2.0 - h) ** 2 / 4.0
+        return QuadResult(t, t if self.dyadic and math.frexp(2.0 - h)[0] != 0.5 else 0.0, True, 0)
+
+
+@pytest.mark.parametrize("L", [1.0, 1.4])
+def test_cut_nodes_stop_where_the_offset_halving_leaves_float_resolution(L):
+    # T stays resolved up to the last float below h_max, so only the float
+    # spacing there stops the halving: from L = 1 the next X rounds to h_max,
+    # from L = 1.4 two offsets in a row round to the same X
+    w = _TriangleWidth()
+    first = grs._node(w, L, 0.0, 1.0)
+    nodes = grs._cut_nodes(w, first, 0.0)
+    ends = [node.L for node in nodes]
+    assert ends == sorted(set(ends)) and ends[-1] == math.nextafter(2.0, 0.0)
+    assert all(node.t_lo > 0.0 for node in nodes)
+
+
+def test_enclosure_stops_splitting_a_panel_whose_midpoint_is_unresolved():
+    # the cut nodes sit at dyadic offsets, where T is resolved, but the
+    # widest panel's midpoint is not one: the first split ends the splitting,
+    # with the enclosure too wide and the split budget unspent
+    w = _TriangleWidth(dyadic=True)
+    reads = []
+    tail_integral = w.tail_integral
+    w.tail_integral = lambda h: reads.append(h) or tail_integral(h)
+    assert grs._entropy_enclosure(w, 0.0, 1.0, 1e-9, 10**4) is None
+    assert len(reads) < 100
+
+
+@pytest.mark.parametrize("w", [two_level_width(0.1), width_eval(LaplaceSpec(0.5))],
+                         ids=["step", "smooth"])
+def test_orbit_steps_are_1_based(w):
+    for k in (0, -1):
+        with pytest.raises(InvalidParameterError, match="1-based"):
+            GrsRecursion(w).state(k)
 
 
 # Index laws of the eight step-width default-suite pairs at their suite
@@ -468,22 +522,31 @@ def step_law_corpus():
         yield f"discrete_{size}", width_from_discrete(tuple(q), tuple(p))
 
 
+def orbit_survivals(rec, n):
+    """S_1, ..., S_n of a step width's orbit, read piece by piece through
+    each piece's end state, as state(k) reads them."""
+    rec.state(n)
+    for piece, first in zip(rec._pieces, rec._firsts):
+        steps = range(min(piece[1], n + 1 - first))
+        yield from map(itemgetter(1), map(piece[0].end, itertools.repeat(piece), steps))
+
+
 def test_step_width_laws_match_the_lazily_read_orbit():
     # the law and the samplers' orbit read a block's end through one
-    # definition, the law at the block's last step and the orbit step by
+    # definition, the law at the block's last step and the orbit at each
     # step, so both end the law's last block at the same bits
     for name, w in step_law_corpus():
         for eps_stop in (1e-6, 1e-9, 1e-12):
             dist = grs_index_distribution(w, eps_stop=eps_stop)
             n = dist.truncation_index
             rec = GrsRecursion(w)
-            rec.state(n + 1)
-            assert rec.S[n - 1] > eps_stop >= rec.S[n], name
-            assert dist.tail_mass == rec.S[n], name
-            assert dist.mean_tail_bound == max(w.h_max - rec.L[n], 0.0), name
+            (_, S_n), (L_next, S_next) = rec.state(n), rec.state(n + 1)
+            assert S_n > eps_stop >= S_next, name
+            assert dist.tail_mass == S_next, name
+            assert dist.mean_tail_bound == max(w.h_max - L_next, 0.0), name
             pos = dist.p[dist.p > 0.0]
             assert abs(dist.entropy_bits - math.fsum(-pos * np.log2(pos))) <= 1e-14, name
-            mean_index = math.fsum(rec.S[:n])
+            mean_index = math.fsum(orbit_survivals(rec, n))
             assert abs(dist.mean_index - mean_index) <= 1e-15 * mean_index, name
 
 
@@ -491,10 +554,10 @@ def test_block_orbit_moves_when_its_ratio_rounds_to_one():
     # the second segment's block has v = 1e-17, so r = 1 - v rounds to 1 and
     # 1 - r^i must come from expm1, or L stops at L_2
     rec = GrsRecursion(StepWidth([0.0, 0.5, 0.5 + 0.5 / 1e-17], [1.0, 1e-17]))
-    rec.state(20)
-    assert (rec.L[1], rec.S[1]) == (1.0, 0.5)
+    L, S = np.array([rec.state(k) for k in range(1, 21)]).T
+    assert (L[1], S[1]) == (1.0, 0.5)
     for k in range(1, 19):
-        assert rec.L[k + 1] == pytest.approx(rec.L[k] + rec.S[k], rel=1e-15, abs=0.0), k
+        assert L[k + 1] == pytest.approx(L[k] + S[k], rel=1e-15, abs=0.0), k
 
 
 def test_step_law_corpus_holds_its_exact_entropy():
@@ -522,24 +585,25 @@ def test_step_width_law_stores_no_per_step_arrays():
 
 
 def test_lazy_orbit_builds_blocks_in_pieces(monkeypatch):
-    # the block runs on past 1e6 steps, to its segment's end; a read builds
-    # only what it asks
-    rec = GrsRecursion(equality_case_width(2.0**20))
+    # the block runs on past 1e6 steps, to its segment's end: every read,
+    # shallow, step by step as a sampler reads, or deep, comes from the one
+    # piece built at the first read past step 1, with no budget error
+    w = equality_case_width(2.0**20)
+    built = []
+    next_piece = grs._next_piece
+    monkeypatch.setattr(grs, "_next_piece", lambda *a: built.append(a) or next_piece(*a))
+    rec = GrsRecursion(w)
+    assert rec.state(1) == (0.0, 1.0) and not built
     L, S = rec.state(100)
     assert S == pytest.approx((1.0 - 2.0**-20) ** 99, rel=1e-14)
     assert L == pytest.approx(2.0**20 * (1.0 - S), rel=1e-12)
-    assert len(rec.L) == len(rec.S) == 100
-    # read step by step, as a sampler does, the block grows by one step a read
     for k in range(101, 5001):
-        rec.state(k)
-        assert len(rec.S) == k
-    # a deep read inside the block fills it in one call, with no budget error
-    calls = []
-    advance = rec._advance
-    monkeypatch.setattr(rec, "_advance", lambda k: (calls.append(k), advance(k)))
+        S = rec.state(k)[1]
+        assert S == pytest.approx((1.0 - 2.0**-20) ** (k - 1), rel=1e-12), k
     L, S = rec.state(10**5)
-    assert len(calls) == 1 and len(rec.S) == 10**5
     assert S == pytest.approx((1.0 - 2.0**-20) ** (10**5 - 1), rel=1e-12)
+    assert len(built) == len(rec._pieces) == 1
+    assert not hasattr(rec, "L") and not hasattr(rec, "S")
 
 
 def test_sampler_identity_pair_accepts_first():

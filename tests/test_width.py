@@ -244,6 +244,13 @@ def test_step_width_band_and_tail_integrals_exact():
     assert w.tail_integral(w.h_max).value == 0.0
 
 
+def test_step_band_integral_of_an_empty_band_is_zero():
+    w = two_level_width(0.1)
+    # a reversed band, and one that the clamp to [0, h_max] empties
+    for lo, hi in ((0.7, 0.3), (0.5, 0.5), (w.h_max, w.h_max + 1.0), (-2.0, -1.0)):
+        assert w.band_integral(lo, hi) == 0.0, (lo, hi)
+
+
 CLOSED_TAIL_WIDTHS = {
     **{f"laplace_b{b:g}": LaplaceWidth(b) for b in (0.02, 0.25, 0.5, 0.75, 0.99)},
     "gaussian_mu1_s05_d1": GaussianWidth(1.0, 0.5, 1),
