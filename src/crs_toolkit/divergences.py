@@ -101,24 +101,45 @@ def _report(kind: str, value_bits: float, err_bits: float, method: str,
     return DivergenceReport(kind, value_bits, err_bits, method, converged)
 
 
+def _quarter_steps(u: float, n: int) -> float:
+    """u >= 0 after n steps of u += 0.25, as one sum u + j/4 per run of steps
+    up to the first past the next power of two: only that last one rounds."""
+    if (t := u + 0.25 * n) - u == 0.25 * n and t - 0.25 * n == u:  # exact (Fast2Sum): so is each step
+        return t
+    while n:
+        j = min(n, math.ceil((2.0 ** math.frexp(u)[1] - u) * 4.0))
+        u, n = u + 0.25 * j, n - j
+    return u
+
+
 def _tail_cut(ln_bound: Callable[[float], float], u_start: float,
               budget: float) -> tuple[float, float]:
-    """First u = u_start + k/4 with ln_bound(u) <= ln(budget): (u, e^ln_bound(u)).
-
-    ln_bound(u) is the log of a certified bound on the width integral beyond
-    H = e^u; working in log space keeps heavy tails (exponent close to 1)
-    from overflowing.
-    """
-    u, ln_budget = u_start, math.log(budget)
-    while True:  # u_start >= 0, so the float-range raise ends the loop
-        ln_b = ln_bound(u)
-        if ln_b <= ln_budget:
-            return u, math.exp(ln_b)
-        if u > 690.0:
-            raise QuadratureError(
-                "power tail too heavy to truncate within float range; "
-                "exponent too close to 1")
-        u += 0.25
+    """(u, e^ln_bound(u)) at the first u with ln_bound(u) <= ln(budget) on
+    the grid u_start, then each point the last plus 0.25, up to its first
+    point past 690; QuadratureError if none. ln_bound(u) is the log of a
+    certified bound on the width integral beyond H = e^u. Both majorants
+    are (1 - p) u plus the log of an increasing affine function of u on
+    [u_start, inf) (the phi bracket does not clamp there, the KL one needs
+    u >= 1), so concave: once fallen within budget they keep falling, and
+    past u_start a gallop and a bisection find the grid's suffix within it."""
+    ln_budget = math.log(budget)
+    lo, hi, u_lo, u_hi, ln_b = -1, 0, -math.inf, u_start, ln_bound(u_start)
+    while not ln_b <= ln_budget and u_hi <= 690.0:  # over budget at grid[hi]: gallop
+        lo, u_lo = hi, u_hi
+        hi, u_hi = 2 * hi + 1, _quarter_steps(u_hi, hi + 1)
+        ln_b = ln_bound(u_hi)
+    while hi - lo > 1 and ln_b <= ln_budget:  # over budget at grid[lo], within at grid[hi]
+        mid = (lo + hi) // 2
+        u = _quarter_steps(u_lo, mid - lo)
+        if (ln_mid := ln_bound(u)) <= ln_budget:
+            hi, u_hi, ln_b = mid, u, ln_mid
+        else:
+            lo, u_lo = mid, u
+    # an over-budget point past 690, the gallop's or grid[lo], is where the scan raises
+    if not ln_b <= ln_budget or u_lo > 690.0:
+        raise QuadratureError("power tail too heavy to truncate within float range; "
+                              "exponent too close to 1")
+    return u_hi, math.exp(ln_b)
 
 
 def _log_h_quad(

@@ -6,11 +6,11 @@ the refinement schedule.
 
 adaptive() returns exactly what the one-panel greedy returns, panel set
 included, but calls the integrand on up to _BATCH panels at once: gk15 takes
-arrays of panel ends, and panels that the greedy must split before it can
-converge are split together. Its stop test keeps the error sum as a running
-total with a rounding bound and falls back to math.fsum only near tol, so a
-refinement of n panels costs O(n log n), not the O(n^2) of re-summing after
-each split.
+arrays of panel ends, so panels that the greedy must split before it can
+converge are split together, as is a chain of end panels whose errors decay
+geometrically. Its stop test keeps the error sum as a running total with a
+rounding bound and falls back to math.fsum only near tol, so a refinement
+of n panels costs O(n log n), not the O(n^2) of re-summing after each split.
 """
 from __future__ import annotations
 
@@ -119,15 +119,16 @@ def adaptive(
     panel of largest error (the first pushed among ties), bisect it, and stop
     once the error sum is at most tol, max_panels panels are held, or the
     popped panel is at float resolution. Only the calls of f are grouped,
-    _BATCH panels per call: the seeds, and each split of a panel that was not
-    split ahead, which takes along every held panel whose own error exceeds
-    tol. Errors are >= 0, so the sum cannot fall to tol while such a panel
-    is held, and the greedy splits each of them before it converges. A
-    converged result has therefore seen f at exactly 15 (2 panels - seeds)
-    points. A stop at max_panels or at float resolution can leave panels
-    split ahead in vain; no more are split ahead than the panel budget has
-    splits left. A popped error <= tol means no held error exceeds tol, and
-    that panel is split alone.
+    _BATCH panels per call; children split ahead wait, keyed by their
+    parent's ends, until the greedy pops that parent. Each split of a panel
+    not split ahead takes along every held panel whose error exceeds tol:
+    errors are >= 0, so the greedy splits each of them before it converges.
+    With none, a popped error e below half its parent's e_p also splits the
+    end panels on the popped panel's side, to the depth ceil(ln(e/tol) /
+    ln(e_p/e)) at which that decay takes them below tol, as the greedy does
+    at the end of a width that vanishes at h_max. Such a chain, or a stop
+    at max_panels or at float resolution, can leave panels split ahead in
+    vain; no more are split ahead than the budget has splits left.
 
     The error sum is a running total with a bound on its rounding. math.fsum
     over the held panels runs only when tol lies within that bound, so each
@@ -139,19 +140,22 @@ def adaptive(
     ends = np.array(panels, dtype=float)
     if not np.isfinite(ends).all():
         raise InvalidParameterError("panel ends must be finite")
-    store: dict[int, tuple[float, float, float, float]] = {}
+    # a held panel: (a, b, value, error, side, parent's error); side 1 is a
+    # right child, and a seed has parent's error 0
+    store: dict[int, tuple[float, float, float, float, int, float]] = {}
     heap: list[tuple[float, int]] = []
-    ahead: dict[int, list[tuple[float, float, float, float]]] = {}  # children split ahead
+    # children split ahead, by their parent's ends
+    ahead: dict[tuple[float, float], list[tuple[float, float, float, float]]] = {}
     fresh: list[int] = []  # held panels with error > tol and no children yet
 
-    def push(uid: int, panel: tuple[float, float, float, float]) -> None:
+    def push(uid: int, panel: tuple[float, float, float, float, int, float]) -> None:
         store[uid] = panel
         heapq.heappush(heap, (-panel[3], uid))
-        if panel[3] > tol:
+        if panel[3] > tol and panel[:2] not in ahead:
             fresh.append(uid)
 
     for uid, panel in enumerate(_eval_panels(f, ends[:, 0].tolist(), ends[:, 1].tolist())):
-        push(uid, panel)
+        push(uid, (*panel, 0, 0.0))
     uid = len(store)
     # drift bounds |total - exact error sum|, and fsum rounds the exact sum
     # once more; outside twice that band total and fsum fall on the same side
@@ -165,31 +169,38 @@ def adaptive(
         if not total > tol:
             break
         _, k = heapq.heappop(heap)
-        a, b, v, e = store.pop(k)
-        if k not in ahead:
+        a, b, v, e, side, e_parent = popped = store.pop(k)
+        if (a, b) not in ahead:
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:  # interval at float resolution
-                store[k] = (a, b, v, e)
+                store[k] = popped
                 break
             # split ahead no more panels than the budget can still split
             room = max_panels - len(store) - 2 - len(ahead)
             others = [j for j in fresh if j != k]
             if len(others) > room:
                 others = heapq.nsmallest(max(room, 0), others, key=lambda j: (-store[j][3], j))
-            split, lo, hi = [], [], []
-            for j, (a2, b2) in [(k, (a, b))] + [(j, store[j][:2]) for j in others]:
+            spans = [(a, b)] + [store[j][:2] for j in others]
+            if not others and tol < e < 0.5 * e_parent:
+                # an end panel split alone whose error decays: split its end
+                # chain on the same side down to where that decay puts it below tol
+                depth = math.ceil((math.log(e) - math.log(tol)) / (math.log(e_parent) - math.log(e)))
+                for _ in range(min(depth, _BATCH // 2, room + 1) - 1):
+                    a2, b2 = spans[-1]
+                    spans.append((0.5 * (a2 + b2), b2) if side else (a2, 0.5 * (a2 + b2)))
+            lo, hi = [], []
+            for a2, b2 in spans:
                 m = 0.5 * (a2 + b2)
                 if a2 < m < b2:
-                    split.append(j)
                     lo += (a2, m)
                     hi += (m, b2)
             done = _eval_panels(f, lo, hi)
-            for i, j in enumerate(split):
-                ahead[j] = done[2 * i:2 * i + 2]
+            for left, right in zip(done[::2], done[1::2]):
+                ahead[left[0], right[1]] = [left, right]
             fresh.clear()
-        left, right = ahead.pop(k)
-        push(uid, left)
-        push(uid + 1, right)
+        left, right = ahead.pop((a, b))
+        push(uid, (*left, 0, e))
+        push(uid + 1, (*right, 1, e))
         uid += 2
         total += (left[3] + right[3]) - e
         drift += _EPS * (left[3] + right[3] + e + abs(total))
@@ -207,6 +218,7 @@ def seed_panels(
     panels: list[tuple[float, float]] = []
     for a, b in zip(pts[:-1], pts[1:]):
         k = max(1, math.ceil((b - a) / max_len))
-        edges = np.linspace(a, b, k + 1)
+        # the edges of np.linspace(a, b, k + 1), its last point set to b
+        edges = [i * ((b - a) / k) + a for i in range(k)] + [b]
         panels.extend(zip(edges[:-1], edges[1:]))
     return panels

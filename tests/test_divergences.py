@@ -12,7 +12,10 @@ from crs_toolkit.divergences import (
     PHI_XLOGX,
     DivergenceReport,
     PhiSpec,
+    _phi_majorant,
+    _quarter_steps,
     _report,
+    _tail_cut,
     _w_ln_h_quad,
     alternative_divergence,
     channel_simulation_divergence,
@@ -373,3 +376,63 @@ def test_gaussian_dcs_default_tolerance_known_value():
     # d = 2 value frozen from an independent fine-trapezoid oracle run
     rep = channel_simulation_divergence(width_eval(GaussianSpec(1.0, 0.5, 2)))
     assert rep.value_bits == pytest.approx(3.23723972, abs=1e-6)
+
+
+# The linear scan that _tail_cut replays: walk the grid u_start, u_start +
+# 0.25, ... one point at a time, each the last plus 0.25.
+def _tail_cut_reference(ln_bound, u_start, budget):
+    u, ln_budget = u_start, math.log(budget)
+    while True:
+        ln_b = ln_bound(u)
+        if ln_b <= ln_budget:
+            return u, math.exp(ln_b)
+        if u > 690.0:
+            raise QuadratureError("power tail too heavy to truncate within float range")
+        u += 0.25
+
+
+def test_quarter_steps_match_the_sequential_sum():
+    # one sum u + n/4 rounds differently from n sums of 0.25 about one time
+    # in six on these draws; each run below a power of two is exact
+    rng = np.random.default_rng(45)
+    for u in [0.0, 1.0, *(10.0 ** rng.uniform(-12.0, 2.84, 1500))]:
+        n = int(rng.integers(1, 2800))
+        want = u
+        for _ in range(n):
+            want += 0.25
+        assert _quarter_steps(u, n) == want
+
+
+def _cut_or_raise(cut, ln_bound, u_start, budget):
+    try:
+        return cut(ln_bound, u_start, budget)
+    except QuadratureError:
+        return "raises"
+
+
+def test_tail_cut_replays_the_linear_scan(monkeypatch):
+    # both phi majorants and the KL one, on OptimalCs tails (alpha below
+    # about 0.045 is too heavy for float range at these budgets) and on
+    # OptimalAcs tails; u_start is 0 or 1 for some and off the 1/4 grid for others
+    monkeypatch.setattr(divergences, "_log_h_quad", lambda g, w, u_lo, stub, majorant, *a, **k: majorant)
+    rng = np.random.default_rng(44)
+    strata = (np.arange(40) + rng.random(40)) / 40.0
+    widths = [OptimalCsWidth(0.005 + 0.99 * x) for x in strata]
+    widths += [OptimalAcsWidth(1.01 + 6.99 * x) for x in rng.permutation(strata)]
+    outcomes = []
+    for w in widths:
+        for ln_bound, u_start in (_phi_majorant(w.tail, PHI_XLOGX),
+                                  _phi_majorant(w.tail, PHI_BINARY_ENTROPY),
+                                  _w_ln_h_quad(w, 1e-9)(w.tail)):
+            for budget in 10.0 ** rng.uniform(-15.0, -3.0, 6):
+                evals = []
+
+                def counted(u):
+                    evals.append(u)
+                    return ln_bound(u)
+
+                got = _cut_or_raise(_tail_cut, counted, u_start, budget)
+                assert got == _cut_or_raise(_tail_cut_reference, ln_bound, u_start, budget)
+                assert len(evals) <= 25
+                outcomes.append(got == "raises")
+    assert 0 < sum(outcomes) < len(outcomes)

@@ -21,6 +21,7 @@ from crs_toolkit.divergences import (
 from crs_toolkit.errors import InvalidParameterError, QuadratureError
 from crs_toolkit import quadrature
 from crs_toolkit.quadrature import (
+    _BATCH,
     _ERR_SAFETY,
     _NODES,
     _W_GAUSS,
@@ -32,6 +33,7 @@ from crs_toolkit.quadrature import (
 )
 from crs_toolkit.measures import LaplaceSpec
 from crs_toolkit.width import (
+    GaussianWidth,
     LaplaceWidth,
     OptimalAcsWidth,
     OptimalCsWidth,
@@ -91,6 +93,23 @@ def test_adaptive_budget_exhaustion_flags():
     res = adaptive(f, [(0.0, 1.0)], 1e-14, max_panels=8)
     assert not res.converged
     assert res.error > 1e-14
+
+
+def test_seed_panels_match_numpy_linspace():
+    # seed_panels spaces each segment as np.linspace(a, b, k + 1) does, bit for bit
+    rng = np.random.default_rng(44)
+    for _ in range(2000):
+        lo = float(rng.uniform(-50.0, 50.0))
+        hi = lo + float(10.0 ** rng.uniform(-3.0, 2.5))
+        cuts = rng.uniform(lo - 1.0, hi + 1.0, int(rng.integers(0, 5))).tolist()
+        max_len = float(10.0 ** rng.uniform(-1.5, 1.0))
+        pts = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
+        want = []
+        for a, b in zip(pts[:-1], pts[1:]):
+            edges = np.linspace(a, b, max(1, math.ceil((b - a) / max_len)) + 1)
+            want.extend(zip(edges[:-1].tolist(), edges[1:].tolist()))
+        got = seed_panels(lo, hi, cuts, max_len)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_seed_panels_cover_interval():
@@ -327,7 +346,17 @@ REPLAY_CASES = {
                          [(1.0, 1.0 + 8 * _ULP1), (1.0 + 8 * _ULP1, 1.0 + 16 * _ULP1)],
                          1e-300, 20000),
     "laplace_cs": (*_laplace_cs_case(), 20000),
+    # a budget of 12 panels leaves the end chain less room than its depth
+    "laplace_cs_max12": (*_laplace_cs_case(), 12),
+    # end chains: one at the left end of a seed, and one on a seeded panel
+    "sqrt_left_end": (np.sqrt, [(0.0, 1.0)], 1e-13, 20000),
+    "quarter_power_seeded": (lambda x: x ** 0.25, seed_panels(0.0, 2.0, max_len=0.5), 1e-12, 20000),
 }
+
+# calls of f at most where adaptive() splits an end chain in one call; one
+# call per split of the end panel took 14, 7, 25 and 27
+CHAIN_MAX_CALLS = {"laplace_cs": 5, "laplace_cs_max12": 3, "sqrt_left_end": 7,
+                   "quarter_power_seeded": 7}
 
 
 @pytest.mark.parametrize("name", sorted(REPLAY_CASES))
@@ -349,6 +378,28 @@ def test_adaptive_replays_one_panel_greedy(name):
     if res.converged:
         # nothing evaluated ahead was left unused: each split costs two panels
         assert sum(seen) == 15 * (2 * res.panels - len(panels))
+    if name in CHAIN_MAX_CALLS:
+        assert len(seen) <= CHAIN_MAX_CALLS[name]
+        # a chain may overshoot by the rest of its call, never by more
+        assert sum(seen) // 15 - (2 * res.panels - len(panels)) <= _BATCH - 2
+
+
+@pytest.mark.parametrize("width", [LaplaceWidth(0.25), GaussianWidth(1.0, 0.5, 2)],
+                         ids=["laplace", "gaussian_d2"])
+@pytest.mark.parametrize("divergence", [channel_simulation_divergence, alternative_divergence],
+                         ids=["cs", "acs"])
+def test_smooth_width_divergences_take_few_integrand_calls(monkeypatch, divergence, width):
+    # w vanishes at h_max, and the greedy splits the end panel 11-18 times in
+    # a row; its end chain is split ahead in one call
+    calls = []
+
+    def counted(f, a, b):
+        calls.append(a.size)
+        return gk15(f, a, b)
+
+    monkeypatch.setattr(quadrature, "gk15", counted)
+    assert divergence(width).converged
+    assert len(calls) <= 5
 
 
 # tol at the greedy's own error sum after k panels, and one ulp below it: the
