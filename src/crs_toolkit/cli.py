@@ -202,7 +202,8 @@ def main(argv=None) -> int:
         if args.command == "experiment":
             return _run_experiment(args)
         return _run_verify(args)
-    except (InvalidParameterError, OSError, UnicodeDecodeError) as exc:
+    # OverflowError: parameters whose width has h_max beyond the float range
+    except (InvalidParameterError, OSError, UnicodeDecodeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CrsToolkitError as exc:

@@ -327,8 +327,9 @@ def dcs_integral_representation_check(
 
     Finite h_max only. The inner integral is a layer cake: w is
     non-increasing and exceeds y exactly on [0, r(y)), r = w.ratio_inverse,
-    so it equals y r(y) + T(r(y)) with T = w.tail_integral. Each outer
-    panel batch takes one ratio_inverse call and one tail integral per node.
+    so it equals y r(y) + T(r(y)) with T = w.tail_integral, which raises
+    where T did not converge. Each outer panel batch takes one
+    ratio_inverse call and one tail integral per node.
     The value is stationary in r, since d/dr [y r + T(r)] = y - w(r) = 0 at
     r(y), so an error in r enters only at second order. T needs only a
     relative tolerance, such as each width's tail keeps: T(r(y)) <= y
@@ -342,14 +343,8 @@ def dcs_integral_representation_check(
     tol_nats = tol * LN2
 
     def outer_integrand(ys: np.ndarray) -> np.ndarray:
-        out = np.empty_like(ys)
-        for i, (y, r) in enumerate(zip(ys.tolist(), w.ratio_inverse(ys).tolist())):
-            tail = w.tail_integral(r)
-            if not tail.converged:
-                raise QuadratureError(
-                    f"inner tail integral of the representation check did not converge at y = {y!r}")
-            out[i] = r + tail.value / y
-        return out
+        rs = w.ratio_inverse(ys)
+        return rs + np.array([w.tail_integral(r).value for r in rs.tolist()]) / ys
 
     levels = sorted({float(v) for v in np.atleast_1d(w(np.asarray(cuts))) if 0.0 < v < 1.0}) \
         if cuts else []

@@ -14,7 +14,7 @@ class QuadratureError(CrsToolkitError):
 
 
 class StepBudgetError(CrsToolkitError):
-    """The sampling recursion exceeded its step cap.
+    """The sampling recursion exceeded its step budget, grs.DEFAULT_STEP_CAP.
 
     Usually signals an infinite Renyi-infinity divergence (the survival mass
     decays too slowly) or a width/pair mismatch.

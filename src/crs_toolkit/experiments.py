@@ -314,7 +314,7 @@ def _verify_pair(entry: SuiteEntry) -> PairBoundReport:
                        dacs_rep.abs_error_estimate + ent_slack + 1e-6),
         ]
         return PairBoundReport(entry.name, spec_descriptor(spec), quantities, ineqs)
-    except CrsToolkitError as exc:
+    except (CrsToolkitError, OverflowError) as exc:  # OverflowError: h_max beyond floats
         return PairBoundReport(entry.name, spec_descriptor(spec), {}, [], error=str(exc))
 
 

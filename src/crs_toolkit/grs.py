@@ -106,6 +106,7 @@ from .width import StepWidth, WidthFunction
 LOG2_E = math.log2(math.e)
 LN2 = math.log(2.0)
 
+# the step budget of every index law and sampler call, read at call time
 DEFAULT_STEP_CAP = 10**6
 # a smooth law's stopping test leaves all but this share of the target
 # width to the panel bracket and the cut of its entropy enclosure; the
@@ -161,7 +162,7 @@ class GrsRecursion:
         return pieces[j][0].end(pieces[j], k - self._firsts[j])
 
     def _advance(self):
-        """One smooth step: one tail integral."""
+        """One smooth step: one tail integral, which raises if T did not converge."""
         L, S = self.L[-1], self.S[-1]
         S_next = min(S, self.w.tail_integral(L + S).value) if S > 0.0 else S
         self.L.append(L + S)
@@ -169,8 +170,7 @@ class GrsRecursion:
 
 
 def _budget_error(S: float, step_cap: int) -> StepBudgetError:
-    return StepBudgetError(f"survival mass still {S:.3e} after {step_cap} steps; "
-                           "raise eps_stop or the step cap")
+    return StepBudgetError(f"survival mass still {S:.3e} after {step_cap} steps; raise eps_stop")
 
 
 def _next_piece(w: StepWidth, L: float, S: float) -> tuple:
@@ -276,15 +276,11 @@ def default_eps_stop(w: WidthFunction) -> float:
     return 1e-12 if isinstance(w, StepWidth) else 1e-9
 
 
-def grs_index_distribution(
-    w: WidthFunction,
-    eps_stop: float | None = None,
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> IndexDistribution:
+def grs_index_distribution(w: WidthFunction, eps_stop: float | None = None) -> IndexDistribution:
     """Iterate the recursion until the survival mass falls to eps_stop.
 
     Needs finite h_max for the certified tail bounds (with infinite h_max the
-    survival cannot reach every eps_stop within a finite cap anyway).
+    survival cannot reach every eps_stop within DEFAULT_STEP_CAP anyway).
     """
     if eps_stop is None:
         eps_stop = default_eps_stop(w)
@@ -293,14 +289,14 @@ def grs_index_distribution(
     if not math.isfinite(w.h_max):
         raise InvalidParameterError("index distribution needs a width with finite h_max")
     if isinstance(w, StepWidth):
-        return _step_width_law(w, eps_stop, step_cap)
-    return _smooth_width_law(w, eps_stop, step_cap)
+        return _step_width_law(w, eps_stop)
+    return _smooth_width_law(w, eps_stop)
 
 
-def _smooth_width_law(w: WidthFunction, eps_stop: float, step_cap: int) -> IndexDistribution:
+def _smooth_width_law(w: WidthFunction, eps_stop: float) -> IndexDistribution:
     """The law from the orbit, one tail integral a step, up to the first step
     N whose entropy enclosure is narrow enough, or else to S <= eps_stop."""
-    rec, h_max = GrsRecursion(w), w.h_max
+    rec, h_max, step_cap = GrsRecursion(w), w.h_max, DEFAULT_STEP_CAP
     n, (L, S), retry_below, tail = 1, rec.state(1), 1.0, None
     while S > eps_stop:
         if n > step_cap:  # S = S_n is the survival after step_cap steps
@@ -360,14 +356,6 @@ def _target_width_bits(eps_stop: float, w_bar: float) -> float:
     return s * (LOG2_E - math.log2(s * w_bar))
 
 
-def _tail_bar(w: WidthFunction, L: float) -> tuple[float, float]:
-    """T(L) and its error bar; a T that did not converge raises."""
-    res = w.tail_integral(L)
-    if not res.converged:
-        raise QuadratureError(f"tail integral at L = {L!r} did not converge")
-    return res.value, res.error
-
-
 class _Node(NamedTuple):
     """Bars on T(L), on p(L) = T(L) - T(L + T(L)) and on w(L) at one L."""
 
@@ -382,10 +370,10 @@ class _Node(NamedTuple):
 def _node(w: WidthFunction, L: float, L_left: float, t_hi_left: float) -> _Node:
     """The node at L, from an upper bar on T at some L_left < L, whose chord
     of T bounds w(L) from above."""
-    t, t_err = _tail_bar(w, L)
+    t, t_err = w.tail_integral(L)[:2]
     w_hi = min(1.0, (t_hi_left - (t - t_err)) / (L - L_left) * (1.0 + 4.0 * _EPS))
     L2 = L + t
-    t2, t2_err = _tail_bar(w, L2)
+    t2, t2_err = w.tail_integral(L2)[:2]
     # T is read at the float L2, off L + T(L) by t_err and half an ulp, which
     # moves the second T by at most w(L) times that
     p_err = t_err + t2_err + w_hi * (t_err + 0.5 * math.ulp(L2)) + _EPS * t
@@ -424,7 +412,7 @@ def _entropy_enclosure(w: WidthFunction, L_prev: float, L: float,
     the orbit point L = L_N after L_prev = L_{N-1}, with at most max_splits
     panel splits, or None when it is wider than the target. A tail integral
     on the way that does not converge raises QuadratureError."""
-    t_prev, t_err = _tail_bar(w, L_prev)
+    t_prev, t_err = w.tail_integral(L_prev)[:2]
     first = _node(w, L, L_prev, t_prev + t_err)
     w_bar = first.w_hi
     if not (first.t_lo > 0.0 and first.p_hi < _INV_E and 0.0 < w_bar < 1.0):
@@ -459,9 +447,9 @@ def _entropy_enclosure(w: WidthFunction, L_prev: float, L: float,
     return (tail_lo, tail_hi - tail_lo) if tail_hi - tail_lo <= tau else None
 
 
-def _step_width_law(w: StepWidth, eps_stop: float, step_cap: int) -> IndexDistribution:
+def _step_width_law(w: StepWidth, eps_stop: float) -> IndexDistribution:
     """The law from the orbit's pieces, up to S <= eps_stop within the step cap."""
-    pieces, steps, L, S = [], 0, 0.0, 1.0
+    pieces, steps, L, S, step_cap = [], 0, 0.0, 1.0, DEFAULT_STEP_CAP
     while S > eps_stop:
         piece = _next_piece(w, L, S)
         kind, m = piece[0], piece[1]
@@ -478,15 +466,15 @@ def _step_width_law(w: StepWidth, eps_stop: float, step_cap: int) -> IndexDistri
     return _law(pieces, steps, L, S, w.h_max, None)
 
 
-def _run_replicas(pair: DistributionPair, w: WidthFunction, rng_stream: RngStream, n: int,
-                  step_cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _run_replicas(pair: DistributionPair, w: WidthFunction, rng_stream: RngStream,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """The acceptance kernel: n sampler replicas over the shared proposal
     steps, as (index k, accepted point) arrays in replica order.
 
     The replicas still active all stand at the same step k. A round draws a
     block of B proposals and B uniforms for each of the m active replicas,
     step by step in replica order, so a result is a function of the stream
-    key alone: B does not depend on the step cap, which only stops the scan.
+    key alone: B does not depend on the step budget, which only stops the scan.
     B is 1 while m > _ROUND_POINTS / 2: one step for many replicas, in
     whole-array passes. Below that B is _ROUND_POINTS // m, capped by a
     growth from _FIRST_BLOCK that doubles each round, so that a lone
@@ -513,7 +501,7 @@ def _run_replicas(pair: DistributionPair, w: WidthFunction, rng_stream: RngStrea
         if accepted is None:
             accepted = np.zeros((n, *x.shape[1:]), dtype=x.dtype)
         if B == 1:
-            L, S = _acceptance_state(rec, k, step_cap, m, n)
+            L, S = _acceptance_state(rec, k, m, n)
             acc = u * S + L <= r
             pos = np.flatnonzero(acc)  # take and compress beat indexing by a mask
             hit = active.take(pos)
@@ -523,7 +511,7 @@ def _run_replicas(pair: DistributionPair, w: WidthFunction, rng_stream: RngStrea
         else:  # at most _ROUND_POINTS points, scanned one by one
             u, r, ids, live = u.tolist(), r.tolist(), active.tolist(), range(m)
             for j in range(B):
-                L, S = _acceptance_state(rec, k + j, step_cap, len(live), n)
+                L, S = _acceptance_state(rec, k + j, len(live), n)
                 still = []
                 for i in live:
                     if u[j * m + i] * S + L <= r[j * m + i]:
@@ -539,22 +527,16 @@ def _run_replicas(pair: DistributionPair, w: WidthFunction, rng_stream: RngStrea
     return indices, accepted
 
 
-def _acceptance_state(rec: GrsRecursion, k: int, step_cap: int, active: int,
-                      n: int) -> tuple[float, float]:
+def _acceptance_state(rec: GrsRecursion, k: int, active: int, n: int) -> tuple[float, float]:
     """(L_k, S_k), with L_k = -inf where S_k = 0 so that u S_k + L_k <= r holds;
     a step past the cap, with active of the n replicas still running, raises."""
-    if k > step_cap:
-        raise StepBudgetError(f"{active} of {n} replicas still active after {step_cap} steps")
+    if k > DEFAULT_STEP_CAP:
+        raise StepBudgetError(f"{active} of {n} replicas still active after {DEFAULT_STEP_CAP} steps")
     L, S = rec.state(k)
     return (L, S) if S > 0.0 else (-math.inf, S)
 
 
-def grs_sample(
-    pair: DistributionPair,
-    w: WidthFunction,
-    rng_stream: RngStream,
-    step_cap: int = DEFAULT_STEP_CAP,
-):
+def grs_sample(pair: DistributionPair, w: WidthFunction, rng_stream: RngStream):
     """One greedy rejection sampling run: (accepted point, index k).
 
     pair and w must describe the same (Q, P); the acceptance state is read
@@ -564,11 +546,11 @@ def grs_sample(
     draws its proposals and uniforms in blocks that grow from 8 by doubling,
     so it is a function of the stream key alone, but not the first run of
     grs_empirical on the same key. Finite Renyi-infinity divergence keeps
-    the expected index finite; step_cap turns a mismatched pair/width (or
-    an infinite mean) into an error instead of an endless loop, and a run
-    that accepts within it is the same under any cap.
+    the expected index finite; the step budget DEFAULT_STEP_CAP turns a
+    mismatched pair/width (or an infinite mean) into an error instead of an
+    endless loop, and a run that accepts within it is the same under any cap.
     """
-    indices, accepted = _run_replicas(pair, w, rng_stream, 1, step_cap)
+    indices, accepted = _run_replicas(pair, w, rng_stream, 1)
     point = accepted[0]
     return (point if point.ndim else point.item()), int(indices[0])
 
@@ -586,13 +568,8 @@ class GrsEmpirical:
         return {int(k): int(c) for k, c in zip(ks, counts)}
 
 
-def grs_empirical(
-    pair: DistributionPair,
-    w: WidthFunction,
-    rng_stream: RngStream,
-    n: int,
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> GrsEmpirical:
+def grs_empirical(pair: DistributionPair, w: WidthFunction, rng_stream: RngStream,
+                  n: int) -> GrsEmpirical:
     """n sampler replicas, run together over the shared proposal steps.
 
     While many replicas are active they advance in lockstep, one step a
@@ -601,9 +578,9 @@ def grs_empirical(
     deterministic function of the stream key alone; accepted points are
     stored by replica index, which makes the result independent of
     acceptance timing. The orbit is read up to the largest index and no
-    further on a smooth width. step_cap stops the runs as in grs_sample.
+    further on a smooth width. The step budget stops runs as in grs_sample.
     """
     if _integer(n, "n") < 1000:
         raise InvalidParameterError("empirical runs need n >= 1000")
-    indices, accepted = _run_replicas(pair, w, rng_stream, n, step_cap)
+    indices, accepted = _run_replicas(pair, w, rng_stream, n)
     return GrsEmpirical(indices=indices, accepted=accepted.astype(float, copy=False))

@@ -11,8 +11,9 @@ T, _tail(h); the WidthFunction docstring gives the subclass contract.
 The domains live in the base class, once each. WidthFunction.__call__ rejects
 negative and NaN h, clips the formula to [0, 1], then pins w(0) = 1 and w = 0
 for h > h_max, each pin only when the argument's min or max reaches it.
-tail_integral rejects the same h and is 0 from h_max on, so _tail sees only
-0 <= h < h_max; ratio_inverse admits u in (0, 1) only.
+tail_integral rejects the same h, is 0 from h_max on, so _tail sees only
+0 <= h < h_max, and raises QuadratureError where _tail did not converge;
+ratio_inverse admits u in (0, 1) only.
 
 Analytic widths per family:
 
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, QuadratureError
 from .quadrature import QuadResult, adaptive
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,9 +92,10 @@ class WidthFunction:
     array of h >= 0 as a new array, finite and warning-free there (__call__
     overrides it at h = 0 and beyond h_max), and _tail, T on [0, h_max) with
     an error bar; T(0) is the mass, 1, and a _tail that integrates picks its
-    own tolerance. It may set a PowerTail certificate `tail` (needed when
-    h_max is infinite) and a closed-form _inverse(u) of r on (0, 1). There is
-    no base-class __init__ to call.
+    own tolerance and reports converged=False where it misses it, on which
+    tail_integral raises. It may set a PowerTail certificate `tail` (needed
+    when h_max is infinite) and a closed-form _inverse(u) of r on (0, 1).
+    There is no base-class __init__ to call.
     """
 
     h_max: float
@@ -138,13 +140,17 @@ class WidthFunction:
 
         The domain lives here, as w's lives in __call__: NaN or negative h is
         rejected, and T is exactly 0 from h_max on, so a subclass's _tail
-        only sees 0 <= h < h_max.
+        only sees 0 <= h < h_max. A _tail that did not converge raises
+        QuadratureError: its value and bar certify nothing.
         """
         if not h >= 0.0:  # NaN fails too
             raise InvalidParameterError("h must be >= 0")
         if h >= self.h_max:
             return QuadResult(0.0, 0.0, True, 0)
-        return self._tail(h)
+        res = self._tail(h)
+        if not res.converged:
+            raise QuadratureError(f"tail integral at h = {h!r} did not converge")
+        return res
 
     def _tail(self, h: float) -> QuadResult:
         raise NotImplementedError
@@ -362,7 +368,11 @@ class GaussianWidth(WidthFunction):
         self.noncentrality = d * self.c**2
         self._q_noncentrality = d * (self.mu - self.c) ** 2 / self.sigma**2
         self.ln_h_max = d * self.t0
-        self.h_max = math.exp(self.ln_h_max)
+        try:
+            self.h_max = math.exp(self.ln_h_max)
+        except OverflowError:
+            raise OverflowError(f"gaussian h_max = exp(d t0) = exp({self.ln_h_max:.6g}) "
+                                "is beyond the float range") from None
         self.breakpoints = (self.h_max,)
 
     # the noncentral chi-square CDF, bound on first evaluation, so that a

@@ -165,8 +165,33 @@ def test_computation_error_exits_1(capsys):
     code, out, err = run_cli(capsys, "grs", "entropy", "--family", "discrete",
                              "--q", "0.999999,0.000001", "--p", "0.000001,0.999999")
     assert (code, out) == (1, "")
-    assert err == ("error: survival mass still 3.679e-01 after 1000000 steps; "
-                   "raise eps_stop or the step cap\n")
+    assert err == "error: survival mass still 3.679e-01 after 1000000 steps; raise eps_stop\n"
+
+
+# a finite mu whose h_max = exp(d t0) leaves the float range
+OVERFLOW_PAIR = ("--family", "gaussian", "--mu", "1.45", "--sigma", "0.89", "--d", "250")
+OVERFLOW_ERROR = "gaussian h_max = exp(d t0) = exp(1293.26) is beyond the float range"
+
+
+def test_h_max_overflow_is_a_parameter_error(capsys):
+    # an OverflowError printed a traceback and exited 1
+    for argv in (("divergence", "--kind", "cs", *OVERFLOW_PAIR), ("grs", "sample", *OVERFLOW_PAIR)):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {OVERFLOW_ERROR}\n")
+
+
+def test_verify_records_an_h_max_overflow_as_its_pair_error(tmp_path, capsys):
+    # the overflow used to end the whole suite; now only its own pair fails
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([
+        {"family": "gaussian", "mu": 1.45, "sigma": 0.89, "d": 250},
+        {"family": "laplace", "b": 0.5},
+    ]))
+    code, out, err = run_cli(capsys, "verify", "--suite", str(suite))
+    overflow, laplace = json.loads(out)
+    assert (code, err) == (1, "")
+    assert overflow["error"] == OVERFLOW_ERROR and overflow["inequalities"] == []
+    assert "error" not in laplace and len(laplace["inequalities"]) == 7
+    assert all(i["pass"] for i in laplace["inequalities"])
 
 
 def test_grs_empirical_output(capsys):

@@ -11,7 +11,7 @@ import pytest
 from scipy import special, stats
 
 from crs_toolkit import grs
-from crs_toolkit.errors import InvalidParameterError, StepBudgetError
+from crs_toolkit.errors import InvalidParameterError, QuadratureError, StepBudgetError
 from crs_toolkit.experiments import default_suite
 from crs_toolkit.grs import (
     GrsRecursion,
@@ -237,12 +237,22 @@ def test_enclosure_holds_the_deeper_dense_law(spec):
     assert dense_bits <= dist.entropy_bits + dist.entropy_tail_bound_bits
 
 
-def test_law_without_a_certified_tail_runs_densely():
-    # with every tail integral reported unconverged no enclosure certifies,
-    # so each try is dropped and the law runs to eps_stop, as the dense law
+def test_law_without_a_certified_tail_runs_densely(monkeypatch):
+    # with every tail integral of the enclosure reported unconverged, and
+    # so raising, no enclosure certifies, so each try is dropped and the
+    # law runs to eps_stop, as the dense law
     w = width_eval(LaplaceSpec(0.75))
-    tail_integral = w.tail_integral
-    w.tail_integral = lambda h: tail_integral(h)._replace(converged=False)
+    enclosing, tail, enclosure = [False], w._tail, grs._entropy_enclosure
+
+    def flagged_enclosure(*args):
+        enclosing[0] = True
+        try:
+            return enclosure(*args)
+        finally:
+            enclosing[0] = False
+
+    w._tail = lambda h: tail(h)._replace(converged=not enclosing[0])
+    monkeypatch.setattr(grs, "_entropy_enclosure", flagged_enclosure)
     dist = grs_index_distribution(w, eps_stop=1e-6)
     dense_bits, dense_bound = dense_law_bits(w, 1e-6)
     assert dist.tail_mass <= 1e-6 < dist.tail_mass + dist.p[-1]
@@ -250,6 +260,26 @@ def test_law_without_a_certified_tail_runs_densely():
     # the max-entropy bound, its upper end padded for the law's float sums
     padded = dense_bound + (dense_bits + dense_bound) * grs._ROUNDING_PAD
     assert dist.entropy_tail_bound_bits == padded
+
+
+class _UnconvergedLaplace(LaplaceWidth):
+    def _tail(self, h):
+        return super()._tail(h)._replace(converged=False)
+
+
+def test_unconverged_tail_raises_in_every_reader():
+    # T that did not converge certifies no survival mass: the orbit that
+    # samplers and laws read raises rather than running on it
+    w = _UnconvergedLaplace(0.5)
+    with pytest.raises(QuadratureError, match=r"^tail integral at h = 0\.25 did not converge$"):
+        w.tail_integral(0.25)
+    assert w.tail_integral(w.h_max).value == 0.0  # T = 0 from h_max on needs no _tail
+    with pytest.raises(QuadratureError, match="did not converge"):
+        grs_index_distribution(w)
+    # this run reaches step 4 with a certified tail, so it reads T
+    assert grs_sample(make_pair(LaplaceSpec(0.5)), LaplaceWidth(0.5), RngStream(0, 0))[1] == 4
+    with pytest.raises(QuadratureError, match="did not converge"):
+        grs_sample(make_pair(LaplaceSpec(0.5)), w, RngStream(0, 0))
 
 
 @pytest.mark.parametrize("eps_stop", [1e-9, 1e-6])
@@ -438,20 +468,23 @@ def test_entropy_tail_bound_covers_true_tail():
         assert 0.0 <= missing <= dist.entropy_tail_bound_bits
 
 
-def test_step_cap_raises():
-    with pytest.raises(StepBudgetError):
-        grs_index_distribution(two_level_width(0.001), eps_stop=1e-9, step_cap=100)
+def test_step_cap_raises(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(grs, "DEFAULT_STEP_CAP", 100)
+        with pytest.raises(StepBudgetError):
+            grs_index_distribution(two_level_width(0.001), eps_stop=1e-9)
     with pytest.raises(InvalidParameterError):
         grs_index_distribution(OptimalCsWidth(0.5))  # infinite h_max
     with pytest.raises(InvalidParameterError):
         grs_index_distribution(indicator_width(), eps_stop=2.0)
 
 
-def test_step_cap_inside_geometric_block_reports_survival():
+def test_step_cap_inside_geometric_block_reports_survival(monkeypatch):
     # the cap falls inside the first geometric block, where S = (1 - 1/c)^cap
     c, cap = 2.0**17, 10**5
+    monkeypatch.setattr(grs, "DEFAULT_STEP_CAP", cap)
     with pytest.raises(StepBudgetError, match=f"still {(1 - 1 / c) ** cap:.3e} after {cap} steps"):
-        grs_index_distribution(equality_case_width(c), eps_stop=1e-9, step_cap=cap)
+        grs_index_distribution(equality_case_width(c), eps_stop=1e-9)
 
 
 def test_step_cap_inside_geometric_block_fails_before_building_it():
@@ -470,11 +503,12 @@ def test_step_cap_inside_geometric_block_fails_before_building_it():
     (LaplaceWidth(0.01), "1.162e-02"),
     (GaussianWidth(1.0, 0.5, 2), "4.572e-04"),
 ], ids=["laplace_b001", "gaussian_d2"])
-def test_smooth_law_step_cap_reports_survival(w, survival):
+def test_smooth_law_step_cap_reports_survival(monkeypatch, w, survival):
     # S_1001, the survival after the cap's 1000 steps
-    msg = f"survival mass still {survival} after 1000 steps; raise eps_stop or the step cap"
+    msg = f"survival mass still {survival} after 1000 steps; raise eps_stop"
+    monkeypatch.setattr(grs, "DEFAULT_STEP_CAP", 1000)
     with pytest.raises(StepBudgetError, match=f"^{msg}$"):
-        grs_index_distribution(w, eps_stop=1e-9, step_cap=1000)
+        grs_index_distribution(w, eps_stop=1e-9)
 
 
 def two_level_at_bits(bits):
@@ -688,15 +722,16 @@ class _CountedOptimalCs(_TailCount, OptimalCsWidth):
     pass
 
 
-def test_sample_step_cap_reads_the_orbit_no_further():
+def test_sample_step_cap_reads_the_orbit_no_further(monkeypatch):
     # about 5% of runs pass step 50 here (S_51 = 0.049)
     pair = make_pair(SyntheticSpec(OptimalCsWidth(0.5)))
     w = _CountedOptimalCs(0.5)
     raised = 0
+    monkeypatch.setattr(grs, "DEFAULT_STEP_CAP", 50)
     for j in range(200):
         before = w.calls
         try:
-            grs_sample(pair, w, RngStream(33, j), step_cap=50)
+            grs_sample(pair, w, RngStream(33, j))
         except StepBudgetError:
             raised += 1
         assert w.calls - before <= 49  # reading S_50 takes 49 tail integrals
@@ -717,7 +752,7 @@ class _DrawLog:
         return self.pair.log_ratio(x)
 
 
-def test_step_cap_does_not_change_runs_within_it():
+def test_step_cap_does_not_change_runs_within_it(monkeypatch):
     # the cap stops a run; one that accepts within it makes the draws it
     # makes under the default cap, also in a block that reaches past the cap
     spec = LaplaceSpec(0.05)
@@ -728,13 +763,16 @@ def test_step_cap_does_not_change_runs_within_it():
         x, k = grs_sample(free, w, RngStream(33, j))
         if k <= 50:
             deep += k > 24  # the third block, 32 steps from 25, passes 50
-            assert grs_sample(capped, w, RngStream(33, j), step_cap=50) == (x, k)
+            with monkeypatch.context() as m:
+                m.setattr(grs, "DEFAULT_STEP_CAP", 50)
+                assert grs_sample(capped, w, RngStream(33, j)) == (x, k)
             assert capped.sizes == free.sizes
     assert deep > 5
     w = OptimalCsWidth(0.5)
     pair = make_pair(SyntheticSpec(w))
     res = grs_empirical(pair, w, RngStream(36, 0), 1000)
-    capped = grs_empirical(pair, w, RngStream(36, 0), 1000, step_cap=int(res.indices.max()))
+    monkeypatch.setattr(grs, "DEFAULT_STEP_CAP", int(res.indices.max()))
+    capped = grs_empirical(pair, w, RngStream(36, 0), 1000)
     assert np.array_equal(capped.indices, res.indices)
     assert np.array_equal(capped.accepted, res.accepted)
 
@@ -815,19 +853,21 @@ def test_empirical_histogram_and_validation():
         grs_empirical(pair, w, RngStream(0, 0), 999)
 
 
-def test_empirical_step_cap():
+def test_empirical_step_cap(monkeypatch):
     w = OptimalCsWidth(0.5)
     pair = make_pair(SyntheticSpec(w))
+    monkeypatch.setattr(grs, "DEFAULT_STEP_CAP", 50)
     with pytest.raises(StepBudgetError):
-        grs_empirical(pair, w, RngStream(0, 1), 1000, step_cap=50)
+        grs_empirical(pair, w, RngStream(0, 1), 1000)
 
 
-def test_empirical_step_cap_stops_the_lockstep_round():
+def test_empirical_step_cap_stops_the_lockstep_round(monkeypatch):
     # 1000 replicas take one step a round; the cap stops the round at step 2
     w = OptimalCsWidth(0.5)
     msg = "^245 of 1000 replicas still active after 1 steps$"
+    monkeypatch.setattr(grs, "DEFAULT_STEP_CAP", 1)
     with pytest.raises(StepBudgetError, match=msg):
-        grs_empirical(SyntheticSpec(w), w, RngStream(1, 0), 1000, step_cap=1)
+        grs_empirical(SyntheticSpec(w), w, RngStream(1, 0), 1000)
 
 
 def test_empirical_count_must_be_an_integer():

@@ -293,7 +293,7 @@ def test_gaussian_tail_falls_back_to_quadrature_near_h_max():
     assert 0.0 < res.value <= (w.h_max - h) * float(w(h)[0])
 
 
-@pytest.mark.parametrize("d", [1, 2, 8, 64])
+@pytest.mark.parametrize("d", [1, 2, 8, 64, 256])
 @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10, 1e-12])
 def test_gaussian_tail_near_h_max_picks_a_tolerance_it_meets(d, delta):
     # the v-quadrature's tolerance is relative to (h_max - h) w(h), which
