@@ -212,7 +212,6 @@ def quad_phi_integral(
     w: WidthFunction,
     phi: PhiSpec,
     tol: float = DEFAULT_TOL_BITS,
-    kind: str = "PHI",
 ) -> DivergenceReport:
     """D^phi = integral of phi(w(h)) dh, reported in bits.
 
@@ -221,11 +220,13 @@ def quad_phi_integral(
     summed exactly; otherwise panels split at the width's breakpoints and an
     infinite h_max needs the width's power-tail certificate and phi's
     majorant. A run that exhausts its panel budget reports its best value
-    with converged = False.
+    with converged = False. The report's kind is CS for PHI_XLOGX, ACS for
+    PHI_BINARY_ENTROPY and PHI for any other phi.
     """
     _check_tol(tol)
     if not isinstance(phi, PhiSpec):
         raise InvalidParameterError("phi must be a PhiSpec with a proven sup_value")
+    kind = "CS" if phi is PHI_XLOGX else "ACS" if phi is PHI_BINARY_ENTROPY else "PHI"
     if isinstance(w, StepWidth):
         exact = float(np.dot(np.diff(w.edges), phi(w.values)))
         return _report(kind, exact / LN2, 0.0, "discrete_sum")
@@ -235,12 +236,12 @@ def quad_phi_integral(
 
 def channel_simulation_divergence(w: WidthFunction, tol: float = DEFAULT_TOL_BITS) -> DivergenceReport:
     """D_CS in bits."""
-    return quad_phi_integral(w, PHI_XLOGX, tol, "CS")
+    return quad_phi_integral(w, PHI_XLOGX, tol)
 
 
 def alternative_divergence(w: WidthFunction, tol: float = DEFAULT_TOL_BITS) -> DivergenceReport:
     """D_ACS in bits."""
-    return quad_phi_integral(w, PHI_BINARY_ENTROPY, tol, "ACS")
+    return quad_phi_integral(w, PHI_BINARY_ENTROPY, tol)
 
 
 def _w_ln_h_quad(w: WidthFunction, tol: float) -> QuadResult:

@@ -5,7 +5,7 @@ Three sweeps (CSV) and one verification report (JSON):
   laplace, gaussian, epsilon: one CSV row per grid value. The columns are
       the fields of LaplaceRow, GaussianRow and EpsilonRow, in order;
       STUDIES maps each study name to its sweep, row class and tolerances.
-  bounds:   JSON list of {spec, quantities, inequalities: [{name, lhs, rhs, margin, pass}]}
+  bounds:   JSON list of {name, spec, quantities, inequalities: [{name, lhs, rhs, margin, pass}]}
 
 Every row re-validates its own identities (delta recomputation, digamma-band
 membership, bound-chain membership) before it is emitted; a violated row
@@ -251,7 +251,7 @@ class PairBoundReport:
         return self.error is None and all(i.passed for i in self.inequalities)
 
     def to_json(self) -> dict:
-        out = {"spec": self.spec, "quantities": self.quantities,
+        out = {"name": self.name, "spec": self.spec, "quantities": self.quantities,
                "inequalities": [i.to_json() for i in self.inequalities]}
         if self.error is not None:
             out["error"] = self.error

@@ -6,8 +6,9 @@ at jump points follow P(dQ/dP >= h) exactly, which is the left-continuous
 choice at atoms of the density ratio (the discrete pair with ratios {2, 0}
 has w(2) = 0.5); every integral here is insensitive to that choice.
 
-Each class states its formula, _formula(h), valid on h >= 0, and its tail
-T, _tail(h); the WidthFunction docstring gives the subclass contract.
+Each class states its formula, _formula(h), valid on h >= 0, its tail T,
+_tail(h), and its ratio r, _inverse(u), with no fallback for T or r; the
+WidthFunction docstring gives the subclass contract.
 The domains live in the base class, once each. WidthFunction.__call__ rejects
 negative and NaN h, clips the formula to [0, 1], then pins w(0) = 1 and w = 0
 for h > h_max, each pin only when the argument's min or max reaches it.
@@ -38,8 +39,8 @@ gaussian (the layer cake T(h) = Q(dQ/dP >= h) - h w(h)), step widths (suffix
 sums) and the two optimal widths. A width's mass, 1, is T(0).
 
 scipy.special is imported on first use, not with this module: a GaussianWidth
-binds chndtr when it is first evaluated, and an OptimalAcsWidth binds betainc
-at its first T(h) with h > 0. No other width here touches scipy.
+binds chndtr at its first w(h) and its inverse chndtrix at its first r(u),
+and an OptimalAcsWidth betainc at its first T(h > 0). No other width does.
 """
 from __future__ import annotations
 
@@ -90,12 +91,12 @@ class WidthFunction:
 
     A subclass sets h_max and breakpoints, and implements _formula, w on an
     array of h >= 0 as a new array, finite and warning-free there (__call__
-    overrides it at h = 0 and beyond h_max), and _tail, T on [0, h_max) with
-    an error bar; T(0) is the mass, 1, and a _tail that integrates picks its
-    own tolerance and reports converged=False where it misses it, on which
-    tail_integral raises. It may set a PowerTail certificate `tail` (needed
-    when h_max is infinite) and a closed-form _inverse(u) of r on (0, 1).
-    There is no base-class __init__ to call.
+    overrides it at h = 0 and beyond h_max), _tail, T on [0, h_max) with
+    an error bar, and _inverse, r on an array of u in (0, 1). T(0) is the
+    mass, 1; a _tail that integrates picks its own tolerance and reports
+    converged=False where it misses it, on which tail_integral raises. It
+    may set a PowerTail certificate `tail` (needed when h_max is infinite);
+    there is no base-class __init__ to call.
     """
 
     h_max: float
@@ -168,35 +169,7 @@ class WidthFunction:
         return self._inverse(u)
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
-        """r(u) on an array of u in (0, 1), by bisecting the monotone w;
-        parametric subclasses override with closed forms.
-
-        One array bisection: the points still open take their steps
-        together, in one width call. A step that leaves a point's (lo, hi)
-        as it was would repeat itself, so that point stops there, and each
-        point ends where its own scalar bisection of at most 200 steps ends.
-        """
-        if not math.isfinite(self.h_max):
-            raise InvalidParameterError(
-                "generic bisection inverse needs finite h_max; override _inverse")
-        out = np.empty_like(u)
-        at = np.arange(u.size)
-        lo, hi = np.zeros_like(u), np.full_like(u, self.h_max)
-        for _ in range(200):
-            if at.size == 0:
-                break
-            mid = lo + hi
-            mid *= 0.5
-            above = self(mid) > u
-            stops = mid == np.where(above, lo, hi)
-            np.putmask(lo, above, mid)
-            np.putmask(hi, ~above, mid)
-            if np.count_nonzero(stops):
-                out[at[stops]] = lo[stops]
-                go = ~stops
-                at, u, lo, hi = at[go], u[go], lo[go], hi[go]
-        out[at] = lo
-        return out
+        raise NotImplementedError
 
 
 class StepWidth(WidthFunction):
@@ -375,12 +348,17 @@ class GaussianWidth(WidthFunction):
                                 "is beyond the float range") from None
         self.breakpoints = (self.h_max,)
 
-    # the noncentral chi-square CDF, bound on first evaluation, so that a
-    # width that is never evaluated never loads scipy
+    # the noncentral chi-square CDF and its inverse in x, each bound on first
+    # use, so that a width that is never evaluated never loads scipy
     @functools.cached_property
     def _chndtr(self):
         from scipy.special import chndtr
         return chndtr
+
+    @functools.cached_property
+    def _chndtrix(self):
+        from scipy.special import chndtrix
+        return chndtrix
 
     def _chi2_argument(self, h: np.ndarray | float) -> np.ndarray | float:
         """x = (d t0 - ln h)/a, so that {r >= h} = {sum_i (x_i - c)^2 <= x}."""
@@ -437,6 +415,10 @@ class GaussianWidth(WidthFunction):
                               res.converged, res.panels)
         # the two terms also carry ulp-level errors relative to Q
         return QuadResult(value, 64.0 * _EPS * q_mass + x_rounding, True, 0)
+
+    def _inverse(self, u: np.ndarray) -> np.ndarray:
+        # w(h) = F(x(h)) > u exactly where x(h) > F^-1(u), and x falls with h
+        return np.exp(self.ln_h_max - self.a * self._chndtrix(u, self.d, self.noncentrality))
 
 
 @dataclass(frozen=True)

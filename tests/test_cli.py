@@ -194,6 +194,23 @@ def test_verify_records_an_h_max_overflow_as_its_pair_error(tmp_path, capsys):
     assert all(i["pass"] for i in laplace["inequalities"])
 
 
+def test_verify_report_names_each_pair(tmp_path, capsys):
+    # the report carried no name, so a pair of many was known only by its spec
+    table = tmp_path / "w.csv"
+    table.write_text("h,w\n0,1\n0.5,0.5\n1.5,0\n")
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([
+        {"name": "big", "family": "laplace", "b": 0.25},
+        {"name": "tab", "family": "synthetic", "width": "table", "path": str(table)},
+        {"family": "laplace", "b": 0.5},
+    ]))
+    code, out, _ = run_cli(capsys, "verify", "--suite", str(suite))
+    report = json.loads(out)
+    assert code == 0
+    assert [entry["name"] for entry in report] == ["big", "tab", "pair_2"]
+    assert all(next(iter(entry)) == "name" for entry in report)
+
+
 def test_grs_empirical_output(capsys):
     code, out, _ = run_cli(capsys, "grs", "empirical", "--family", "discrete",
                            "--q", "0.5,0.5,0,0", "--p", "0.25,0.25,0.25,0.25",
@@ -365,7 +382,7 @@ def test_verify_malformed_suite_entry_exits_2(tmp_path, capsys, entry, named):
 
 # sha256 of `verify --suite default` stdout (numpy 2.4.6, scipy 1.17.1):
 # the report's bytes, every digit of it
-VERIFY_DEFAULT_SHA256 = "5312b17e63c6fb9bc738b0502744a43a3d409fc35624d7ea56afea7170cc95e3"
+VERIFY_DEFAULT_SHA256 = "337425e29c6438e34e72a9e079ccdf35def33b43a4eb40ef80b4395f1a1abf47"
 
 
 def test_verify_default_suite(capsys):

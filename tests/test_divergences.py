@@ -74,8 +74,15 @@ def test_quad_phi_examples():
     assert quad_phi_integral(indicator_width(), PHI_XLOGX).value_bits == 0.0
     rep = channel_simulation_divergence(width_eval(LaplaceSpec(0.5)))
     assert rep.value_bits == pytest.approx(0.721348, abs=1e-6)
-    acs = quad_phi_integral(OptimalAcsWidth(2.0), PHI_BINARY_ENTROPY, tol=1e-7, kind="ACS")
+    acs = quad_phi_integral(OptimalAcsWidth(2.0), PHI_BINARY_ENTROPY, tol=1e-7)
     assert acs.value_bits == pytest.approx(2.0 / LN2, abs=1e-6)
+
+
+def test_quad_phi_reads_its_kind_from_phi():
+    for w in (equality_case_width(2.0), LaplaceWidth(0.5)):
+        kinds = [quad_phi_integral(w, phi).kind
+                 for phi in (PHI_XLOGX, PHI_BINARY_ENTROPY, PHI_X_ONE_MINUS_X)]
+        assert kinds == ["CS", "ACS", "PHI"]
 
 
 def test_quad_phi_rejects_bad_tol():
@@ -170,14 +177,14 @@ def test_optimal_family_fixture_values():
     kl, dcs = w.kl_bits(), w.dcs_bits()
     assert kl == pytest.approx(CS_HALF_KL, abs=1e-12)
     assert dcs == pytest.approx(CS_HALF_DCS, abs=1e-12)
-    quad = quad_phi_integral(w, PHI_XLOGX, tol=1e-8, kind="CS")
+    quad = quad_phi_integral(w, PHI_XLOGX, tol=1e-8)
     assert quad.value_bits == pytest.approx(dcs, abs=1e-6)
 
     w2 = OptimalAcsWidth(2.0)
     kl2, dacs2 = w2.kl_bits(), w2.dacs_bits()
     assert kl2 == pytest.approx(ACS_TWO_KL, abs=1e-12)
     assert dacs2 == pytest.approx(ACS_TWO_DACS, abs=1e-12)
-    quad2 = quad_phi_integral(w2, PHI_BINARY_ENTROPY, tol=1e-8, kind="ACS")
+    quad2 = quad_phi_integral(w2, PHI_BINARY_ENTROPY, tol=1e-8)
     assert quad2.value_bits == pytest.approx(dacs2, abs=1e-6)
 
 

@@ -185,7 +185,8 @@ def test_bound_report_json_schema():
     blob = json.loads(json.dumps(report.to_json()))
     assert isinstance(blob, list)
     entry = blob[0]
-    assert set(entry) == {"spec", "quantities", "inequalities"}
+    assert set(entry) == {"name", "spec", "quantities", "inequalities"}
+    assert entry["name"] == "one"
     ineq = entry["inequalities"][0]
     assert set(ineq) == {"name", "lhs", "rhs", "margin", "pass"}
     assert ineq["margin"] == pytest.approx(ineq["rhs"] - ineq["lhs"], abs=1e-15)

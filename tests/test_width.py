@@ -21,6 +21,7 @@ from crs_toolkit.measures import (
 )
 from crs_toolkit.quadrature import QuadResult
 from crs_toolkit.streams import RngStream
+from crs_toolkit import width as width_module
 from crs_toolkit.width import (
     GaussianWidth,
     LaplaceWidth,
@@ -39,6 +40,7 @@ from crs_toolkit.width import (
 )
 from reference_values import (
     GAUSSIAN_RATIO_INVERSE,
+    GAUSSIAN_RATIO_INVERSE_MORE,
     GAUSSIAN_WIDTH,
     GAUSSIAN_WIDTH_NEAR_H_MAX,
     OPTIMAL_ACS_TAIL,
@@ -351,33 +353,27 @@ def test_scipy_special_loads_on_first_gaussian_evaluation(tmp_path):
     assert proc.stdout == "2.000000000\n"
 
 
-class _CountingGaussianWidth(GaussianWidth):
-    calls = 0
-
-    def __call__(self, h):
-        self.calls += 1
-        return super().__call__(h)
-
-
-def _bisect_200_steps(w, u):
-    lo, hi = 0.0, w.h_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(w(mid)[0]) > u:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-@pytest.mark.parametrize("mu, sigma, d", [(1.0, 0.5, 1), (0.0, 0.6, 1), (1.0, 0.5, 2)])
-def test_bisection_inverse_stops_early_with_the_200_step_result(mu, sigma, d):
-    w = _CountingGaussianWidth(mu, sigma, d)
-    u = np.concatenate(([1e-12, 1.0 - 1e-12], np.linspace(0.01, 0.99, 25)))
-    got = w.ratio_inverse(u)
-    # one array bisection: each width call steps every point still open
-    assert w.calls <= 200
-    assert got.tolist() == [_bisect_200_steps(w, ui) for ui in u]
+def test_gaussian_ratio_inverse_is_finite_bounded_and_non_increasing():
+    # seeded widths with finite h_max over mu in [0, 6], sigma in [0.05, 0.95]
+    # and d = 1, 2, 4, ..., 256, at u from 2^-54 to 1 - 2^-53: chndtrix's x
+    # is finite and non-negative, and does not fall as u grows
+    rng = np.random.default_rng(20240611)
+    u = np.array([2.0**-54, 1e-12, 0.1, 0.5, 0.9, 1.0 - 1e-12, 1.0 - 2.0**-53])
+    checked = 0
+    for d in (2**k for k in range(9)):
+        for mu, sigma in zip(rng.uniform(0.0, 6.0, 36), rng.uniform(0.05, 0.95, 36)):
+            try:
+                w = GaussianWidth(mu, sigma, d)
+            except OverflowError:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = w.ratio_inverse(u)
+            assert np.all(np.isfinite(r)), (mu, sigma, d)
+            assert np.all((r >= 0.0) & (r <= w.h_max)), (mu, sigma, d)
+            assert np.all(np.diff(r) <= 0.0), (mu, sigma, d)
+            checked += 1
+    assert checked >= 200
 
 
 def test_step_width_ratio_inverse_levels():
@@ -394,14 +390,15 @@ def test_step_width_ratio_inverse_levels():
 
 
 # ratio_inverse at u = 0.1, 0.25, 0.5, 0.9, as exact reprs of the values
-# returned before the domain check moved into WidthFunction.ratio_inverse
+# returned before the domain check moved into WidthFunction.ratio_inverse;
+# the Gaussian row is h_max exp(-a x) at chndtrix's x
 RATIO_INVERSE_PINNED = [
     (two_level_width(0.3),
      [2.7058033501366783, 2.7058033501366783, 0.2689414213699951, 0.2689414213699951]),
     (LaplaceWidth(0.05),
      [2.7017034353459857, 0.08456565170490649, 3.814697265625e-05, 1.9999999999999917e-18]),
     (GaussianWidth(1.0, 0.5, 1),
-     [3.399229396107772, 1.7880370974993238, 0.2607128340986599, 0.00013661018043654183]),
+     [3.399229396107773, 1.7880370974993238, 0.2607128340986603, 0.0001366101804365427]),
     (OptimalCsWidth(0.1),
      [0.7943282347242815, 0.34822022531844965, 0.18660659830736148, 0.10994658424513493]),
     (OptimalAcsWidth(1.3),
@@ -431,12 +428,22 @@ def test_ratio_inverse_valid_u_pinned(w, want):
 
 
 def test_gaussian_ratio_inverse_pins_match_40_digit_references():
-    # the bisection ends within float resolution of w: an error of an ulp or
-    # two in w moves r by up to 8e-15 relative where w is flat (u = 0.9)
+    # chndtrix finds x = F^-1(u) to an ulp or two, and r = h_max exp(-a x)
+    # carries a x times that: up to 4e-15 relative at these four u
     (w, want), = [row for row in RATIO_INVERSE_PINNED if isinstance(row[0], GaussianWidth)]
     assert [u for u, _ in GAUSSIAN_RATIO_INVERSE] == [0.1, 0.25, 0.5, 0.9]
     for pinned, (_, ref) in zip(want, GAUSSIAN_RATIO_INVERSE):
         assert pinned == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("mu, sigma, d, u, ref", GAUSSIAN_RATIO_INVERSE_MORE)
+def test_gaussian_ratio_inverse_matches_40_digit_references_to_d_64(mu, sigma, d, u, ref):
+    # ln r = ln h_max - a x: an ulp or two of x, and of ln h_max, moves ln r
+    # by that share of |ln h_max| + |ln r|; at d = 64, r is below h_max 2^-147
+    w = GaussianWidth(mu, sigma, d)
+    ln_r = math.log(float(w.ratio_inverse(u)[0]))
+    ln_ref = math.log(ref)
+    assert abs(ln_r - ln_ref) <= 8.0 * sys.float_info.epsilon * (abs(w.ln_h_max) + abs(ln_ref))
 
 
 def test_step_segment_matches_searchsorted_form():
@@ -525,6 +532,29 @@ def test_width_without_tail_raises_not_implemented():
     assert _NoTailWidth().tail_integral(2.0).value == 0.0
 
 
+def test_width_without_inverse_raises_not_implemented():
+    # r is part of the contract of a width a synthetic pair samples, as T
+    # is: no r is derived from w
+    w = TriangleWidth()
+    with pytest.raises(NotImplementedError):
+        w.ratio_inverse(np.array([0.5]))
+    with pytest.raises(NotImplementedError):
+        SyntheticSpec(w).log_ratio(np.array([0.5]))
+    # the domain check still comes first
+    with pytest.raises(InvalidParameterError, match=r"defined on \(0, 1\)"):
+        w.ratio_inverse(1.5)
+
+
+def test_every_width_class_states_its_own_inverse():
+    classes = {name: cls for name, cls in vars(width_module).items()
+               if isinstance(cls, type) and issubclass(cls, WidthFunction)
+               and cls is not WidthFunction}
+    assert {"StepWidth", "LaplaceWidth", "GaussianWidth", "OptimalCsWidth",
+            "OptimalAcsWidth"} <= set(classes)
+    for name, cls in classes.items():
+        assert "_inverse" in vars(cls), name
+
+
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
 def test_gaussian_width_rejects_non_finite_mu(mu):
     with pytest.raises(InvalidParameterError, match="finite mu"):
@@ -596,9 +626,6 @@ BAD_WIDTH_CALLS = {
     "discrete_q_not_ac": (lambda: width_from_discrete((0.5, 0.5), (1.0, 0.0)),
                           "Q is not absolutely continuous"),
     "table_one_row": (lambda: width_from_table([(0.0, 1.0)]), "at least two rows"),
-    # the bisection inverse, on a width whose h_max gives it no upper end
-    "generic_inverse": (lambda: WidthFunction._inverse(OptimalCsWidth(0.5), np.array([0.5])),
-                        "needs finite h_max"),
 }
 
 

@@ -13,7 +13,8 @@ peak log-ratio t0, the width is w(h) = F_P(x) at x = (d t0 - ln h)/a, and
 the tail is the layer cake T(h) = F_Q(x / sigma^2) - h F_P(x). F_P and F_Q
 are noncentral chi-square CDFs with d degrees of freedom and noncentralities
 d c^2 and d (mu - c)^2 / sigma^2, summed here as Poisson mixtures of
-regularized lower incomplete gammas.
+regularized lower incomplete gammas. The ratio r(u) is h_max exp(-a x) at
+the root x of F_P(x) = u, found by Illinois regula falsi.
 
 The LaplaceWidth(0.5) index law. Its width is w(h) = 1 - h/2 on [0, 2], so
 with delta = 1 - h/2 the tail is T = delta^2 and the orbit is the exact map
@@ -100,8 +101,12 @@ class Gaussian:
 
     def ratio_inverse(self, u: float):
         """r(u): the h whose w(h) is u, so h_max exp(-a x) at F_P(x) = u."""
+        # Illinois regula falsi keeps the sign change of F_P - u bracketed;
+        # its Anderson-Bjorck variant, "anderson", raised "Could not find
+        # root" at (0, 0.6, 1), u = 0.9
         x = mp.findroot(lambda t: ncx2_cdf(t, self.d, self.nc_p) - u,
-                        (mp.mpf(0), mp.mpf(4) * (self.d + self.nc_p) + 40), solver="anderson")
+                        (mp.mpf(0), mp.mpf(4) * (self.d + self.nc_p) + 40),
+                        solver="illinois", tol=mp.mpf(10) ** -50)
         return mp.exp(self.ln_h_max - self.a * x)
 
 
@@ -123,6 +128,9 @@ NEAR_H_MAX_DEFAULT = (1e-6,)
 SMALLEST = 1e-300
 
 RATIO_INVERSE_U = (0.1, 0.25, 0.5, 0.9)
+# Gaussians in more dimensions whose r(u) is also written, at the same u; at
+# d = 64, r lies far below h_max * 2^-147 (r(0.5) is about 3.9e-78)
+RATIO_INVERSE_MORE = ((1.0, 0.5, 2), (1.0, 0.5, 64))
 LAPLACE_HALF_STEPS = 10**6
 
 OPTIMAL_CS_ALPHAS = (0.1, 0.5, 0.9)
@@ -227,6 +235,18 @@ def ratio_inverse_rows() -> list[str]:
     return [f"    ({u!r}, {fmt(g.ratio_inverse(u))})," for u in RATIO_INVERSE_U]
 
 
+def more_ratio_inverse_rows() -> list[str]:
+    rows = []
+    for mu, sigma, d in RATIO_INVERSE_MORE:
+        g = Gaussian(mu, sigma, d)
+        for u in RATIO_INVERSE_U:
+            r = g.ratio_inverse(u)
+            print(f"gaussian mu={mu} sigma={sigma} d={d} u={u!r}: r={mp.nstr(r, 8)}",
+                  file=sys.stderr)
+            rows.append(f"    ({mu!r}, {sigma!r}, {d!r}, {u!r}, {fmt(r)}),")
+    return rows
+
+
 def laplace_half_entropy_row() -> str:
     """(steps, dense sum, dense sum plus the max-entropy bound), in bits."""
     d, nats = mp.mpf(1), mp.mpf(0)
@@ -275,6 +295,11 @@ def main() -> None:
         "# GaussianWidth(1.0, 0.5, 1).ratio_inverse(u): (u, r(u))",
         "GAUSSIAN_RATIO_INVERSE = [",
         *ratio_inverse_rows(),
+        "]",
+        "",
+        "# the same for GaussianWidth(mu, sigma, d) at d = 2 and d = 64: (mu, sigma, d, u, r(u))",
+        "GAUSSIAN_RATIO_INVERSE_MORE = [",
+        *more_ratio_inverse_rows(),
         "]",
         "",
         "# H[K] in bits of the LaplaceWidth(0.5) index law, whose orbit is the exact",
