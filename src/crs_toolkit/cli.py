@@ -9,8 +9,9 @@
     crs-toolkit experiment {laplace|gaussian|epsilon} [--grid CSV] [--out PATH]
     crs-toolkit verify --suite {default|PATH}
 
-Exit status: 0 on success, 1 when a verified bound fails or a computation
-cannot be completed, 2 on usage, parameter or input-file errors. Scalars
+Exit status: 0 on success, 1 when a verified bound fails, a computation
+cannot be completed or the reader closes stdout early (quietly), 2 on usage,
+parameter or input-file errors. Scalars
 carry nine digits after the decimal point; all values are bits unless a
 column name says nats. Identical argv and seed give byte-identical output.
 """
@@ -194,14 +195,20 @@ def _run_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = {"divergence": _run_divergence, "grs": _run_grs,
+           "experiment": _run_experiment, "verify": _run_verify}[args.command]
     try:
-        if args.command == "divergence":
-            return _run_divergence(args)
-        if args.command == "grs":
-            return _run_grs(args)
-        if args.command == "experiment":
-            return _run_experiment(args)
-        return _run_verify(args)
+        code = run(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # end quietly, as a SIGPIPE would: closing stdout closes its file
+        # even though its flush fails, so the flush at exit has nothing to write
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
+        return 1
     # OverflowError: parameters whose width has h_max beyond the float range
     except (InvalidParameterError, OSError, UnicodeDecodeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -484,7 +484,9 @@ def _run_replicas(pair: DistributionPair, w: WidthFunction, rng_stream: RngStrea
 
     A replica accepts at step k with u S_k + L_k <= r, that is u <= beta,
     where r is dQ/dP at the proposal; a step with no survival mass left
-    accepts, as its beta is 1. The orbit of w is read step by step, so no
+    accepts, as its beta is 1. A round reads its proposals and their r in
+    one pair.draw_ratio call, which a discrete or step-width synthetic pair
+    answers from a table. The orbit of w is read step by step, so no
     deeper than the deepest step a replica reaches.
     """
     rec, gen = GrsRecursion(w), rng_stream.generator()
@@ -495,14 +497,15 @@ def _run_replicas(pair: DistributionPair, w: WidthFunction, rng_stream: RngStrea
         m = active.size
         B = max(1, min(_ROUND_POINTS // m, grow))
         grow = min(2 * grow, _ROUND_POINTS)
-        x = pair.draw(gen, m * B)
+        x, r = pair.draw_ratio(gen, m * B)
         u = gen.random(m * B)
-        r = np.exp(pair.log_ratio(x))
         if accepted is None:
             accepted = np.zeros((n, *x.shape[1:]), dtype=x.dtype)
         if B == 1:
             L, S = _acceptance_state(rec, k, m, n)
-            acc = u * S + L <= r
+            u *= S  # u S + L <= r, in place
+            u += L
+            acc = u <= r
             pos = np.flatnonzero(acc)  # take and compress beat indexing by a mask
             hit = active.take(pos)
             indices[hit] = k

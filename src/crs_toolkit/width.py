@@ -202,10 +202,11 @@ class StepWidth(WidthFunction):
         # so a small tail is never the difference of two large masses
         self._cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
         self._suffix = np.append(np.cumsum(seg_mass[::-1])[::-1], 0.0)
-        # _inverse's levels, negated to ascend, and their right edges, with
-        # a phantom level 1 at h = 0
-        self._neg_levels = -np.concatenate(([1.0], values_a))
-        self._level_edges = np.concatenate(([0.0], edges_a[1:]))
+        # _inverse's levels, ascending, with a phantom level 1 at h = 0 last,
+        # and at index s, r(u) for levels[s - 1] <= u < levels[s]: the right
+        # edge of the segment whose value is levels[s]
+        self._levels = np.append(values_a[::-1], 1.0)
+        self._level_ratios = np.append(edges_a[:0:-1], 0.0)
 
     def _formula(self, h: np.ndarray) -> np.ndarray:
         # side="left" puts an exact edge hit in the segment to its left.
@@ -236,9 +237,8 @@ class StepWidth(WidthFunction):
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         # w(h) > u holds up to the right edge of the last segment whose value
-        # exceeds u; the phantom level 1 at h = 0 makes count >= 1 always.
-        count = np.searchsorted(self._neg_levels, -u, side="left")
-        return self._level_edges[count - 1]
+        # exceeds u; the phantom level 1 > u keeps the index in range
+        return self._level_ratios[np.searchsorted(self._levels, u, side="right")]
 
 
 class LaplaceWidth(WidthFunction):

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -411,3 +415,21 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that stops early, as `| head -c 50` does: the CLI printed
+    # "error: [Errno 32] Broken pipe" and exited 2, as for a bad parameter.
+    # The law's JSON is about 850 KB, far more than a pipe holds, so the
+    # CLI is still writing when the reader closes
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crs_toolkit.cli", "grs", "entropy", "--family", "laplace",
+         "--b", "0.05", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+    assert head.startswith(b'{"p": [0.188575078')

@@ -40,6 +40,7 @@ from crs_toolkit.width import (
     two_level_width,
     width_eval,
     width_from_discrete,
+    width_from_table,
 )
 
 from exact_laws import exact_law
@@ -670,6 +671,33 @@ def test_sampler_deterministic_given_stream():
     assert np.array_equal(res1.accepted, res2.accepted)
 
 
+# sha256 of json.dumps([indices, accepted, runs]) for grs_empirical(pair, w,
+# RngStream(seed, 0), 2000) and runs = [grs_sample(pair, w, RngStream(seed,
+# j)) for j in 1..20], made with numpy 2.4.6 before the sampler read dQ/dP
+# through draw_ratio: the tables must not move a single draw
+SAMPLER_OUTPUT_SHA256 = {
+    "discrete_p0": (60, discrete_spec((0.45, 0.0, 0.3, 0.0, 0.25), (0.15, 0.0, 0.35, 0.2, 0.3)),
+                    "6bbfa40b5ec1a9d37cd39abfeab9431b09b21c0ef267a5836eed6aa599fa8d9f"),
+    "two_level": (61, SyntheticSpec(two_level_width(0.13)),
+                  "df74069d8de181ebdfe97d9a19794839a3a9aab0d533f0a40425ff711354a005"),
+    "equality": (62, SyntheticSpec(equality_case_width(3.0)),
+                 "1422ccd2d57befe51960e22dc36c4aae575d5563d62b249a2bfb158f738f2783"),
+    "width_table": (63, SyntheticSpec(width_from_table(
+        [(0.0, 1.0), (0.5, 0.6), (1.0, 0.25), (1.4, 0.1), (2.4, 0.0)])),
+        "7477ceb90222b91896b6e914d3ae300277c2dcaa52c55e50ec5b479b5b5f661c"),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLER_OUTPUT_SHA256)
+def test_sampler_outputs_pinned(name):
+    seed, pair, digest = SAMPLER_OUTPUT_SHA256[name]
+    w = pair.width()
+    res = grs_empirical(pair, w, RngStream(seed, 0), 2000)
+    runs = [grs_sample(pair, w, RngStream(seed, j)) for j in range(1, 21)]
+    blob = json.dumps([res.indices.tolist(), res.accepted.tolist(), runs])
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 def _index_chi2_pvalue(indices: np.ndarray, w) -> float:
     """Chi-square p-value of observed indices against the exact index law;
     steps expected fewer than 5 times are pooled into one tail cell."""
@@ -744,12 +772,9 @@ class _DrawLog:
     def __init__(self, pair):
         self.pair, self.sizes = pair, []
 
-    def draw(self, gen, n):
+    def draw_ratio(self, gen, n):
         self.sizes.append(n)
-        return self.pair.draw(gen, n)
-
-    def log_ratio(self, x):
-        return self.pair.log_ratio(x)
+        return self.pair.draw_ratio(gen, n)
 
 
 def test_step_cap_does_not_change_runs_within_it(monkeypatch):

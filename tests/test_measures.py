@@ -12,7 +12,14 @@ from crs_toolkit.measures import (
     make_pair,
 )
 from crs_toolkit.streams import RngStream
-from crs_toolkit.width import d_infinity, equality_case_width, two_level_width, width_eval
+from crs_toolkit.width import (
+    OptimalCsWidth,
+    d_infinity,
+    equality_case_width,
+    two_level_width,
+    width_eval,
+    width_from_table,
+)
 
 LN2 = math.log(2.0)
 
@@ -159,6 +166,71 @@ def test_discrete_draw_boundaries_below_the_last_atom_are_the_cumulative_sums():
     cum = np.cumsum(p)
     u = np.concatenate([cum[:3], np.nextafter(cum[:3], 0.0)])
     assert pair.draw(_StubGenerator(u), u.size).tolist() == [1, 2, 3, 0, 1, 2]
+
+
+WIDTH_TABLE = width_from_table([(0.0, 1.0), (0.5, 0.6), (1.0, 0.25), (1.4, 0.1), (2.4, 0.0)])
+# a p = 0 atom, a q = 0 atom of ratio 0, atoms narrower than a guide cell,
+# cum_p pinned at 1 below a short sum, and many atoms crowding one cell
+SEARCH_PAIRS = {
+    "p_zero": discrete_spec((0.45, 0.0, 0.3, 0.0, 0.25), (0.15, 0.0, 0.35, 0.2, 0.3)),
+    "narrow": discrete_spec((0.2, 0.3, 0.1, 0.4, 0.0), (0.5 - 1e-9, 1e-3, 1e-9, 0.25, 0.249)),
+    "short_sum": discrete_spec((0.5, 0.4999999999995, 0.0), (0.5, 0.4999999999995, 0.0)),
+    "dirichlet": discrete_spec(np.random.default_rng(7).dirichlet(np.full(40, 0.3)),
+                               np.random.default_rng(8).dirichlet(np.full(40, 0.3))),
+    "crowded": discrete_spec((0.5,) + (0.0,) * 30 + (0.5,), (0.5,) + (1e-15,) * 30 + (0.5 - 3e-14,)),
+}
+DRAW_RATIO_PAIRS = {
+    "laplace": LaplaceSpec(0.3),
+    "laplace_identity": LaplaceSpec(1.0),
+    "gaussian_d1": GaussianSpec(0.4, 0.6, 1),
+    "gaussian_d3": GaussianSpec(1.0, 0.5, 3),
+    **SEARCH_PAIRS,
+    "two_level": SyntheticSpec(two_level_width(0.13)),
+    "equality": SyntheticSpec(equality_case_width(3.0)),
+    "width_table": SyntheticSpec(WIDTH_TABLE),
+    "smooth_synthetic": SyntheticSpec(OptimalCsWidth(0.5)),
+}
+
+
+@pytest.mark.parametrize("name", DRAW_RATIO_PAIRS)
+def test_draw_ratio_is_the_draw_and_its_exp_log_ratio_bit_for_bit(name):
+    pair = DRAW_RATIO_PAIRS[name]
+    for stream in range(3):
+        fused, plain = RngStream(41, stream).generator(), RngStream(41, stream).generator()
+        x, r = pair.draw_ratio(fused, 3000)
+        x_plain = pair.draw(plain, 3000)
+        assert x.dtype == x_plain.dtype and np.array_equal(x, x_plain)
+        assert r.tobytes() == np.exp(pair.log_ratio(x_plain)).tobytes()
+        assert fused.random() == plain.random()  # both read the stream as far
+
+
+def _hard_uniforms(cum_p):
+    """Every cell edge k/2^j for 2^j <= 1024, each cum_p value and the floats
+    on either side of both, all in [0, 1)."""
+    edges = np.arange(1024) / 1024
+    points = np.concatenate([edges, cum_p])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+@pytest.mark.parametrize("name", SEARCH_PAIRS)
+def test_discrete_draw_is_the_search_of_cum_p_at_hard_uniforms(name):
+    pair = SEARCH_PAIRS[name]
+    u = np.concatenate([_hard_uniforms(pair._cum_p), RngStream(42, 0).generator().random(10**5)])
+    x, r = pair.draw_ratio(_StubGenerator(u), u.size)
+    assert np.array_equal(x, np.searchsorted(pair._cum_p, u, side="right"))
+    assert r.tobytes() == np.exp(pair.log_ratio(x)).tobytes()
+    assert (pair._guide is None) == (name == "crowded")  # a crowded cell is searched
+
+
+@pytest.mark.parametrize("w", [equality_case_width(4.0), two_level_width(0.13), WIDTH_TABLE],
+                         ids=["equality", "two_level", "width_table"])
+def test_synthetic_draw_ratio_reads_a_zero_uniform_at_the_floor(w):
+    pair = SyntheticSpec(w)
+    x, r = pair.draw_ratio(_StubGenerator([0.0, 0.5, 1.0 - 2.0**-53]), 3)
+    assert x[0] == 2.0**-54
+    assert r[0] == pytest.approx(w.h_max, rel=1e-15)  # exp(log r) may move r by an ulp
+    assert r.tobytes() == np.exp(pair.log_ratio(x)).tobytes()
 
 
 def test_sampling_is_keyed_and_deterministic():
