@@ -195,10 +195,15 @@ def _run_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    run = {"divergence": _run_divergence, "grs": _run_grs,
-           "experiment": _run_experiment, "verify": _run_verify}[args.command]
     try:
-        code = run(args)
+        if args.command == "divergence":
+            code = _run_divergence(args)
+        elif args.command == "grs":
+            code = _run_grs(args)
+        elif args.command == "experiment":
+            code = _run_experiment(args)
+        else:
+            code = _run_verify(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return code
     except BrokenPipeError:

@@ -7,9 +7,10 @@ each family tag to its class and drives suite files and the CLI alike.
 
 The sampler reads draws and ratios together, through draw_ratio: n proposals
 and their dQ/dP, equal bit for bit to np.exp(log_ratio(x)). By default it is
-just that; a discrete pair and a synthetic pair on a step width gather dQ/dP
-from a table built with the pair instead, with no log, no exp and none of
-log_ratio's checks of points that draw has just produced.
+just that; a discrete pair (from a ratio table built with it) and a
+synthetic pair on a step width (from the width's table of its levels)
+gather dQ/dP instead, with no log, no exp and none of log_ratio's checks of
+points that draw has just produced.
 
 Sample spaces are concrete carriers: real scalars (laplace, synthetic on the
 unit interval), real vectors (gaussian product pairs with equal
@@ -191,20 +192,9 @@ class DiscreteSpec(DistributionPair):
         # pinned at 1 from the last atom with p > 0, so that no u < 1 maps past it
         cum_p = np.cumsum(p)
         cum_p[np.flatnonzero(p)[-1]:] = 1.0
-        # draw's guide table: cell c = [c/G, (c+1)/G) of u starts its search
-        # at the first atom with cum_p > c/G, and each correction pass moves
-        # past one more cum_p inside the cell; G is a power of two, so u G
-        # and c/G are exact
-        cells = 1 << (4 * q.size - 1).bit_length()
-        edges = np.arange(cells + 1) / cells
-        guide = np.searchsorted(cum_p, edges[:-1], side="right")
-        passes = int(np.max(np.searchsorted(cum_p, edges[1:], side="left") - guide))
-        if passes > q.size.bit_length():  # a crowded cell: binary search is cheaper
-            guide = None
         vars(self).update(
             q=tuple(float(v) for v in q), p=tuple(float(v) for v in p),
-            _q=q, _p=p, _cum_p=cum_p, _log_ratios=log_ratios, _ratios=np.exp(log_ratios),
-            _guide=guide, _passes=passes)
+            _q=q, _p=p, _cum_p=cum_p, _log_ratios=log_ratios, _ratios=np.exp(log_ratios))
 
     @classmethod
     def from_json(cls, obj: dict) -> DiscreteSpec:
@@ -234,15 +224,8 @@ class DiscreteSpec(DistributionPair):
         return out
 
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """The atom i with cum_p[i - 1] <= u < cum_p[i], for u = gen.random(n):
-        searchsorted(cum_p, u, side="right"), read from the guide table."""
-        u = gen.random(n)
-        if self._guide is None:
-            return np.searchsorted(self._cum_p, u, side="right")
-        atom = self._guide.take((u * self._guide.size).astype(np.intp))
-        for _ in range(self._passes):
-            atom += u >= self._cum_p.take(atom)
-        return atom
+        """The atom i with cum_p[i - 1] <= u < cum_p[i], for u = gen.random(n)."""
+        return np.searchsorted(self._cum_p, gen.random(n), side="right")
 
     def draw_ratio(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         x = self.draw(gen, n)
@@ -267,13 +250,6 @@ class SyntheticSpec(DistributionPair):
         if abs(mass - 1.0) > 1e-9:
             raise InvalidParameterError(
                 f"synthetic width mass {mass!r} differs from 1 by more than 1e-9")
-        # draw_ratio's table on a step width: dQ/dP at each level, through
-        # the log and exp that log_ratio and the sampler would take
-        ratios = None
-        if isinstance(self.w, StepWidth):
-            with np.errstate(divide="ignore"):  # a ratio of 0 has log -inf
-                ratios = np.exp(np.log(self.w._level_ratios))
-        vars(self).update(_ratios=ratios)
 
     @classmethod
     def from_json(cls, obj: dict) -> SyntheticSpec:
@@ -302,10 +278,10 @@ class SyntheticSpec(DistributionPair):
         return np.maximum(gen.random(n), 2.0**-54)
 
     def draw_ratio(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._ratios is None:
+        if not isinstance(self.w, StepWidth):
             return super().draw_ratio(gen, n)
-        x = self.draw(gen, n)  # in (0, 1): the search StepWidth._inverse makes, unchecked
-        return x, self._ratios.take(np.searchsorted(self.w._levels, x, side="right"))
+        x = self.draw(gen, n)  # in (0, 1), as exp_log_inverse assumes
+        return x, self.w.exp_log_inverse(x)
 
 
 FAMILIES: dict[str, type[DistributionPair]] = {

@@ -235,10 +235,25 @@ class StepWidth(WidthFunction):
         value = float(self.values[j] * (self.edges[j + 1] - h) + self._suffix[j + 1])
         return QuadResult(value, 0.0, True, 0)
 
-    def _inverse(self, u: np.ndarray) -> np.ndarray:
+    def _level(self, u: np.ndarray) -> np.ndarray:
         # w(h) > u holds up to the right edge of the last segment whose value
         # exceeds u; the phantom level 1 > u keeps the index in range
-        return self._level_ratios[np.searchsorted(self._levels, u, side="right")]
+        return np.searchsorted(self._levels, u, side="right")
+
+    def _inverse(self, u: np.ndarray) -> np.ndarray:
+        return self._level_ratios[self._level(u)]
+
+    # built on first use: only a synthetic pair's sampler reads it
+    @functools.cached_property
+    def _exp_log_level_ratios(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):  # a ratio of 0 has log -inf
+            return np.exp(np.log(self._level_ratios))
+
+    def exp_log_inverse(self, u: np.ndarray) -> np.ndarray:
+        """exp(log r(u)) for u in (0, 1), unchecked, gathered from a table of
+        the levels: the synthetic pair's dQ/dP as np.exp of its log_ratio
+        gives it, bit for bit (exp(log r) can be an ulp off r)."""
+        return self._exp_log_level_ratios.take(self._level(u))
 
 
 class LaplaceWidth(WidthFunction):

@@ -169,15 +169,15 @@ def test_discrete_draw_boundaries_below_the_last_atom_are_the_cumulative_sums():
 
 
 WIDTH_TABLE = width_from_table([(0.0, 1.0), (0.5, 0.6), (1.0, 0.25), (1.4, 0.1), (2.4, 0.0)])
-# a p = 0 atom, a q = 0 atom of ratio 0, atoms narrower than a guide cell,
-# cum_p pinned at 1 below a short sum, and many atoms crowding one cell
+# a p = 0 atom, a q = 0 atom of ratio 0, narrow atoms, cum_p pinned at 1
+# below a short sum, and many atoms of width 1e-15
 SEARCH_PAIRS = {
     "p_zero": discrete_spec((0.45, 0.0, 0.3, 0.0, 0.25), (0.15, 0.0, 0.35, 0.2, 0.3)),
     "narrow": discrete_spec((0.2, 0.3, 0.1, 0.4, 0.0), (0.5 - 1e-9, 1e-3, 1e-9, 0.25, 0.249)),
     "short_sum": discrete_spec((0.5, 0.4999999999995, 0.0), (0.5, 0.4999999999995, 0.0)),
     "dirichlet": discrete_spec(np.random.default_rng(7).dirichlet(np.full(40, 0.3)),
                                np.random.default_rng(8).dirichlet(np.full(40, 0.3))),
-    "crowded": discrete_spec((0.5,) + (0.0,) * 30 + (0.5,), (0.5,) + (1e-15,) * 30 + (0.5 - 3e-14,)),
+    "tiny_atoms": discrete_spec((0.5,) + (0.0,) * 30 + (0.5,), (0.5,) + (1e-15,) * 30 + (0.5 - 3e-14,)),
 }
 DRAW_RATIO_PAIRS = {
     "laplace": LaplaceSpec(0.3),
@@ -205,22 +205,21 @@ def test_draw_ratio_is_the_draw_and_its_exp_log_ratio_bit_for_bit(name):
 
 
 def _hard_uniforms(cum_p):
-    """Every cell edge k/2^j for 2^j <= 1024, each cum_p value and the floats
-    on either side of both, all in [0, 1)."""
-    edges = np.arange(1024) / 1024
-    points = np.concatenate([edges, cum_p])
+    """0, each cum_p value and the floats on either side of it, all in [0, 1)."""
+    points = np.append(cum_p, 0.0)
     u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
     return np.unique(u[(u >= 0.0) & (u < 1.0)])
 
 
 @pytest.mark.parametrize("name", SEARCH_PAIRS)
-def test_discrete_draw_is_the_search_of_cum_p_at_hard_uniforms(name):
+def test_discrete_draw_ratio_reads_the_atom_whose_cum_p_interval_holds_u(name):
     pair = SEARCH_PAIRS[name]
     u = np.concatenate([_hard_uniforms(pair._cum_p), RngStream(42, 0).generator().random(10**5)])
     x, r = pair.draw_ratio(_StubGenerator(u), u.size)
-    assert np.array_equal(x, np.searchsorted(pair._cum_p, u, side="right"))
+    below = np.append(0.0, pair._cum_p)
+    assert np.all((below[x] <= u) & (u < below[x + 1]))  # cum_p[i - 1] <= u < cum_p[i]
+    assert np.all(pair._p[x] > 0.0)  # so no p = 0 atom is drawn
     assert r.tobytes() == np.exp(pair.log_ratio(x)).tobytes()
-    assert (pair._guide is None) == (name == "crowded")  # a crowded cell is searched
 
 
 @pytest.mark.parametrize("w", [equality_case_width(4.0), two_level_width(0.13), WIDTH_TABLE],

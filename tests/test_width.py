@@ -389,6 +389,20 @@ def test_step_width_ratio_inverse_levels():
     assert r[2] == pytest.approx(a + span)
 
 
+
+@pytest.mark.parametrize("w", [equality_case_width(4.0), two_level_width(0.13),
+                               StepWidth([0.0, 0.5, 1.0, 1.4, 2.4], [1.0, 0.6, 0.25, 0.1])],
+                         ids=["equality", "two_level", "four_levels"])
+def test_step_width_exp_log_inverse_is_exp_log_of_ratio_inverse(w):
+    # at each level and the floats on either side of it, where the level search
+    # changes its answer
+    levels = np.append(w.values, 2.0**-54)
+    u = np.concatenate([levels, np.nextafter(levels, 0.0), np.nextafter(levels, 1.0)])
+    u = u[(u > 0.0) & (u < 1.0)]
+    with np.errstate(divide="ignore"):  # a ratio of 0 has log -inf
+        expected = np.exp(np.log(w.ratio_inverse(u)))
+    assert w.exp_log_inverse(u).tobytes() == expected.tobytes()
+
 # ratio_inverse at u = 0.1, 0.25, 0.5, 0.9, as exact reprs of the values
 # returned before the domain check moved into WidthFunction.ratio_inverse;
 # the Gaussian row is h_max exp(-a x) at chndtrix's x
