@@ -228,7 +228,8 @@ def quad_phi_integral(
         raise InvalidParameterError("phi must be a PhiSpec with a proven sup_value")
     kind = "CS" if phi is PHI_XLOGX else "ACS" if phi is PHI_BINARY_ENTROPY else "PHI"
     if isinstance(w, StepWidth):
-        exact = float(np.dot(np.diff(w.edges), phi(w.values)))
+        # phi's clip is left out: the values lie in (0, 1] already
+        exact = float(np.dot(w._lengths, phi.fn(w.values)))
         return _report(kind, exact / LN2, 0.0, "discrete_sum")
     res = _phi_quad(w, phi, tol * LN2)
     return _report(kind, res.value / LN2, res.error / LN2, "quadrature", res.converged)
@@ -265,13 +266,9 @@ def _w_ln_h_quad(w: WidthFunction, tol: float) -> QuadResult:
 
 def _kl_width_identity_bits(w: WidthFunction, tol_bits: float) -> tuple[float, float, bool, str]:
     if isinstance(w, StepWidth):
-        # exact: int_a^b ln h dh = [h ln h - h]
-        def seg(a: float, b: float) -> float:
-            fa = 0.0 if a == 0.0 else a * math.log(a) - a
-            return b * math.log(b) - b - fa
-
-        total = math.fsum(v * seg(a, b) for a, b, v
-                          in zip(w.edges[:-1], w.edges[1:], w.values))
+        # exact: int_a^b ln h dh = F(b) - F(a), F(h) = h ln h - h, F(0) = 0
+        f = [0.0, *(h * math.log(h) - h for h in w.breakpoints)]
+        total = math.fsum(v * (b - a) for v, a, b in zip(w.values.tolist(), f, f[1:]))
         return (1.0 + total) / LN2, 0.0, True, "discrete_sum"
     res = _w_ln_h_quad(w, tol_bits * LN2)
     return (1.0 + res.value) / LN2, res.error / LN2, res.converged, "quadrature"

@@ -18,7 +18,7 @@ import math
 import platform
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -218,8 +218,7 @@ class SuiteEntry:
     eps_stop: float = SUITE_EPS_STOP
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple):
     name: str
     lhs: float
     rhs: float

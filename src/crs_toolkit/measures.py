@@ -32,18 +32,17 @@ from .width import (
     LaplaceWidth,
     StepWidth,
     WidthFunction,
+    _discrete_arrays,
+    _discrete_step_width,
     equality_case_width,
     gaussian_log_ratio_constants,
     indicator_width,
     read_width_table,
     two_level_width,
-    width_from_discrete,
     width_from_table,
 )
 
 LN2 = math.log(2.0)
-
-_SUM_TOL = 1e-12
 
 
 def json_number(obj: dict, key: str) -> float:
@@ -175,16 +174,7 @@ class DiscreteSpec(DistributionPair):
     family = "discrete"
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=float)  # copies: the arrays are cached below
-        p = np.array(self.p, dtype=float)
-        if q.ndim != 1 or q.shape != p.shape or q.size == 0:
-            raise InvalidParameterError("q and p must be equal-length non-empty vectors")
-        if not (np.all(q >= 0.0) and np.all(p >= 0.0)):  # NaN fails too
-            raise InvalidParameterError("probability vectors must be non-negative")
-        if abs(q.sum() - 1.0) > _SUM_TOL or abs(p.sum() - 1.0) > _SUM_TOL:
-            raise InvalidParameterError("q and p must each sum to 1 within 1e-12")
-        if np.any((q > 0.0) & (p == 0.0)):
-            raise InvalidParameterError("Q is not absolutely continuous w.r.t. P")
+        q, p = _discrete_arrays(self.q, self.p)  # copies: the arrays are cached below
         log_ratios = np.full_like(q, np.nan)  # NaN marks the points outside P's support
         np.divide(q, p, out=log_ratios, where=p > 0.0)
         with np.errstate(divide="ignore"):  # an atom with q = 0 has log ratio -inf
@@ -204,7 +194,7 @@ class DiscreteSpec(DistributionPair):
         return {"family": "discrete", "q": list(self.q), "p": list(self.p)}
 
     def width(self) -> WidthFunction:
-        return width_from_discrete(self.q, self.p)
+        return _discrete_step_width(self._q, self._p)
 
     def kl_bits(self) -> float:
         q, p, m = self._q, self._p, self._q > 0.0

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -73,6 +74,8 @@ _LAPLACE_SERIES_TERMS = 40
 # to this tolerance relative to (h_max - h) w(h) >= T(h)
 _GAUSSIAN_CANCEL_LIMIT = 1e-7
 _GAUSSIAN_QUAD_TOL = 1e-13
+# a discrete pair's q and p each sum to 1 within this
+_SUM_TOL = 1e-12
 
 def gaussian_log_ratio_constants(mu: float, sigma: float) -> tuple[float, float, float]:
     """Per-dimension constants (a, c, t0) of the Gaussian pair log-ratio.
@@ -176,7 +179,11 @@ class StepWidth(WidthFunction):
     """Piecewise-constant width: values[j] on (edges[j], edges[j+1]].
 
     All integrals are exact segment sums, so recursions driven by a step
-    width are exact up to float rounding.
+    width are exact up to float rounding. Construction validates once and
+    builds the tables every exact integral reads: the segment lengths
+    _lengths, the masses _cum below and _suffix above each edge, and the
+    breakpoints. The tables of r(u), _levels and _level_ratios, and the
+    sampler's _exp_log_level_ratios are built on first use.
     """
 
     def __init__(self, edges: Sequence[float], values: Sequence[float]):
@@ -184,29 +191,39 @@ class StepWidth(WidthFunction):
         values_a = np.asarray(values, dtype=float)
         if edges_a.ndim != 1 or values_a.ndim != 1 or len(edges_a) != len(values_a) + 1:
             raise InvalidParameterError("need len(edges) == len(values) + 1")
-        # NaN fails each `not np.all(...)` test
-        if not (edges_a[0] == 0.0 and np.all(np.diff(edges_a) > 0.0)
-                and math.isfinite(edges_a[-1])):
+        if not len(values_a):
+            raise InvalidParameterError("a step width needs at least one segment")
+        lengths = edges_a[1:] - edges_a[:-1]
+        # NaN fails each test; values that do not increase lie within their ends
+        if not (edges_a[0] == 0.0 and lengths.min() > 0.0 and math.isfinite(edges_a[-1])):
             raise InvalidParameterError("edges must start at 0, strictly increase and be finite")
-        if not (np.all((values_a >= 0.0) & (values_a <= 1.0)) and np.all(np.diff(values_a) <= 0.0)):
+        if not (values_a[0] <= 1.0 and values_a[-1] >= 0.0
+                and (values_a[1:] <= values_a[:-1]).all()):
             raise InvalidParameterError("values must be non-increasing within [0, 1]")
         if values_a[-1] <= 0.0:
             raise InvalidParameterError(
                 "trailing zero-value segments must be dropped; they would overstate h_max")
-        self.edges = edges_a
-        self.values = values_a
+        self.edges, self.values, self._lengths = edges_a, values_a, lengths
         self.h_max = float(edges_a[-1])
-        self.breakpoints = tuple(float(e) for e in edges_a[1:])
-        seg_mass = np.diff(edges_a) * values_a
+        self.breakpoints = tuple(edges_a[1:].tolist())
+        seg_mass = lengths * values_a
         # mass below edges[j], and mass above edges[j] summed from the right,
         # so a small tail is never the difference of two large masses
-        self._cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
-        self._suffix = np.append(np.cumsum(seg_mass[::-1])[::-1], 0.0)
-        # _inverse's levels, ascending, with a phantom level 1 at h = 0 last,
-        # and at index s, r(u) for levels[s - 1] <= u < levels[s]: the right
-        # edge of the segment whose value is levels[s]
-        self._levels = np.append(values_a[::-1], 1.0)
-        self._level_ratios = np.append(edges_a[:0:-1], 0.0)
+        self._cum, self._suffix = np.zeros(len(edges_a)), np.zeros(len(edges_a))
+        seg_mass.cumsum(out=self._cum[1:])
+        seg_mass[::-1].cumsum(out=self._suffix[-2::-1])
+
+    # _inverse's levels, ascending, with a phantom level 1 at h = 0 last, and
+    # at index s, r(u) for levels[s - 1] <= u < levels[s]: the right edge of
+    # the segment whose value is levels[s]; built on first use, as only
+    # ratio_inverse and a synthetic pair's sampler read them
+    @functools.cached_property
+    def _levels(self) -> np.ndarray:
+        return np.append(self.values[::-1], 1.0)
+
+    @functools.cached_property
+    def _level_ratios(self) -> np.ndarray:
+        return np.append(self.edges[:0:-1], 0.0)
 
     def _formula(self, h: np.ndarray) -> np.ndarray:
         # side="left" puts an exact edge hit in the segment to its left.
@@ -560,33 +577,50 @@ class OptimalAcsWidth(WidthFunction):
         return np.power(1.0 / u - 1.0, 1.0 / self.alpha) / self.beta
 
 
-def width_from_discrete(q: Sequence[float], p: Sequence[float]) -> StepWidth:
-    """Exact step width of a discrete pair from its sorted density ratios."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
+def _discrete_arrays(q: Sequence[float], p: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(q, p) as new float arrays, once they are equal-length non-empty
+    probability vectors, each summing to 1 within 1e-12, with Q << P."""
+    q = np.array(q, dtype=float)
+    p = np.array(p, dtype=float)
+    if q.ndim != 1 or q.shape != p.shape or q.size == 0:
+        raise InvalidParameterError("q and p must be equal-length non-empty vectors")
+    if not (np.all(q >= 0.0) and np.all(p >= 0.0)):  # NaN fails too
+        raise InvalidParameterError("probability vectors must be non-negative")
+    if abs(q.sum() - 1.0) > _SUM_TOL or abs(p.sum() - 1.0) > _SUM_TOL:
+        raise InvalidParameterError("q and p must each sum to 1 within 1e-12")
     if np.any((q > 0.0) & (p == 0.0)):
         raise InvalidParameterError("Q is not absolutely continuous w.r.t. P")
+    return q, p
+
+
+def width_from_discrete(q: Sequence[float], p: Sequence[float]) -> StepWidth:
+    """Exact step width of a discrete pair from its sorted density ratios;
+    q and p must pass the checks of a DiscreteSpec."""
+    return _discrete_step_width(*_discrete_arrays(q, p))
+
+
+def _discrete_step_width(q: np.ndarray, p: np.ndarray) -> StepWidth:
+    """width_from_discrete of arrays that _discrete_arrays returned."""
     ratios = np.zeros_like(q)
     np.divide(q, p, out=ratios, where=p > 0.0)
     order = np.argsort(ratios, kind="stable")[::-1]
-    r_sorted = ratios[order]
-    p_sorted = p[order]
+    # descending, so equal ratios are adjacent and the positive ones lead:
+    # a level's mass adds its atoms' p in this order
     levels: list[float] = []
     masses: list[float] = []
-    for r, pm in zip(r_sorted, p_sorted):
+    for r, m in zip(ratios[order].tolist(), p[order].tolist()):
+        if not r > 0.0:
+            break
         if levels and r == levels[-1]:
-            masses[-1] += pm
+            masses[-1] += m
         else:
-            levels.append(float(r))
-            masses.append(float(pm))
-    # cum[i] = P(ratio >= levels[i]); on (levels[i+1], levels[i]] the width is
-    # cum[i], so ascending edges pair with the cumulative masses reversed.
-    # Roundoff can push the final cumulative a few ulp above 1.
-    cum = np.minimum(np.cumsum(masses), 1.0)
-    positive = [(r, c) for r, c in zip(levels, cum) if r > 0.0]
-    edges = [0.0] + [r for r, _ in reversed(positive)]
-    values = [c for _, c in reversed(positive)]
-    return StepWidth(edges, values)
+            levels.append(r)
+            masses.append(m)
+    # P(ratio >= levels[i]) is the width on (levels[i+1], levels[i]], so
+    # ascending edges pair with the cumulative masses reversed. Roundoff can
+    # push the final cumulative a few ulp above 1.
+    cum = [min(c, 1.0) for c in itertools.accumulate(masses)]
+    return StepWidth([0.0, *reversed(levels)], cum[::-1])
 
 
 def width_eval(spec: "DistributionPair") -> WidthFunction:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -10,7 +11,13 @@ import pytest
 from scipy import integrate, stats
 
 import crs_toolkit
+from crs_toolkit.divergences import (
+    alternative_divergence,
+    channel_simulation_divergence,
+    kl_divergence,
+)
 from crs_toolkit.errors import InvalidParameterError
+from crs_toolkit.grs import grs_index_distribution
 from crs_toolkit.measures import (
     DiscreteSpec,
     GaussianSpec,
@@ -608,6 +615,68 @@ def test_width_from_discrete_merges_equal_ratios():
     assert np.allclose(w.values, np.array([0.75, 0.25]))
 
 
+
+def _discrete_corpus():
+    """Seeded discrete pairs of 2 to 40 atoms, some with q = 0 atoms, some with
+    p = q = 0 atoms and some with tied ratios: copies of an atom scaled by
+    powers of two, so that their ratios tie exactly and their masses differ
+    (groups of up to 12, so a pairwise sum would reorder their masses)."""
+    rng = np.random.default_rng(52)
+    for case in range(120):
+        n = 2 + case % 39
+        # p at least 1/(2n) on each atom keeps D_inf below log2(2n) bits
+        q, p = rng.dirichlet(np.full(n, 0.7)), 0.5 * rng.dirichlet(np.full(n, 0.7)) + 0.5 / n
+        if case % 3 == 1:  # q = 0 atoms, never all of them
+            q[rng.random(n) < 0.3] = 0.0
+            q[rng.integers(n)] += 0.5
+        if case % 4 == 2:  # p = q = 0 atoms, never all of them
+            off = rng.random(n) < 0.25
+            off[rng.integers(n)] = False
+            q[off] = p[off] = 0.0
+            if q.sum() == 0.0:
+                q[~off] = 1.0
+        if case % 2 == 0 and n > 2:  # tied positive ratios
+            i = rng.choice(np.flatnonzero(q))
+            group = rng.choice(n, size=min(n - 1, 1 + case % 12), replace=False)
+            for k, j in enumerate(g for g in group if g != i):
+                scale = 2.0 ** -(k % 3)
+                q[j], p[j] = q[i] * scale, p[i] * scale
+        p[(q > 0.0) & (p == 0.0)] = 0.1
+        yield case, tuple((q / q.sum()).tolist()), tuple((p / p.sum()).tolist())
+
+
+def _exact_path_blob(w) -> bytes:
+    law = grs_index_distribution(w)
+    reports = (channel_simulation_divergence(w), alternative_divergence(w),
+               kl_divergence(SyntheticSpec(w), route="width_identity"))
+    floats = [x for r in reports for x in (r.value_bits, r.abs_error_estimate)]
+    floats += [law.tail_mass, law.entropy_bits, law.entropy_tail_bound_bits,
+               law.mean_index, law.mean_tail_bound, float(law.truncation_index)]
+    arrays = (w.edges, w.values, w._cum, w._suffix, law.p, np.array(floats))
+    return b"".join(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays)
+
+
+# sha256 over _exact_path_blob of width_from_discrete(q, p) for every pair
+# of _discrete_corpus, in order, made with numpy 2.4.6 before discrete widths
+# were built from their validated arrays and the exact sums read the step
+# width's segment lengths: neither may move a bit
+DISCRETE_EXACT_PATH_SHA256 = "0e8916b0eb1cb9505261996af57fe2a4be421b0e90db6955a6940d66c31f0097"
+
+
+def test_discrete_exact_path_pinned():
+    digest = hashlib.sha256()
+    for _, q, p in _discrete_corpus():
+        digest.update(_exact_path_blob(width_from_discrete(q, p)))
+    assert digest.hexdigest() == DISCRETE_EXACT_PATH_SHA256
+
+
+def test_discrete_spec_width_is_width_from_discrete_byte_for_byte():
+    for case, q, p in _discrete_corpus():
+        a, b = DiscreteSpec(q, p).width(), width_from_discrete(q, p)
+        for name in ("edges", "values", "_cum", "_suffix"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (case, name)
+        assert (a.h_max, a.breakpoints) == (b.h_max, b.breakpoints), case
+
 def test_width_table_roundtrip():
     w = StepWidth([0.0, 0.5, 1.5], [1.0, 0.5])
     rows = [(0.0, 1.0), (0.5, 0.5), (1.5, 0.0)]
@@ -639,6 +708,17 @@ BAD_WIDTH_CALLS = {
     "gaussian_sigma1": (lambda: GaussianWidth(0.0, 1.0, 1), "need 0 < sigma < 1"),
     "discrete_q_not_ac": (lambda: width_from_discrete((0.5, 0.5), (1.0, 0.0)),
                           "Q is not absolutely continuous"),
+    # each of these once gave a step width of mass 1.4, 2.0 or 1.5, or a bare IndexError
+    "discrete_q_mass_1_4": (lambda: width_from_discrete([0.7, 0.7], [0.5, 0.5]),
+                            "sum to 1 within 1e-12"),
+    "discrete_q_nan": (lambda: width_from_discrete([math.nan, 1.0], [0.5, 0.5]),
+                       "must be non-negative"),
+    "discrete_q_negative": (lambda: width_from_discrete([-0.5, 1.5], [0.5, 0.5]),
+                            "must be non-negative"),
+    "discrete_q_zero": (lambda: width_from_discrete([0.0, 0.0], [0.5, 0.5]),
+                        "sum to 1 within 1e-12"),
+    "discrete_empty": (lambda: width_from_discrete([], []), "equal-length non-empty vectors"),
+    "step_no_segment": (lambda: StepWidth([0.0], []), "at least one segment"),
     "table_one_row": (lambda: width_from_table([(0.0, 1.0)]), "at least two rows"),
 }
 
