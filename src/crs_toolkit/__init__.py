@@ -26,6 +26,7 @@ from .measures import (
     SyntheticSpec,
     discrete_spec,
     make_pair,
+    width_from_discrete,
 )
 from .width import (
     GaussianWidth,
@@ -40,7 +41,6 @@ from .width import (
     indicator_width,
     two_level_width,
     width_eval,
-    width_from_discrete,
     width_from_table,
 )
 from .divergences import (

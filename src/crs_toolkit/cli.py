@@ -36,7 +36,6 @@ from .experiments import STUDIES, bound_suite, load_suite_file, write_sweep
 from .grs import grs_empirical, grs_index_distribution, grs_sample
 from .measures import FAMILIES, DistributionPair
 from .streams import RngStream
-from .width import width_eval
 
 
 def _num(x: float) -> str:
@@ -123,7 +122,7 @@ def _run_divergence(args) -> int:
         report = kl_divergence(spec, route=spec.kl_route, tol=args.tol)
     else:
         fn = channel_simulation_divergence if args.kind == "cs" else alternative_divergence
-        report = fn(width_eval(spec), args.tol)
+        report = fn(spec.width(), args.tol)
     if not report.converged:
         print(f"warning: error estimate {report.abs_error_estimate:.3e} bits "
               "exceeds the requested tolerance", file=sys.stderr)
@@ -136,7 +135,7 @@ def _run_divergence(args) -> int:
 
 def _run_grs(args) -> int:
     spec = _pair_spec(args)
-    w = width_eval(spec)
+    w = spec.width()
     if args.action in ("entropy", "mean"):
         dist = grs_index_distribution(w, eps_stop=args.eps_stop)
         if args.format == "json":

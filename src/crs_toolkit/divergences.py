@@ -33,7 +33,7 @@ import numpy as np
 from . import measures
 from .errors import InvalidParameterError, QuadratureError
 from .quadrature import QuadResult, _check_tol, adaptive, seed_panels
-from .width import PowerTail, StepWidth, WidthFunction, width_eval
+from .width import PowerTail, StepWidth, WidthFunction
 
 LN2 = math.log(2.0)
 LOG2_E_PLUS_1 = math.log2(math.e + 1.0)
@@ -290,7 +290,7 @@ def kl_divergence(
     if route == "closed_form":
         return _report("KL", spec.kl_bits(), 0.0, "closed_form")
     if route == "width_identity":
-        value, err, converged, method = _kl_width_identity_bits(width_eval(spec), tol)
+        value, err, converged, method = _kl_width_identity_bits(spec.width(), tol)
         return _report("KL", value, err, method, converged)
     raise InvalidParameterError(f"unknown KL route {route!r}")
 

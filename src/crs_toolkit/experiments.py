@@ -43,7 +43,7 @@ from .measures import (
     discrete_spec,
     json_number,
 )
-from .width import d_infinity, equality_case_width, two_level_width, width_eval
+from .width import d_infinity, equality_case_width, two_level_width
 
 LN2 = math.log(2.0)
 GAMMA = float(np.euler_gamma)
@@ -142,7 +142,7 @@ def laplace_sweep(b_grid: Sequence[float] | None = None) -> list[LaplaceRow]:
     def one(b: float) -> LaplaceRow:
         kl = kl_divergence(LaplaceSpec(b)).value_bits
         dcs = dcs_laplace_closed(b)
-        dist = grs_index_distribution(width_eval(LaplaceSpec(b)), eps_stop=SWEEP_EPS_STOP)
+        dist = grs_index_distribution(LaplaceSpec(b).width(), eps_stop=SWEEP_EPS_STOP)
         row = LaplaceRow(
             b=b,
             neg_ln_b=-math.log(b) + 0.0,
@@ -172,7 +172,7 @@ def gaussian_sweep(
     def one(d: int) -> GaussianRow:
         spec = GaussianSpec(mu, sigma, d)  # rejects a d that is not an integer
         kl = kl_divergence(spec).value_bits
-        dcs = channel_simulation_divergence(width_eval(spec)).value_bits
+        dcs = channel_simulation_divergence(spec.width()).value_bits
         row = GaussianRow(
             d=spec.d,
             kl_bits=kl,
@@ -270,13 +270,14 @@ class BoundSuiteReport:
 
 
 def spec_descriptor(spec: DistributionPair) -> dict:
+    """spec.descriptor(); kept only while perfbench/workloads.py imports it (ROADMAP item 12)."""
     return spec.descriptor()
 
 
 def _verify_pair(entry: SuiteEntry) -> PairBoundReport:
     spec = entry.spec
     try:
-        w = width_eval(spec)
+        w = spec.width()
         kl_rep = kl_divergence(spec, route=spec.kl_route)
         dcs_rep = channel_simulation_divergence(w)
         dacs_rep = alternative_divergence(w)
@@ -312,9 +313,9 @@ def _verify_pair(entry: SuiteEntry) -> PairBoundReport:
             Inequality("entropy_le_dacs_plus_1", ent, dacs + 1.0,
                        dacs_rep.abs_error_estimate + ent_slack + 1e-6),
         ]
-        return PairBoundReport(entry.name, spec_descriptor(spec), quantities, ineqs)
+        return PairBoundReport(entry.name, spec.descriptor(), quantities, ineqs)
     except (CrsToolkitError, OverflowError) as exc:  # OverflowError: h_max beyond floats
-        return PairBoundReport(entry.name, spec_descriptor(spec), {}, [], error=str(exc))
+        return PairBoundReport(entry.name, spec.descriptor(), {}, [], error=str(exc))
 
 
 def default_suite() -> list[SuiteEntry]:

@@ -485,9 +485,9 @@ def _run_replicas(pair: DistributionPair, w: WidthFunction, rng_stream: RngStrea
     A replica accepts at step k with u S_k + L_k <= r, that is u <= beta,
     where r is dQ/dP at the proposal; a step with no survival mass left
     accepts, as its beta is 1. A round reads its proposals and their r in
-    one pair.draw_ratio call, which a discrete or step-width synthetic pair
-    answers from a table. The orbit of w is read step by step, so no
-    deeper than the deepest step a replica reaches.
+    one pair.draw_ratio call, which gives each pair's own dQ/dP: q/p for a
+    discrete pair, the width's r(u) for a synthetic one. The orbit of w is
+    read step by step, so no deeper than the deepest step a replica reaches.
     """
     rec, gen = GrsRecursion(w), rng_stream.generator()
     indices = np.zeros(n, dtype=np.int64)

@@ -6,11 +6,11 @@ the pair: its width, closed-form KL and KL route, JSON descriptor and parser
 each family tag to its class and drives suite files and the CLI alike.
 
 The sampler reads draws and ratios together, through draw_ratio: n proposals
-and their dQ/dP, equal bit for bit to np.exp(log_ratio(x)). By default it is
-just that; a discrete pair (from a ratio table built with it) and a
-synthetic pair on a step width (from the width's table of its levels)
-gather dQ/dP instead, with no log, no exp and none of log_ratio's checks of
-points that draw has just produced.
+and each pair's own dQ/dP, unchecked: q/p from a discrete pair's ratio table,
+the width's r(u) from a synthetic pair's _inverse, and by default, for Laplace
+and Gaussian pairs, np.exp(log_ratio(x)). DiscreteSpec holds the discrete
+pair's checks, ratios and exact step width; width_from_discrete(q, p) is
+discrete_spec(q, p).width().
 
 Sample spaces are concrete carriers: real scalars (laplace, synthetic on the
 unit interval), real vectors (gaussian product pairs with equal
@@ -20,6 +20,7 @@ randomness flows through keyed RngStream substreams.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar, Sequence
@@ -32,8 +33,6 @@ from .width import (
     LaplaceWidth,
     StepWidth,
     WidthFunction,
-    _discrete_arrays,
-    _discrete_step_width,
     equality_case_width,
     gaussian_log_ratio_constants,
     indicator_width,
@@ -43,6 +42,8 @@ from .width import (
 )
 
 LN2 = math.log(2.0)
+# a discrete pair's q and p each sum to 1 within this
+_SUM_TOL = 1e-12
 
 
 def json_number(obj: dict, key: str) -> float:
@@ -91,8 +92,8 @@ class DistributionPair:
         raise NotImplementedError
 
     def draw_ratio(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(x, r): n proposal draws, as draw makes them, and dQ/dP at each,
-        r = np.exp(self.log_ratio(x)) bit for bit."""
+        """(x, r): n proposal draws, as draw makes them, and dQ/dP at each; by
+        default r = np.exp(self.log_ratio(x)), else the family's exact ratio."""
         x = self.draw(gen, n)
         return x, np.exp(self.log_ratio(x))
 
@@ -174,17 +175,24 @@ class DiscreteSpec(DistributionPair):
     family = "discrete"
 
     def __post_init__(self):
-        q, p = _discrete_arrays(self.q, self.p)  # copies: the arrays are cached below
-        log_ratios = np.full_like(q, np.nan)  # NaN marks the points outside P's support
-        np.divide(q, p, out=log_ratios, where=p > 0.0)
-        with np.errstate(divide="ignore"):  # an atom with q = 0 has log ratio -inf
-            np.log(log_ratios, out=log_ratios, where=p > 0.0)
+        q = np.array(self.q, dtype=float)  # copies: the arrays are cached below
+        p = np.array(self.p, dtype=float)
+        if q.ndim != 1 or q.shape != p.shape or q.size == 0:
+            raise InvalidParameterError("q and p must be equal-length non-empty vectors")
+        if not (np.all(q >= 0.0) and np.all(p >= 0.0)):  # NaN fails too
+            raise InvalidParameterError("probability vectors must be non-negative")
+        if abs(q.sum() - 1.0) > _SUM_TOL or abs(p.sum() - 1.0) > _SUM_TOL:
+            raise InvalidParameterError("q and p must each sum to 1 within 1e-12")
+        if np.any((q > 0.0) & (p == 0.0)):
+            raise InvalidParameterError("Q is not absolutely continuous w.r.t. P")
+        ratios = np.full_like(q, np.nan)  # NaN marks the points outside P's support
+        np.divide(q, p, out=ratios, where=p > 0.0)
         # pinned at 1 from the last atom with p > 0, so that no u < 1 maps past it
         cum_p = np.cumsum(p)
         cum_p[np.flatnonzero(p)[-1]:] = 1.0
         vars(self).update(
             q=tuple(float(v) for v in q), p=tuple(float(v) for v in p),
-            _q=q, _p=p, _cum_p=cum_p, _log_ratios=log_ratios, _ratios=np.exp(log_ratios))
+            _q=q, _p=p, _cum_p=cum_p, _ratios=ratios)
 
     @classmethod
     def from_json(cls, obj: dict) -> DiscreteSpec:
@@ -193,8 +201,28 @@ class DiscreteSpec(DistributionPair):
     def descriptor(self) -> dict:
         return {"family": "discrete", "q": list(self.q), "p": list(self.p)}
 
-    def width(self) -> WidthFunction:
-        return _discrete_step_width(self._q, self._p)
+    def width(self) -> StepWidth:
+        q, p = self._q, self._p
+        ratios = np.zeros_like(q)
+        np.divide(q, p, out=ratios, where=p > 0.0)
+        order = np.argsort(ratios, kind="stable")[::-1]
+        # descending, so equal ratios are adjacent and the positive ones lead:
+        # a level's mass adds its atoms' p in this order
+        levels: list[float] = []
+        masses: list[float] = []
+        for r, m in zip(ratios[order].tolist(), p[order].tolist()):
+            if not r > 0.0:
+                break
+            if levels and r == levels[-1]:
+                masses[-1] += m
+            else:
+                levels.append(r)
+                masses.append(m)
+        # P(ratio >= levels[i]) is the width on (levels[i+1], levels[i]], so
+        # ascending edges pair with the cumulative masses reversed. Roundoff can
+        # push the final cumulative a few ulp above 1.
+        cum = [min(c, 1.0) for c in itertools.accumulate(masses)]
+        return StepWidth([0.0, *reversed(levels)], cum[::-1])
 
     def kl_bits(self) -> float:
         q, p, m = self._q, self._p, self._q > 0.0
@@ -202,14 +230,15 @@ class DiscreteSpec(DistributionPair):
 
     def log_ratio(self, x) -> np.ndarray:
         idx = np.atleast_1d(np.asarray(x))
-        if not np.issubdtype(idx.dtype, np.integer):
-            if np.any(idx != np.floor(idx)):
-                raise InvalidParameterError("discrete points are integer indices")
-            idx = idx.astype(np.int64)
+        # NaN fails the first test; the range is checked on the values, before
+        # the cast, which would warn on inf or 1e300
+        if not np.issubdtype(idx.dtype, np.integer) and np.any(idx != np.floor(idx)):
+            raise InvalidParameterError("discrete points are integer indices")
         if idx.size and (idx.min() < 0 or idx.max() >= len(self.q)):
             raise InvalidParameterError("index outside the alphabet")
-        out = self._log_ratios[idx]
-        if math.isnan(out.sum()):  # NaN iff some term is: the table holds no +inf
+        with np.errstate(divide="ignore"):  # an atom with q = 0 has log ratio -inf
+            out = np.log(self._ratios[idx.astype(np.int64, copy=False)])
+        if math.isnan(out.sum()):  # NaN iff some term is: no log ratio is +inf
             raise InvalidParameterError("point outside the support of P")
         return out
 
@@ -268,10 +297,8 @@ class SyntheticSpec(DistributionPair):
         return np.maximum(gen.random(n), 2.0**-54)
 
     def draw_ratio(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if not isinstance(self.w, StepWidth):
-            return super().draw_ratio(gen, n)
-        x = self.draw(gen, n)  # in (0, 1), as exp_log_inverse assumes
-        return x, self.w.exp_log_inverse(x)
+        x = self.draw(gen, n)  # in [2^-54, 1 - 2^-53], inside ratio_inverse's domain
+        return x, self.w._inverse(x)
 
 
 FAMILIES: dict[str, type[DistributionPair]] = {
@@ -279,9 +306,15 @@ FAMILIES: dict[str, type[DistributionPair]] = {
 
 
 def make_pair(spec: DistributionPair) -> DistributionPair:
-    """The pair of a validated spec: the spec itself, as each family class is both."""
+    """The spec itself, as each family class is both; kept only while
+    perfbench/workloads.py imports it (ROADMAP item 12)."""
     return spec
 
 
 def discrete_spec(q: Sequence[float], p: Sequence[float]) -> DiscreteSpec:
-    return DiscreteSpec(tuple(float(v) for v in q), tuple(float(v) for v in p))
+    return DiscreteSpec(tuple(q), tuple(p))  # the spec stores them as float tuples
+
+
+def width_from_discrete(q: Sequence[float], p: Sequence[float]) -> StepWidth:
+    """Exact step width of the discrete pair (q, p), validated as a DiscreteSpec."""
+    return discrete_spec(q, p).width()

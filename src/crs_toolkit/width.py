@@ -28,7 +28,8 @@ Analytic widths per family:
                 chi-square CDF with d degrees of freedom and noncentrality
                 d*c^2, read from scipy.special.chndtr (Boost Math, which sums
                 only the Poisson terms that matter at each x).
-  discrete:     exact step function over the sorted ratio levels.
+  discrete:     exact step function over the sorted ratio levels, built
+                by DiscreteSpec.width() in measures.py.
   synthetic:    any caller-supplied width; uniform proposal on (0, 1) with
                 density ratio equal to the decreasing generalized inverse
                 r(u) = sup{h : w(h) > u}.
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -74,8 +74,6 @@ _LAPLACE_SERIES_TERMS = 40
 # to this tolerance relative to (h_max - h) w(h) >= T(h)
 _GAUSSIAN_CANCEL_LIMIT = 1e-7
 _GAUSSIAN_QUAD_TOL = 1e-13
-# a discrete pair's q and p each sum to 1 within this
-_SUM_TOL = 1e-12
 
 def gaussian_log_ratio_constants(mu: float, sigma: float) -> tuple[float, float, float]:
     """Per-dimension constants (a, c, t0) of the Gaussian pair log-ratio.
@@ -182,8 +180,9 @@ class StepWidth(WidthFunction):
     width are exact up to float rounding. Construction validates once and
     builds the tables every exact integral reads: the segment lengths
     _lengths, the masses _cum below and _suffix above each edge, and the
-    breakpoints. The tables of r(u), _levels and _level_ratios, and the
-    sampler's _exp_log_level_ratios are built on first use.
+    breakpoints. The two tables of r(u), _levels and _level_ratios, are
+    built on first use; _inverse reads them with one searchsorted and one take,
+    and a synthetic pair's sampler calls it for its dQ/dP.
     """
 
     def __init__(self, edges: Sequence[float], values: Sequence[float]):
@@ -252,25 +251,10 @@ class StepWidth(WidthFunction):
         value = float(self.values[j] * (self.edges[j + 1] - h) + self._suffix[j + 1])
         return QuadResult(value, 0.0, True, 0)
 
-    def _level(self, u: np.ndarray) -> np.ndarray:
+    def _inverse(self, u: np.ndarray) -> np.ndarray:
         # w(h) > u holds up to the right edge of the last segment whose value
         # exceeds u; the phantom level 1 > u keeps the index in range
-        return np.searchsorted(self._levels, u, side="right")
-
-    def _inverse(self, u: np.ndarray) -> np.ndarray:
-        return self._level_ratios[self._level(u)]
-
-    # built on first use: only a synthetic pair's sampler reads it
-    @functools.cached_property
-    def _exp_log_level_ratios(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):  # a ratio of 0 has log -inf
-            return np.exp(np.log(self._level_ratios))
-
-    def exp_log_inverse(self, u: np.ndarray) -> np.ndarray:
-        """exp(log r(u)) for u in (0, 1), unchecked, gathered from a table of
-        the levels: the synthetic pair's dQ/dP as np.exp of its log_ratio
-        gives it, bit for bit (exp(log r) can be an ulp off r)."""
-        return self._exp_log_level_ratios.take(self._level(u))
+        return self._level_ratios.take(np.searchsorted(self._levels, u, side="right"))
 
 
 class LaplaceWidth(WidthFunction):
@@ -577,54 +561,8 @@ class OptimalAcsWidth(WidthFunction):
         return np.power(1.0 / u - 1.0, 1.0 / self.alpha) / self.beta
 
 
-def _discrete_arrays(q: Sequence[float], p: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """(q, p) as new float arrays, once they are equal-length non-empty
-    probability vectors, each summing to 1 within 1e-12, with Q << P."""
-    q = np.array(q, dtype=float)
-    p = np.array(p, dtype=float)
-    if q.ndim != 1 or q.shape != p.shape or q.size == 0:
-        raise InvalidParameterError("q and p must be equal-length non-empty vectors")
-    if not (np.all(q >= 0.0) and np.all(p >= 0.0)):  # NaN fails too
-        raise InvalidParameterError("probability vectors must be non-negative")
-    if abs(q.sum() - 1.0) > _SUM_TOL or abs(p.sum() - 1.0) > _SUM_TOL:
-        raise InvalidParameterError("q and p must each sum to 1 within 1e-12")
-    if np.any((q > 0.0) & (p == 0.0)):
-        raise InvalidParameterError("Q is not absolutely continuous w.r.t. P")
-    return q, p
-
-
-def width_from_discrete(q: Sequence[float], p: Sequence[float]) -> StepWidth:
-    """Exact step width of a discrete pair from its sorted density ratios;
-    q and p must pass the checks of a DiscreteSpec."""
-    return _discrete_step_width(*_discrete_arrays(q, p))
-
-
-def _discrete_step_width(q: np.ndarray, p: np.ndarray) -> StepWidth:
-    """width_from_discrete of arrays that _discrete_arrays returned."""
-    ratios = np.zeros_like(q)
-    np.divide(q, p, out=ratios, where=p > 0.0)
-    order = np.argsort(ratios, kind="stable")[::-1]
-    # descending, so equal ratios are adjacent and the positive ones lead:
-    # a level's mass adds its atoms' p in this order
-    levels: list[float] = []
-    masses: list[float] = []
-    for r, m in zip(ratios[order].tolist(), p[order].tolist()):
-        if not r > 0.0:
-            break
-        if levels and r == levels[-1]:
-            masses[-1] += m
-        else:
-            levels.append(r)
-            masses.append(m)
-    # P(ratio >= levels[i]) is the width on (levels[i+1], levels[i]], so
-    # ascending edges pair with the cumulative masses reversed. Roundoff can
-    # push the final cumulative a few ulp above 1.
-    cum = [min(c, 1.0) for c in itertools.accumulate(masses)]
-    return StepWidth([0.0, *reversed(levels)], cum[::-1])
-
-
 def width_eval(spec: "DistributionPair") -> WidthFunction:
-    """Analytic width function of a pair spec."""
+    """spec.width(); kept only while perfbench/workloads.py imports it (ROADMAP item 12)."""
     return spec.width()
 
 

@@ -27,13 +27,13 @@ from crs_toolkit.measures import (
     make_pair,
 )
 from crs_toolkit.streams import RngStream
+from crs_toolkit import width_from_discrete
 from crs_toolkit.width import (
     OptimalAcsWidth,
     OptimalCsWidth,
     equality_case_width,
     indicator_width,
     width_eval,
-    width_from_discrete,
 )
 from crs_toolkit.divergences import PHI_BINARY_ENTROPY, PHI_XLOGX, _w_ln_h_quad, quad_phi_integral
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crs_toolkit import divergences
+from crs_toolkit import divergences, width_from_discrete
 from crs_toolkit.errors import InvalidParameterError, QuadratureError
 from crs_toolkit.divergences import (
     LOG2_E_PLUS_1,
@@ -40,7 +40,6 @@ from crs_toolkit.width import (
     indicator_width,
     two_level_width,
     width_eval,
-    width_from_discrete,
 )
 
 LN2 = math.log(2.0)

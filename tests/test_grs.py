@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from crs_toolkit import grs
+from crs_toolkit import grs, width_from_discrete
 from crs_toolkit.errors import InvalidParameterError, QuadratureError, StepBudgetError
 from crs_toolkit.experiments import default_suite
 from crs_toolkit.grs import (
@@ -39,7 +39,6 @@ from crs_toolkit.width import (
     indicator_width,
     two_level_width,
     width_eval,
-    width_from_discrete,
     width_from_table,
 )
 

@@ -5,6 +5,7 @@ import pytest
 
 from crs_toolkit.errors import InvalidParameterError
 from crs_toolkit.measures import (
+    DiscreteSpec,
     GaussianSpec,
     LaplaceSpec,
     SyntheticSpec,
@@ -121,6 +122,9 @@ def test_discrete_point_outside_support():
     (3, "index outside the alphabet"),
     (1.5, "integer indices"),
     (2, "support of P"),
+    (math.inf, "index outside the alphabet"),
+    (-math.inf, "index outside the alphabet"),
+    (1e300, "index outside the alphabet"),
 ])
 def test_discrete_log_ratio_rejects_points(point, message):
     pair = make_pair(discrete_spec((0.5, 0.5, 0.0), (0.5, 0.5, 0.0)))
@@ -192,15 +196,40 @@ DRAW_RATIO_PAIRS = {
 }
 
 
+def _exact_ratio(pair, x) -> np.ndarray:
+    """dQ/dP at x as each family defines it: q/p, the width's r(u), or the
+    exponential of the closed-form log ratio."""
+    if isinstance(pair, DiscreteSpec):
+        return np.array(pair.q)[x] / np.array(pair.p)[x]
+    if isinstance(pair, SyntheticSpec):
+        return pair.w.ratio_inverse(x)
+    return np.exp(pair.log_ratio(x))
+
+
+def _assert_within_exp_log_rounding(r, log_r):
+    """r within (1 + 2 |ln r|) ulp of exp(log_r). Rounding ln r to a float
+    errs by up to |ln r| eps, which exp turns into a relative error of r, and
+    exp rounds once more; a ratio of 0 goes to -inf and back to 0 exactly."""
+    e = np.exp(log_r)
+    zero = r == 0.0
+    assert np.array_equal(e[zero], r[zero])
+    r, e = r[~zero], e[~zero]
+    assert np.all(np.abs(r - e) <= (1.0 + 2.0 * np.abs(np.log(r))) * np.spacing(r))
+
+
 @pytest.mark.parametrize("name", DRAW_RATIO_PAIRS)
 def test_draw_ratio_is_the_draw_and_its_exp_log_ratio_bit_for_bit(name):
+    # r is the family's exact ratio bit for bit, which is exp(log_ratio)
+    # itself for Laplace and Gaussian pairs, and exp(log_ratio) up to its
+    # rounding for every family
     pair = DRAW_RATIO_PAIRS[name]
     for stream in range(3):
         fused, plain = RngStream(41, stream).generator(), RngStream(41, stream).generator()
         x, r = pair.draw_ratio(fused, 3000)
         x_plain = pair.draw(plain, 3000)
         assert x.dtype == x_plain.dtype and np.array_equal(x, x_plain)
-        assert r.tobytes() == np.exp(pair.log_ratio(x_plain)).tobytes()
+        assert r.tobytes() == _exact_ratio(pair, x_plain).tobytes()
+        _assert_within_exp_log_rounding(r, pair.log_ratio(x_plain))
         assert fused.random() == plain.random()  # both read the stream as far
 
 
@@ -219,7 +248,8 @@ def test_discrete_draw_ratio_reads_the_atom_whose_cum_p_interval_holds_u(name):
     below = np.append(0.0, pair._cum_p)
     assert np.all((below[x] <= u) & (u < below[x + 1]))  # cum_p[i - 1] <= u < cum_p[i]
     assert np.all(pair._p[x] > 0.0)  # so no p = 0 atom is drawn
-    assert r.tobytes() == np.exp(pair.log_ratio(x)).tobytes()
+    assert r.tobytes() == _exact_ratio(pair, x).tobytes()
+    _assert_within_exp_log_rounding(r, pair.log_ratio(x))
 
 
 @pytest.mark.parametrize("w", [equality_case_width(4.0), two_level_width(0.13), WIDTH_TABLE],
@@ -228,8 +258,9 @@ def test_synthetic_draw_ratio_reads_a_zero_uniform_at_the_floor(w):
     pair = SyntheticSpec(w)
     x, r = pair.draw_ratio(_StubGenerator([0.0, 0.5, 1.0 - 2.0**-53]), 3)
     assert x[0] == 2.0**-54
-    assert r[0] == pytest.approx(w.h_max, rel=1e-15)  # exp(log r) may move r by an ulp
-    assert r.tobytes() == np.exp(pair.log_ratio(x)).tobytes()
+    assert r[0] == w.h_max
+    assert r.tobytes() == w.ratio_inverse(x).tobytes()
+    _assert_within_exp_log_rounding(r, pair.log_ratio(x))
 
 
 def test_sampling_is_keyed_and_deterministic():

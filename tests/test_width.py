@@ -11,6 +11,7 @@ import pytest
 from scipy import integrate, stats
 
 import crs_toolkit
+from crs_toolkit import width_from_discrete
 from crs_toolkit.divergences import (
     alternative_divergence,
     channel_simulation_divergence,
@@ -40,7 +41,6 @@ from crs_toolkit.width import (
     indicator_width,
     two_level_width,
     width_eval,
-    width_from_discrete,
     read_width_table,
     width_from_table,
     WidthFunction,
@@ -400,15 +400,20 @@ def test_step_width_ratio_inverse_levels():
 @pytest.mark.parametrize("w", [equality_case_width(4.0), two_level_width(0.13),
                                StepWidth([0.0, 0.5, 1.0, 1.4, 2.4], [1.0, 0.6, 0.25, 0.1])],
                          ids=["equality", "two_level", "four_levels"])
-def test_step_width_exp_log_inverse_is_exp_log_of_ratio_inverse(w):
-    # at each level and the floats on either side of it, where the level search
-    # changes its answer
+def test_step_width_ratio_inverse_is_the_sup_of_its_superlevel_set(w):
+    # r(u) = sup{h : w(h) > u} at each level and the floats on either side of
+    # it, where the level search changes its answer. w is values[j] on
+    # (edges[j], edges[j+1]], so w(h) > u up to the right edge of the last
+    # segment whose value exceeds u, and only at h = 0 if none does
     levels = np.append(w.values, 2.0**-54)
     u = np.concatenate([levels, np.nextafter(levels, 0.0), np.nextafter(levels, 1.0)])
     u = u[(u > 0.0) & (u < 1.0)]
-    with np.errstate(divide="ignore"):  # a ratio of 0 has log -inf
-        expected = np.exp(np.log(w.ratio_inverse(u)))
-    assert w.exp_log_inverse(u).tobytes() == expected.tobytes()
+    r = w.ratio_inverse(u)
+    expected = [max((e for v, e in zip(w.values.tolist(), w.edges[1:].tolist()) if v > x),
+                    default=0.0) for x in u.tolist()]
+    assert r.tolist() == expected
+    assert np.all(w(r[r > 0.0]) > u[r > 0.0])  # the sup is attained
+    assert np.all(w(np.nextafter(r, math.inf)) <= u)  # and nothing above it is in the set
 
 # ratio_inverse at u = 0.1, 0.25, 0.5, 0.9, as exact reprs of the values
 # returned before the domain check moved into WidthFunction.ratio_inverse;
@@ -718,6 +723,8 @@ BAD_WIDTH_CALLS = {
     "discrete_q_zero": (lambda: width_from_discrete([0.0, 0.0], [0.5, 0.5]),
                         "sum to 1 within 1e-12"),
     "discrete_empty": (lambda: width_from_discrete([], []), "equal-length non-empty vectors"),
+    "discrete_2d": (lambda: width_from_discrete(np.full((2, 1), 0.5), np.full((2, 1), 0.5)),
+                    "equal-length non-empty vectors"),
     "step_no_segment": (lambda: StepWidth([0.0], []), "at least one segment"),
     "table_one_row": (lambda: width_from_table([(0.0, 1.0)]), "at least two rows"),
 }
